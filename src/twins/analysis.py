@@ -153,16 +153,7 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int,
     ad.enable_mac_counting(True)
     try:
         with ad.no_grad():
-            if variant == "mhsa":
-                at.mhsa(x, w)
-            elif variant == "twins":
-                scores = at.align_heads(at.paa_scores(x, sub), M)
-                at.twins_attention(x, w.w_v, w.w_o, scores, heads=M)
-            elif variant == "twins_plus":
-                scores = at.align_heads(at.paa_scores(x, sub), M)
-                at.twins_plus_attention(x, w, scores)
-            else:
-                raise ValueError(f"unknown variant {variant!r}")
+            at.attention_block(variant, x, w, sub)
     finally:
         ad.enable_mac_counting(False)
     return ad.mac_count()

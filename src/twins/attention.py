@@ -38,14 +38,6 @@ class ScoreSubnet:
     w_p: Tensor               # (S, D/S, P_max) aggregation maps
 
     @property
-    def S(self):
-        return self.dw_kernels.shape[0]
-
-    @property
-    def split_width(self):
-        return self.dw_kernels.shape[1]
-
-    @property
     def P_max(self):
         return self.w_p.shape[2]
 
@@ -54,10 +46,9 @@ def init_attention(D: int, heads: int, rng: np.random.Generator,
                    keyless: bool = False) -> AttentionWeights:
     if D % heads != 0:
         raise ValueError(f"D={D} not divisible by heads={heads}")
-    bound = 1.0 / math.sqrt(D)
 
     def mk():
-        return Tensor(rng.uniform(-bound, bound, size=(D, D)), requires_grad=True)
+        return ad.uniform_init(rng, (D, D), D)
 
     if keyless:
         return AttentionWeights(None, None, mk(), mk(), heads)
@@ -71,9 +62,8 @@ def init_subnet(D: int, S: int, k: int, P_max: int,
     if k % 2 == 0:
         raise ValueError(f"subnet kernel width must be odd, got {k}")
     ds = D // S
-    dw = rng.uniform(-1.0 / math.sqrt(k), 1.0 / math.sqrt(k), size=(S, ds, k))
-    wp = rng.uniform(-1.0 / math.sqrt(ds), 1.0 / math.sqrt(ds), size=(S, ds, P_max))
-    return ScoreSubnet(Tensor(dw, requires_grad=True), Tensor(wp, requires_grad=True))
+    dw = ad.uniform_init(rng, (S, ds, k), k)
+    return ScoreSubnet(dw, ad.uniform_init(rng, (S, ds, P_max), ds))
 
 
 def _split_heads(x: Tensor, m: int) -> Tensor:
@@ -97,9 +87,29 @@ def _swap_last2(x: Tensor) -> Tensor:
     return ad.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
-def _probe_store(probe, attn: Tensor):
+def _attend(attn: Tensor, vh: Tensor, w_o: Tensor, probe) -> Tensor:
+    """Shared tail: record attn in the probe, weight values, project out."""
     if probe is not None:
         probe["attn"] = attn.data.copy()
+    return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w_o)
+
+
+def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
+    """softmax(scores (*) qk^T / sqrt(Dh)) v, with scores None meaning 1."""
+    D = x.shape[-1]
+    if w.w_v.shape[0] != D:
+        raise ValueError(f"weights sized {w.w_v.shape} vs input D={D}")
+    m = w.heads
+    if scores is not None and scores.shape[0] != m:
+        raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
+    qh = _split_heads(ad.matmul(x, w.w_q), m)
+    kh = _split_heads(ad.matmul(x, w.w_k), m)
+    vh = _split_heads(ad.matmul(x, w.w_v), m)
+    logits = ad.matmul(qh, _swap_last2(kh))
+    if scores is not None:
+        logits = ad.mul(scores, logits)
+    attn = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(D // m)), axis=-1)
+    return _attend(attn, vh, w.w_o, probe)
 
 
 def mhsa(x: Tensor, w: AttentionWeights, probe: dict = None) -> Tensor:
@@ -108,17 +118,7 @@ def mhsa(x: Tensor, w: AttentionWeights, probe: dict = None) -> Tensor:
     Ordinary softmax(qk^T/sqrt(Dh))v with output projection; the caller owns
     residuals and normalization.
     """
-    D = x.shape[-1]
-    if w.w_v.shape[0] != D:
-        raise ValueError(f"weights sized {w.w_v.shape} vs input D={D}")
-    m = w.heads
-    qh = _split_heads(ad.matmul(x, w.w_q), m)
-    kh = _split_heads(ad.matmul(x, w.w_k), m)
-    vh = _split_heads(ad.matmul(x, w.w_v), m)
-    logits = ad.scale(ad.matmul(qh, _swap_last2(kh)), 1.0 / math.sqrt(D // m))
-    attn = ad.softmax(logits, axis=-1)
-    _probe_store(probe, attn)
-    return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w.w_o)
+    return _dot_product(x, w, None, probe)
 
 
 def paa_scores(x: Tensor, subnet: ScoreSubnet) -> Tensor:
@@ -161,18 +161,7 @@ def twins_plus_attention(x: Tensor, w: AttentionWeights, scores: Tensor,
     logits = scores (*) qk^T / sqrt(Dh), then softmax over keys as usual.
     Scores of 1 everywhere reduce this to plain mhsa.
     """
-    D = x.shape[-1]
-    m = w.heads
-    if scores.shape[0] != m:
-        raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
-    qh = _split_heads(ad.matmul(x, w.w_q), m)
-    kh = _split_heads(ad.matmul(x, w.w_k), m)
-    vh = _split_heads(ad.matmul(x, w.w_v), m)
-    raw = ad.matmul(qh, _swap_last2(kh))
-    logits = ad.scale(ad.mul(scores, raw), 1.0 / math.sqrt(D // m))
-    attn = ad.softmax(logits, axis=-1)
-    _probe_store(probe, attn)
-    return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w.w_o)
+    return _dot_product(x, w, scores, probe)
 
 
 def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
@@ -185,6 +174,22 @@ def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
     if scores.shape[0] != m:
         raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
     attn = ad.softmax(scores, axis=-1)                     # (m, ..., C, P, P)
-    _probe_store(probe, attn)
     vh = _split_heads(ad.matmul(x, w_v), m)
-    return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w_o)
+    return _attend(attn, vh, w_o, probe)
+
+
+def attention_block(variant: str, x: Tensor, w: AttentionWeights,
+                    subnet: ScoreSubnet = None, probe: dict = None) -> Tensor:
+    """One attention block of the named variant.
+
+    ``subnet`` supplies the periodicity scores; mhsa does not use it.
+    """
+    if variant == "mhsa":
+        return mhsa(x, w, probe=probe)
+    if variant not in ("twins", "twins_plus"):
+        raise ValueError(f"unknown variant {variant!r}")
+    scores = align_heads(paa_scores(x, subnet), w.heads)
+    if variant == "twins_plus":
+        return twins_plus_attention(x, w, scores, probe=probe)
+    return twins_attention(x, w.w_v, w.w_o, scores, heads=w.heads,
+                           probe=probe)

@@ -20,21 +20,18 @@ __all__ = [
     "DiffGraph",
     "AdamState",
     "no_grad",
-    "is_recording",
     "backward",
+    "uniform_init",
     "add",
-    "sub",
     "mul",
     "scale",
     "sigmoid",
     "gelu",
-    "relu",
     "matmul",
     "conv1d",
     "depthwise_conv1d",
     "reshape",
     "transpose",
-    "concat",
     "narrow",
     "roll",
     "repeat_heads",
@@ -42,11 +39,9 @@ __all__ = [
     "layer_norm",
     "sum_all",
     "mse",
-    "mae",
     "dropout",
     "adam_step",
     "clip_grad_norm",
-    "set_debug_checks",
     "enable_mac_counting",
     "mac_count",
     "reset_mac_count",
@@ -72,18 +67,9 @@ class DiffGraph:
 _tape = DiffGraph()
 _recording = True
 
-# Debug-mode finiteness checks (off by default; cheap to leave off).
-_debug_checks = False
-
 # Multiply-accumulate counters for the complexity report.
 _counting_macs = False
 _mac_total = 0
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """When enabled, every op asserts its output is finite."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 def enable_mac_counting(enabled: bool = True) -> None:
@@ -117,10 +103,6 @@ def no_grad():
         yield
     finally:
         _recording = prev
-
-
-def is_recording() -> bool:
-    return _recording
 
 
 class Tensor:
@@ -169,42 +151,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """Trainable tensor drawn uniformly from +-1/sqrt(fan_in)."""
+    bound = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
     """Wrap op output; record backward on the tape if anything needs grad."""
-    if _debug_checks and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("non-finite values produced by an op")
     needs = _recording and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
@@ -263,18 +218,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, bwd, a, b)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary_shapes("sub", a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, bwd, a, b)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes("mul", a, b)
     ad, bd = a.data, b.data
@@ -323,16 +266,6 @@ def gelu(a: Tensor) -> Tensor:
             a._accum(g * (cdf + x * pdf))
 
     return _make(y, bwd, a)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * mask)
-
-    return _make(a.data * mask, bwd, a)
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +402,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.data.transpose(axes), bwd, a)
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat of empty list")
-    axis = axis % tensors[0].ndim
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, p in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(p)
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), bwd, *tensors)
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis; backward scatters into the slice."""
     axis = axis % a.ndim
@@ -603,23 +519,6 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
             target._accum(-c * diff)
 
     return _make(np.asarray((diff * diff).mean()), bwd, pred, target)
-
-
-def mae(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.shape != target.shape:
-        raise ValueError(f"mae: shapes differ, {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
-    n = diff.size
-    sign = np.sign(diff)  # subgradient 0 at exact ties
-
-    def bwd(g):
-        c = float(g) / n
-        if pred.requires_grad:
-            pred._accum(c * sign)
-        if target.requires_grad:
-            target._accum(-c * sign)
-
-    return _make(np.asarray(np.abs(diff).mean()), bwd, pred, target)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:

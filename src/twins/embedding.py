@@ -1,10 +1,9 @@
 """Multi-scale convolution embedding with one shared kernel store.
 
-A bank of nested kernels of widths 1, 3, 7, ..., 2^n - 1, all views into a
-single parameter array: the width-(2^i - 1) kernel is the centered slice of
-the widest one. Each input series is convolved with every width and the
-results are summed, so coarse trend and fine oscillation land in the same
-d-dimensional point feature.
+A bank of nested kernels of widths 1, 3, 7, ..., 2^n - 1, all centered
+slices of a single (d, 1, 2^n - 1) parameter array. Each input series is
+convolved with every width and the results are summed, so coarse trend and
+fine oscillation land in the same d-dimensional point feature.
 
 Point maps are (d, C, L); an arbitrary batch prefix in front of that is
 allowed everywhere (shapes below are written for the unbatched case).
@@ -12,52 +11,34 @@ allowed everywhere (shapes below are written for the unbatched case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 
-@dataclass
-class WaveletKernelBank:
-    base_weights: Tensor          # (d, 1, K_max), the single shared store
-    num_scales: int
-    kernel_sizes: list            # [1, 3, 7, ..., 2^n - 1]
-    d: int
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
-def build_kernel_bank(d: int, num_scales: int, init_seed=0) -> WaveletKernelBank:
-    """Widths 2^i - 1 for i = 1..num_scales; init uniform in +-1/sqrt(K_max)."""
+def init_kernel_bank(d: int, num_scales: int,
+                     rng: np.random.Generator) -> Tensor:
+    """The (d, 1, 2^n - 1) store, uniform in +-1/sqrt(K_max)."""
     if num_scales < 1:
         raise ValueError(f"num_scales must be >= 1, got {num_scales}")
     if d < 1:
         raise ValueError(f"embed width d must be >= 1, got {d}")
-    sizes = [2 ** i - 1 for i in range(1, num_scales + 1)]
-    k_max = sizes[-1]
-    rng = _as_rng(init_seed)
-    bound = 1.0 / np.sqrt(k_max)
-    w = rng.uniform(-bound, bound, size=(d, 1, k_max))
-    return WaveletKernelBank(Tensor(w, requires_grad=True), num_scales, sizes, d)
+    k_max = 2 ** num_scales - 1
+    return ad.uniform_init(rng, (d, 1, k_max), k_max)
 
 
-def extract_scale_kernel(bank: WaveletKernelBank, i: int) -> Tensor:
-    """Centered slice of width 2^i - 1; gradients flow into the shared store."""
-    if not 1 <= i <= bank.num_scales:
-        raise ValueError(
-            f"scale index {i} out of range 1..{bank.num_scales}"
-        )
-    k_i = bank.kernel_sizes[i - 1]
-    k_max = bank.kernel_sizes[-1]
-    start = (k_max - k_i) // 2
-    return ad.narrow(bank.base_weights, axis=2, start=start, length=k_i)
+def tap_multiplicity(k_max: int) -> np.ndarray:
+    """How many of the nested widths 1, 3, ..., k_max cover each tap.
+
+    [1,1,1,1,2,2,3,4,3,2,2,1,1,1,1] for k_max = 15.
+    """
+    num_scales = (k_max + 1).bit_length() - 1
+    if k_max < 1 or 2 ** num_scales - 1 != k_max:
+        raise ValueError(f"kernel width {k_max} is not 2^n - 1")
+    offset = np.abs(np.arange(k_max) - k_max // 2)
+    return sum((offset < 2 ** i).astype(np.float64)
+               for i in range(num_scales))
 
 
 def _swap_last3_front2(x: Tensor) -> Tensor:
@@ -67,27 +48,24 @@ def _swap_last3_front2(x: Tensor) -> Tensor:
     return ad.transpose(x, axes)
 
 
-def wconv_embed(x: Tensor, bank: WaveletKernelBank) -> Tensor:
+def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
     """(1, C, L) raw series -> (d, C, L) point features, summed over scales.
 
     Channel independent: every series is convolved with the same bank.
+    Convolution is linear in the kernel, so the sum over the nested widths
+    is one convolution with the store scaled by each tap's multiplicity.
     """
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ValueError(
             f"wconv_embed expects (..., 1, C, L), got {x.shape}"
         )
-    xc = _swap_last3_front2(x)  # (..., C, 1, L)
-    out = None
-    for i in range(1, bank.num_scales + 1):
-        kern = extract_scale_kernel(bank, i)       # (d, 1, 2^i - 1)
-        y = ad.conv1d(xc, kern)                    # (..., C, d, L)
-        out = y if out is None else ad.add(out, y)
-    return _swap_last3_front2(out)                 # (..., d, C, L)
+    kern = ad.mul(bank, Tensor(tap_multiplicity(bank.shape[-1])))
+    y = ad.conv1d(_swap_last3_front2(x), kern)    # (..., C, d, L)
+    return _swap_last3_front2(y)                  # (..., d, C, L)
 
 
-def init_position_table(d: int, L: int, rng) -> Tensor:
+def init_position_table(d: int, L: int, rng: np.random.Generator) -> Tensor:
     """Trainable (d, L) table, small uniform init."""
-    rng = _as_rng(rng)
     return Tensor(rng.uniform(-0.02, 0.02, size=(d, L)), requires_grad=True)
 
 
@@ -103,16 +81,12 @@ def add_position(x: Tensor, pos: Tensor) -> Tensor:
     return ad.add(x, ad.reshape(pos, (d, 1, L)))
 
 
-def linear_patch_embed(x: Tensor, patch_len: int, stride: int,
-                       w: Tensor, b: Tensor) -> Tensor:
+def linear_patch_embed(x: Tensor, patch_len: int, w: Tensor,
+                       b: Tensor) -> Tensor:
     """Baseline embedding: one shared affine map per raw patch.
 
     (1, C, L) -> (C, P, D) with P = L / patch_len; w is (patch_len, D).
     """
-    if stride != patch_len:
-        raise ValueError(
-            f"patches are non-overlapping: stride {stride} != patch_len {patch_len}"
-        )
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ValueError(f"linear_patch_embed expects (..., 1, C, L), got {x.shape}")
     L = x.shape[-1]

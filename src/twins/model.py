@@ -12,8 +12,7 @@ optional batch prefix, predictions are (C, T).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -231,66 +230,50 @@ class TwinSModel:
 
     # ---- parameter store ----
 
-    def _add(self, name: str, array: np.ndarray) -> Tensor:
-        t = Tensor(array, requires_grad=True)
-        self.params[name] = t
-        return t
+    def _norm(self, prefix: str, D: int) -> None:
+        self.params[f"{prefix}.g"] = Tensor(np.ones(D), requires_grad=True)
+        self.params[f"{prefix}.b"] = Tensor(np.zeros(D), requires_grad=True)
 
-    def _uniform(self, rng, shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+    def _linear(self, w: str, b: str, n_in: int, n_out: int, rng) -> None:
+        self.params[w] = ad.uniform_init(rng, (n_in, n_out), n_in)
+        self.params[b] = Tensor(np.zeros(n_out), requires_grad=True)
 
     def _build(self, rng: np.random.Generator):
         cfg = self.config
+        par = self.params
         if cfg.use_wconv:
-            k_max = 2 ** cfg.num_scales - 1
-            self._add("embed.bank", self._uniform(rng, (cfg.d, 1, k_max), k_max))
-            self._add("embed.pos", rng.uniform(-0.02, 0.02, size=(cfg.d, cfg.L)))
+            par["embed.bank"] = emb.init_kernel_bank(cfg.d, cfg.num_scales, rng)
+            par["embed.pos"] = emb.init_position_table(cfg.d, cfg.L, rng)
         else:
-            D0 = cfg.D_at(0)
-            self._add("embed.patch.w",
-                      self._uniform(rng, (cfg.patch_len, D0), cfg.patch_len))
-            self._add("embed.patch.b", np.zeros(D0))
+            self._linear("embed.patch.w", "embed.patch.b", cfg.patch_len,
+                         cfg.D_at(0), rng)
         for l in range(cfg.n_layers):
             D, P, F = cfg.D_at(l), cfg.P_at(l), cfg.ffn_at(l)
             p = f"layers.{l}"
-            self._add(f"{p}.ln1.g", np.ones(D))
-            self._add(f"{p}.ln1.b", np.zeros(D))
-            if cfg.has_qk():
-                self._add(f"{p}.attn.w_q", self._uniform(rng, (D, D), D))
-                self._add(f"{p}.attn.w_k", self._uniform(rng, (D, D), D))
-            self._add(f"{p}.attn.w_v", self._uniform(rng, (D, D), D))
-            self._add(f"{p}.attn.w_o", self._uniform(rng, (D, D), D))
+            self._norm(f"{p}.ln1", D)
+            w = at.init_attention(D, cfg.heads, rng, keyless=not cfg.has_qk())
+            for name in ("w_q", "w_k", "w_v", "w_o"):
+                t = getattr(w, name)
+                if t is not None:
+                    par[f"{p}.attn.{name}"] = t
             if cfg.has_subnet():
-                ds = D // cfg.aware_heads
-                self._add(f"{p}.subnet.dw",
-                          self._uniform(rng, (cfg.aware_heads, ds, cfg.k), cfg.k))
-                self._add(f"{p}.subnet.w_p",
-                          self._uniform(rng, (cfg.aware_heads, ds, cfg.P_max), ds))
-            self._add(f"{p}.ln2.g", np.ones(D))
-            self._add(f"{p}.ln2.b", np.zeros(D))
-            self._add(f"{p}.ffn.w1", self._uniform(rng, (D, F), D))
-            self._add(f"{p}.ffn.b1", np.zeros(F))
-            self._add(f"{p}.ffn.w2", self._uniform(rng, (F, D), F))
-            self._add(f"{p}.ffn.b2", np.zeros(D))
+                sub = at.init_subnet(D, cfg.aware_heads, cfg.k, cfg.P_max, rng)
+                par[f"{p}.subnet.dw"] = sub.dw_kernels
+                par[f"{p}.subnet.w_p"] = sub.w_p
+            self._norm(f"{p}.ln2", D)
+            self._linear(f"{p}.ffn.w1", f"{p}.ffn.b1", D, F, rng)
+            self._linear(f"{p}.ffn.w2", f"{p}.ffn.b2", F, D, rng)
             if cfg.use_ctmlp:
                 cp = cfg.C * P
-                self._add(f"{p}.ln3.g", np.ones(D))
-                self._add(f"{p}.ln3.b", np.zeros(D))
-                self._add(f"{p}.ct.w1", self._uniform(rng, (cp, cfg.h), cp))
-                self._add(f"{p}.ct.b1", np.zeros(cfg.h))
-                self._add(f"{p}.ct.w2", self._uniform(rng, (cfg.h, cp), cfg.h))
-                self._add(f"{p}.ct.b2", np.zeros(cp))
+                self._norm(f"{p}.ln3", D)
+                self._linear(f"{p}.ct.w1", f"{p}.ct.b1", cp, cfg.h, rng)
+                self._linear(f"{p}.ct.w2", f"{p}.ct.b2", cfg.h, cp, rng)
         head_in = cfg.d * cfg.L if cfg.use_wconv else cfg.P_at(0) * cfg.D_at(0)
-        self._add("head.w", self._uniform(rng, (head_in, cfg.T), head_in))
-        self._add("head.b", np.zeros(cfg.T))
+        self._linear("head.w", "head.b", head_in, cfg.T, rng)
         self._dropout_rng = np.random.default_rng(cfg.seed + 1)
 
     def parameters(self) -> list:
         return list(self.params.values())
-
-    def named_parameters(self) -> dict:
-        return dict(self.params)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -300,12 +283,6 @@ class TwinSModel:
         return sum(t.size for t in self.params.values())
 
     # ---- views over the flat store ----
-
-    def kernel_bank(self) -> emb.WaveletKernelBank:
-        cfg = self.config
-        sizes = [2 ** i - 1 for i in range(1, cfg.num_scales + 1)]
-        return emb.WaveletKernelBank(self.params["embed.bank"],
-                                     cfg.num_scales, sizes, cfg.d)
 
     def attention_weights(self, l: int) -> at.AttentionWeights:
         p = f"layers.{l}"
@@ -335,19 +312,10 @@ class TwinSModel:
         par = self.params
         z = _ln(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"])
         layer_probe = {} if probe is not None else None
-        variant = cfg.effective_variant()
-        if variant == "mhsa":
-            a = at.mhsa(z, self.attention_weights(l), probe=layer_probe)
-        else:
-            scores = at.align_heads(at.paa_scores(z, self.score_subnet(l)),
-                                    cfg.heads)
-            if variant == "twins_plus":
-                a = at.twins_plus_attention(z, self.attention_weights(l),
-                                            scores, probe=layer_probe)
-            else:
-                a = at.twins_attention(z, par[f"{p}.attn.w_v"],
-                                       par[f"{p}.attn.w_o"], scores,
-                                       heads=cfg.heads, probe=layer_probe)
+        subnet = self.score_subnet(l) if cfg.has_subnet() else None
+        a = at.attention_block(cfg.effective_variant(), z,
+                               self.attention_weights(l), subnet,
+                               probe=layer_probe)
         if probe is not None:
             probe.setdefault("attn_layers", []).append(layer_probe["attn"])
         h = ad.add(h, self._maybe_dropout(a, training))
@@ -366,7 +334,7 @@ class TwinSModel:
                       training: bool = False) -> Tensor:
         """Unfold at this layer's scale, run the block, restore the point map."""
         cfg = self.config
-        pm = pt.window_unfold(x_point, cfg.scale_at(l), layer_index=l)
+        pm = pt.window_unfold(x_point, cfg.scale_at(l))
         r = cfg.roll_at(l)
         pm = pt.window_roll(pm, r)
         h = self._residual_block(pm.data, l, probe=probe, training=training)
@@ -386,7 +354,7 @@ class TwinSModel:
         xn, stats = instance_normalize(x)
         lead = x.shape[:-3]
         if cfg.use_wconv:
-            pm = emb.wconv_embed(xn, self.kernel_bank())
+            pm = emb.wconv_embed(xn, self.params["embed.bank"])
             pm = emb.add_position(pm, self.params["embed.pos"])
             for l in range(cfg.n_layers):
                 pm = self.encoder_layer(pm, l, probe=probe, training=training)
@@ -394,7 +362,7 @@ class TwinSModel:
             z = ad.transpose(pm, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
             flat = ad.reshape(z, lead + (cfg.C, cfg.d * cfg.L))
         else:
-            h = emb.linear_patch_embed(xn, cfg.patch_len, cfg.patch_len,
+            h = emb.linear_patch_embed(xn, cfg.patch_len,
                                        self.params["embed.patch.w"],
                                        self.params["embed.patch.b"])
             for l in range(cfg.n_layers):

@@ -19,9 +19,7 @@ from .autodiff import Tensor
 class PatchedFeatureMap:
     data: Tensor              # (..., C, P, D)
     scale: int
-    stride: int
     parent_shape: tuple       # full shape of the source point map
-    layer_index: int = 0
 
     @property
     def P(self):
@@ -32,19 +30,12 @@ class PatchedFeatureMap:
         return self.data.shape[-1]
 
 
-def window_unfold(x: Tensor, scale: int, stride: int = None,
-                  layer_index: int = 0) -> PatchedFeatureMap:
+def window_unfold(x: Tensor, scale: int) -> PatchedFeatureMap:
     """(d, C, L) -> (C, P, D): merge `scale` consecutive steps per patch.
 
     Feature order within a patch is time-major: entry k*d + j is feature j
     of the k-th step in the window.
     """
-    if stride is None:
-        stride = scale
-    if stride != scale:
-        raise ValueError(
-            f"patches are non-overlapping: stride {stride} != scale {scale}"
-        )
     if x.ndim < 3:
         raise ValueError(f"point map must be (..., d, C, L), got {x.shape}")
     d, C, L = x.shape[-3], x.shape[-2], x.shape[-1]
@@ -56,7 +47,7 @@ def window_unfold(x: Tensor, scale: int, stride: int = None,
     # (..., d, C, L) -> (..., C, L, d) -> (..., C, P, scale*d)
     xt = ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
     data = ad.reshape(xt, lead + (C, P, scale * d))
-    return PatchedFeatureMap(data, scale, stride, tuple(x.shape), layer_index)
+    return PatchedFeatureMap(data, scale, tuple(x.shape))
 
 
 def window_fold(pm: PatchedFeatureMap) -> Tensor:

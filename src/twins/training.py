@@ -60,15 +60,6 @@ class TrainHistory:
                 for r in self.records]
 
 
-def _batched_forward(model: TwinSModel, inputs: np.ndarray,
-                     batch_size: int) -> np.ndarray:
-    outs = []
-    with ad.no_grad():
-        for i in range(0, inputs.shape[0], batch_size):
-            outs.append(model.forward(inputs[i:i + batch_size]).data)
-    return np.concatenate(outs, axis=0)
-
-
 def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
              stride: int = 1, batch_size: int = 64) -> Metrics:
     """Mean squared/absolute error over every window of a split, stride 1.
@@ -210,7 +201,9 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
         cfg_dict = json.loads(_read_exact(fh, cfg_len, "config"))
         cfg = ModelConfig.from_dict(cfg_dict)
         if expect_config is not None:
-            for key, want in expect_config.to_dict().items():
+            # compare as stored: JSON turns a tuple of scales into a list
+            expected = json.loads(json.dumps(expect_config.to_dict()))
+            for key, want in expected.items():
                 got = cfg_dict.get(key)
                 if got != want:
                     raise ValueError(

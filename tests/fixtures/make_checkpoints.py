@@ -1,0 +1,41 @@
+"""Write the checkpoint-compatibility fixtures read by test_checkpoint_compat.
+
+For each attention variant: a TWSFORE1 checkpoint of a freshly built,
+untrained micro model, plus its forecast of one fixed window. The fixtures
+pin the parameter init and the forward pass of the commit that wrote them,
+so run this with that commit's package first on the path, e.g.
+
+    PYTHONPATH=<old checkout>/src python tests/fixtures/make_checkpoints.py
+"""
+
+import os
+
+import numpy as np
+
+import twins.autodiff as ad
+import twins.model as md
+import twins.training as tr
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+VARIANTS = ("mhsa", "twins", "twins_plus")
+
+
+def micro_config(variant: str) -> md.ModelConfig:
+    return md.ModelConfig(C=2, L=16, T=4, d=2, num_scales=3, n_layers=2,
+                          scales=(4, 2), heads=2, aware_heads=2, k=3, h=8,
+                          ffn_hidden=8, variant=variant, seed=7)
+
+
+def main() -> None:
+    window = np.random.default_rng(3).normal(size=(1, 2, 16))
+    forecasts = {"window": window}
+    for variant in VARIANTS:
+        model = md.TwinSModel(micro_config(variant))
+        tr.save_checkpoint(model, os.path.join(HERE, f"{variant}.ckpt"))
+        with ad.no_grad():
+            forecasts[variant] = model.forward(window).data
+    np.savez(os.path.join(HERE, "forecasts.npz"), **forecasts)
+
+
+if __name__ == "__main__":
+    main()

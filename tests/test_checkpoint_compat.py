@@ -1,0 +1,36 @@
+"""Checkpoints written by an earlier commit still load and forecast the same.
+
+The fixtures under tests/fixtures come from tests/fixtures/make_checkpoints.py
+run on an earlier commit: one freshly built, untrained micro model per
+variant plus its forecast of one window.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+import twins.autodiff as ad
+import twins.model as md
+import twins.training as tr
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.mark.parametrize("variant", ["mhsa", "twins", "twins_plus"])
+def test_old_checkpoint_loads_and_forecasts(variant):
+    loaded = tr.load_checkpoint(os.path.join(FIXTURES, f"{variant}.ckpt"))
+    assert loaded.config.variant == variant
+
+    # the file holds an untrained model, so a fresh build must match it
+    fresh = md.TwinSModel(loaded.config)
+    assert list(fresh.params) == list(loaded.params)
+    for name, t in fresh.params.items():
+        np.testing.assert_array_equal(t.data, loaded.params[name].data,
+                                      err_msg=name)
+
+    saved = np.load(os.path.join(FIXTURES, "forecasts.npz"))
+    with ad.no_grad():
+        got = loaded.forward(saved["window"]).data
+    want = saved[variant]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

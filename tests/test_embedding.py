@@ -9,69 +9,108 @@ from twins import gradcheck as gc
 from twins.autodiff import Tensor
 
 
+def make_bank(d, num_scales, seed=0):
+    return emb.init_kernel_bank(d, num_scales, np.random.default_rng(seed))
+
+
+def nested_reference(x, bank):
+    """The embedding as the paper states it: one convolution per nested,
+    centered width 1, 3, ..., K of the shared store, summed."""
+    k_max = bank.shape[-1]
+    n = x.ndim
+    swap = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
+    xc = ad.transpose(x, swap)
+    out = None
+    width = 1
+    while width <= k_max:
+        kern = ad.narrow(bank, axis=2, start=(k_max - width) // 2,
+                         length=width)
+        y = ad.conv1d(xc, kern)
+        out = y if out is None else ad.add(out, y)
+        width = 2 * width + 1
+    return ad.transpose(out, swap)
+
+
+def rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
 class TestKernelBank:
     def test_sizes_n4(self):
-        bank = emb.build_kernel_bank(d=3, num_scales=4, init_seed=0)
-        assert bank.kernel_sizes == [1, 3, 7, 15]
-        assert bank.base_weights.shape == (3, 1, 15)
+        assert make_bank(d=3, num_scales=4).shape == (3, 1, 15)
 
     def test_kmax_n5(self):
-        bank = emb.build_kernel_bank(d=1, num_scales=5, init_seed=0)
-        assert bank.kernel_sizes[-1] == 31
+        assert make_bank(d=1, num_scales=5).shape[-1] == 31
 
     def test_degenerate_single_scale(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=1, init_seed=0)
-        assert bank.kernel_sizes == [1]
+        assert make_bank(d=2, num_scales=1).shape == (2, 1, 1)
+        np.testing.assert_array_equal(emb.tap_multiplicity(1), [1.0])
 
     def test_invalid_num_scales(self):
         with pytest.raises(ValueError):
-            emb.build_kernel_bank(d=2, num_scales=0, init_seed=0)
+            make_bank(d=2, num_scales=0)
 
     def test_init_bound(self):
-        bank = emb.build_kernel_bank(d=8, num_scales=4, init_seed=1)
+        bank = make_bank(d=8, num_scales=4, seed=1)
         bound = 1.0 / np.sqrt(15)
-        assert np.all(np.abs(bank.base_weights.data) <= bound)
+        assert np.all(np.abs(bank.data) <= bound)
+        assert bank.requires_grad
 
     def test_shared_store_size(self):
         # one store of d*(2^n - 1) weights, not per-scale copies
-        bank = emb.build_kernel_bank(d=5, num_scales=3, init_seed=0)
-        assert bank.base_weights.size == 5 * 7
+        assert make_bank(d=5, num_scales=3).size == 5 * 7
 
-    def test_extract_centered(self):
-        bank = emb.build_kernel_bank(d=1, num_scales=3, init_seed=0)  # K_max=7
-        mid = emb.extract_scale_kernel(bank, 2)
-        assert mid.shape == (1, 1, 3)
-        np.testing.assert_array_equal(mid.data, bank.base_weights.data[:, :, 2:5])
+    @pytest.mark.parametrize("n, want", [
+        (1, [1]),
+        (2, [1, 2, 1]),
+        (3, [1, 1, 2, 3, 2, 1, 1]),
+        (4, [1, 1, 1, 1, 2, 2, 3, 4, 3, 2, 2, 1, 1, 1, 1]),
+        (5, [1] * 8 + [2] * 4 + [3] * 2 + [4, 5, 4] + [3] * 2 + [2] * 4
+         + [1] * 8),
+    ])
+    def test_tap_multiplicity(self, n, want):
+        np.testing.assert_array_equal(emb.tap_multiplicity(2 ** n - 1), want)
 
-    def test_extract_full_at_top_scale(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=3, init_seed=0)
-        top = emb.extract_scale_kernel(bank, 3)
-        np.testing.assert_array_equal(top.data, bank.base_weights.data)
-
-    def test_extract_out_of_range(self):
-        bank = emb.build_kernel_bank(d=1, num_scales=2, init_seed=0)
+    @pytest.mark.parametrize("k_max", [0, 2, 5, 8])
+    def test_multiplicity_rejects_width(self, k_max):
         with pytest.raises(ValueError):
-            emb.extract_scale_kernel(bank, 0)
-        with pytest.raises(ValueError):
-            emb.extract_scale_kernel(bank, 3)
+            emb.tap_multiplicity(k_max)
 
     def test_edge_weight_outside_scale_window(self):
-        # perturbing a weight beyond scale-i width leaves scale-i output alone
-        bank = emb.build_kernel_bank(d=1, num_scales=3, init_seed=0)
+        # the outermost tap lies outside every narrower width, so it adds
+        # its change exactly once: a shift of the input by 3 steps
+        bank = make_bank(d=1, num_scales=3)   # K_max = 7, taps -3..3
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 9)))
         with ad.no_grad():
-            before = ad.conv1d(
-                Tensor(x.data[0]), emb.extract_scale_kernel(bank, 2)).data.copy()
-            bank.base_weights.data[0, 0, 0] += 5.0   # index -3 of -3..3
-            after = ad.conv1d(
-                Tensor(x.data[0]), emb.extract_scale_kernel(bank, 2)).data
-        np.testing.assert_array_equal(before, after)
+            before = emb.wconv_embed(x, bank).data.copy()
+            bank.data[0, 0, 0] += 5.0
+            after = emb.wconv_embed(x, bank).data
+        want = np.zeros(9)
+        want[3:] = 5.0 * x.data[0, 0, :6]
+        np.testing.assert_allclose(after[0, 0] - before[0, 0], want,
+                                   rtol=0, atol=1e-12)
 
 
 class TestWconvEmbed:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_nested_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        bank = make_bank(d=3, num_scales=n, seed=n)
+        x = Tensor(rng.normal(size=(2, 1, 3, 40)), requires_grad=True)
+        probe = rng.normal(size=(2, 3, 3, 40))
+        got, want = [], []
+        for fn, out in ((emb.wconv_embed, got), (nested_reference, want)):
+            bank.zero_grad()
+            x.zero_grad()
+            y = fn(x, bank)
+            ad.backward(ad.sum_all(ad.mul(y, Tensor(probe))))
+            out += [y.data, bank.grad.copy(), x.grad.copy()]
+        for g, w in zip(got, want):
+            assert rel(g, w) <= 1e-12
+
     def test_two_scale_all_ones(self):
-        bank = emb.build_kernel_bank(d=3, num_scales=2, init_seed=0)
-        bank.base_weights.data[:] = 1.0
+        bank = make_bank(d=3, num_scales=2)
+        bank.data[:] = 1.0
         x = Tensor(np.ones((1, 1, 5)))
         out = emb.wconv_embed(x, bank)
         assert out.shape == (3, 1, 5)
@@ -79,26 +118,26 @@ class TestWconvEmbed:
             np.testing.assert_allclose(out.data[j, 0], [3, 4, 4, 4, 3])
 
     def test_single_scale_pointwise(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=1, init_seed=0)
-        bank.base_weights.data[0, 0, 0] = 2.5
-        bank.base_weights.data[1, 0, 0] = -1.0
+        bank = make_bank(d=2, num_scales=1)
+        bank.data[0, 0, 0] = 2.5
+        bank.data[1, 0, 0] = -1.0
         x = Tensor(np.arange(6, dtype=float).reshape(1, 2, 3))
         out = emb.wconv_embed(x, bank)
         np.testing.assert_allclose(out.data[0], 2.5 * x.data[0])
         np.testing.assert_allclose(out.data[1], -1.0 * x.data[0])
 
     def test_output_shape_contract(self):
-        bank = emb.build_kernel_bank(d=4, num_scales=3, init_seed=0)
+        bank = make_bank(d=4, num_scales=3)
         out = emb.wconv_embed(Tensor(np.zeros((1, 7, 24))), bank)
         assert out.shape == (4, 7, 24)
 
     def test_batched_leading_axis(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=2, init_seed=0)
+        bank = make_bank(d=2, num_scales=2)
         out = emb.wconv_embed(Tensor(np.zeros((5, 1, 3, 12))), bank)
         assert out.shape == (5, 2, 3, 12)
 
     def test_channel_permutation_equivariance(self):
-        bank = emb.build_kernel_bank(d=3, num_scales=3, init_seed=2)
+        bank = make_bank(d=3, num_scales=3, seed=2)
         x = np.random.default_rng(1).normal(size=(1, 4, 16))
         perm = [2, 0, 3, 1]
         with ad.no_grad():
@@ -107,19 +146,19 @@ class TestWconvEmbed:
         np.testing.assert_array_equal(a, b)
 
     def test_bad_input_shape(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=2, init_seed=0)
+        bank = make_bank(d=2, num_scales=2)
         with pytest.raises(ValueError):
             emb.wconv_embed(Tensor(np.zeros((2, 3, 8))), bank)
 
     def test_bank_gradient_vs_fd(self):
-        bank = emb.build_kernel_bank(d=2, num_scales=3, init_seed=3)
+        bank = make_bank(d=2, num_scales=3, seed=3)
         x = Tensor(np.random.default_rng(4).normal(size=(1, 2, 9)))
 
         def f():
             y = emb.wconv_embed(x, bank)
             return ad.sum_all(ad.mul(y, y))
 
-        ok, err = gc.gradcheck(f, [bank.base_weights])
+        ok, err = gc.gradcheck(f, [bank])
         assert ok, f"rel err {err:.3e}"
 
 
@@ -153,31 +192,25 @@ class TestLinearPatch:
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(8, 128)))
         b = Tensor(np.zeros(128))
-        out = emb.linear_patch_embed(Tensor(np.zeros((1, 7, 96))), 8, 8, w, b)
+        out = emb.linear_patch_embed(Tensor(np.zeros((1, 7, 96))), 8, w, b)
         assert out.shape == (7, 12, 128)
 
     def test_zero_map(self):
         w = Tensor(np.zeros((4, 6)))
         b = Tensor(np.zeros(6))
-        out = emb.linear_patch_embed(Tensor(np.ones((1, 2, 8))), 4, 4, w, b)
+        out = emb.linear_patch_embed(Tensor(np.ones((1, 2, 8))), 4, w, b)
         np.testing.assert_array_equal(out.data, np.zeros((2, 2, 6)))
-
-    def test_overlap_rejected(self):
-        w = Tensor(np.zeros((4, 6)))
-        b = Tensor(np.zeros(6))
-        with pytest.raises(ValueError):
-            emb.linear_patch_embed(Tensor(np.zeros((1, 2, 8))), 4, 2, w, b)
 
     def test_divisibility(self):
         w = Tensor(np.zeros((5, 6)))
         b = Tensor(np.zeros(6))
         with pytest.raises(ValueError):
-            emb.linear_patch_embed(Tensor(np.zeros((1, 2, 8))), 5, 5, w, b)
+            emb.linear_patch_embed(Tensor(np.zeros((1, 2, 8))), 5, w, b)
 
     def test_known_values(self):
         # patch [1,2] with weight [[1],[10]] -> 21
         w = Tensor(np.array([[1.0], [10.0]]))
         b = Tensor(np.array([0.5]))
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4))
-        out = emb.linear_patch_embed(x, 2, 2, w, b)
+        out = emb.linear_patch_embed(x, 2, w, b)
         np.testing.assert_allclose(out.data, [[[21.5], [43.5]]])

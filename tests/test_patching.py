@@ -46,10 +46,6 @@ class TestUnfold:
         with pytest.raises(ValueError):
             pt.window_unfold(point_map(2, 1, 7), scale=3)
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            pt.window_unfold(point_map(2, 1, 8), scale=4, stride=2)
-
     def test_multiset_preserved(self):
         x = point_map(3, 4, 12, seed=5)
         pm = pt.window_unfold(x, scale=4)
@@ -121,7 +117,7 @@ class TestRoll:
         np.testing.assert_array_equal(back.data.data, pm.data.data)
 
     def test_metadata_carried(self):
-        pm = pt.window_unfold(point_map(2, 1, 8), scale=4, layer_index=3)
+        pm = pt.window_unfold(point_map(2, 1, 8), scale=4)
         rolled = pt.window_roll(pm, 1)
-        assert rolled.scale == 4 and rolled.layer_index == 3
+        assert rolled.scale == 4
         assert rolled.parent_shape == pm.parent_shape

@@ -152,6 +152,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="patch_len"):
             tr.load_checkpoint(p, expect_config=other)
 
+    def test_expected_config_with_tuple_scales(self, tmp_path):
+        # the CLI builds scales as a tuple; the file stores a JSON list
+        cfg = tiny_config(n_layers=2, scales=(4, 2))
+        p = str(tmp_path / "m.ckpt")
+        tr.save_checkpoint(md.TwinSModel(cfg), p)
+        back = tr.load_checkpoint(p, expect_config=cfg)
+        assert list(back.config.scales) == [4, 2]
+        with pytest.raises(ValueError, match="scales"):
+            tr.load_checkpoint(p, expect_config=tiny_config(n_layers=2,
+                                                            scales=(2, 4)))
+
     def test_trailing_garbage(self, tmp_path):
         p = str(tmp_path / "m.ckpt")
         tr.save_checkpoint(md.TwinSModel(tiny_config()), p)
