@@ -172,7 +172,7 @@ ABLATION_VARIANTS = (
     ("full", {}),
     ("no_wconv_rwp", {"use_wconv": False}),
     ("no_ctmlp", {"use_ctmlp": False}),
-    ("no_paa", {"use_paa": False}),
+    ("no_paa", {"variant": "mhsa"}),
 )
 
 

@@ -1,14 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A module-level tape records every differentiable op in execution order.
-``backward(loss)`` replays the tape in reverse, accumulating gradients into
-every reachable leaf, then consumes the tape. One forward/backward pass owns
-the tape exclusively; wrap evaluation-only code in ``no_grad()`` so it records
-nothing.
+Each op output that needs a gradient carries its backward node. ``backward``
+runs the nodes reachable from the loss newest first, accumulating gradients
+into every reachable leaf, and consumes them; a pass that never reaches
+``backward`` is freed with its tensors. Wrap evaluation-only code in
+``no_grad()`` so it records nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -17,7 +18,6 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "DiffGraph",
     "AdamState",
     "no_grad",
     "backward",
@@ -51,21 +51,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class DiffGraph:
-    """Tape of recorded ops; recording order is a topological order."""
-
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        # each node is (output tensor, backward closure)
-        self.nodes = []
-
-    def clear(self):
-        self.nodes.clear()
-
-
-_tape = DiffGraph()
 _recording = True
+_creation = itertools.count()  # orders nodes: inputs before outputs
 
 # Multiply-accumulate counters for the complexity report.
 _counting_macs = False
@@ -95,7 +82,7 @@ def _add_macs(n: int) -> None:
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block."""
+    """Disable graph recording inside the block."""
     global _recording
     prev = _recording
     _recording = False
@@ -108,12 +95,13 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "_grad")
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self._grad = None
+        self._node = None
 
     @property
     def shape(self):
@@ -159,16 +147,16 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 
 def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
-    """Wrap op output; record backward on the tape if anything needs grad."""
+    """Wrap op output; give it a backward node if anything needs grad."""
     needs = _recording and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        _tape.nodes.append((out, backward_fn))
+    if needs:  # backward_fn must not hold ``out``: a cycle outlives the pass
+        out._node = (next(_creation), backward_fn, inputs)
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-replay the tape from ``loss``, then consume the tape.
+    """Run the graph behind ``loss`` in reverse creation order, consuming it.
 
     Every leaf reachable from ``loss`` receives its accumulated gradient;
     leaves off the path keep a zero gradient.
@@ -176,10 +164,21 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
     loss._accum(np.ones_like(loss.data))
-    for out, fn in reversed(_tape.nodes):
-        if out._grad is not None:
-            fn(out._grad)
-    _tape.clear()
+    found = {}
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t._node is not None and id(t) not in found:
+            found[id(t)] = t
+            stack.extend(t._node[2])
+    order = sorted(found.values(), key=lambda t: t._node[0])
+    del found  # from here each node's arrays die once it has run
+    while order:
+        t = order.pop()
+        _, fn, _ = t._node
+        t._node = None
+        if t._grad is not None:
+            fn(t._grad)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -152,8 +152,7 @@ def _config_from_args(args, C: int) -> ModelConfig:
                   batch_size=args.batch_size, patience=args.patience,
                   seed=args.seed, dropout=args.dropout,
                   use_wconv=not args.no_wconv,
-                  use_ctmlp=not args.no_ctmlp,
-                  use_paa=not args.no_paa)
+                  use_ctmlp=not args.no_ctmlp)
     if args.ffn_hidden is not None:
         kwargs["ffn_hidden"] = args.ffn_hidden
     if args.scales:
@@ -442,8 +441,6 @@ def _add_model_args(p):
                    help="replace the wavelet embedding with a linear patch "
                         "map")
     g.add_argument("--no-ctmlp", action="store_true")
-    g.add_argument("--no-paa", action="store_true",
-                   help="fall back to dot-product attention")
     t = p.add_argument_group("training")
     t.add_argument("--lr", type=float, default=1e-4)
     t.add_argument("--epochs", type=int, default=100)

@@ -59,17 +59,18 @@ def load_csv(path: str) -> RawSeries:
         except ValueError:
             return False
 
-    has_date = not numeric(rows[0][0])
-    first_col = 1 if has_date else 0
-    names = [h.strip() for h in header[first_col:]]
     width = len(header)
-    out = np.empty((len(rows), len(names)))
-    for i, row in enumerate(rows):
-        line = i + 2  # 1-based, after the header line
+    for line, row in enumerate(rows, start=2):  # 1-based, after the header
         if len(row) != width:
             raise ValueError(
                 f"{path}: ragged row {line}: {len(row)} cells, expected {width}"
             )
+    has_date = not numeric(rows[0][0])
+    first_col = 1 if has_date else 0
+    names = [h.strip() for h in header[first_col:]]
+    out = np.empty((len(rows), len(names)))
+    for i, row in enumerate(rows):
+        line = i + 2
         for j, cell in enumerate(row[first_col:]):
             cell = cell.strip()
             if cell == "" or cell.lower() == "nan":

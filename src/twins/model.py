@@ -46,7 +46,6 @@ class ModelConfig:
     variant: str = "twins"
     use_wconv: bool = True
     use_ctmlp: bool = True
-    use_paa: bool = True
     lr: float = 1e-4
     epochs: int = 100
     batch_size: int = 32
@@ -78,14 +77,11 @@ class ModelConfig:
     def P_max(self) -> int:
         return max(self.P_at(l) for l in range(self.n_layers))
 
-    def effective_variant(self) -> str:
-        return self.variant if self.use_paa else "mhsa"
-
     def has_qk(self) -> bool:
-        return self.effective_variant() in ("mhsa", "twins_plus")
+        return self.variant in ("mhsa", "twins_plus")
 
     def has_subnet(self) -> bool:
-        return self.effective_variant() in ("twins", "twins_plus")
+        return self.variant in ("twins", "twins_plus")
 
     def validate(self) -> None:
         def req(cond, msg):
@@ -124,6 +120,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        data = dict(data)
+        # legacy key: use_paa=false meant plain dot-product attention
+        if not data.pop("use_paa", True):
+            data["variant"] = "mhsa"
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(data) - known
         if unknown:
@@ -313,7 +313,7 @@ class TwinSModel:
         z = _ln(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"])
         layer_probe = {} if probe is not None else None
         subnet = self.score_subnet(l) if cfg.has_subnet() else None
-        a = at.attention_block(cfg.effective_variant(), z,
+        a = at.attention_block(cfg.variant, z,
                                self.attention_weights(l), subnet,
                                probe=layer_probe)
         if probe is not None:

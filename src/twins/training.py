@@ -198,13 +198,14 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: not a recognized checkpoint (bad magic)")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg_dict = json.loads(_read_exact(fh, cfg_len, "config"))
-        cfg = ModelConfig.from_dict(cfg_dict)
+        cfg = ModelConfig.from_dict(
+            json.loads(_read_exact(fh, cfg_len, "config")))
         if expect_config is not None:
-            # compare as stored: JSON turns a tuple of scales into a list
-            expected = json.loads(json.dumps(expect_config.to_dict()))
+            # compare through JSON, which turns a tuple of scales into a list
+            loaded, expected = (json.loads(json.dumps(c.to_dict()))
+                                for c in (cfg, expect_config))
             for key, want in expected.items():
-                got = cfg_dict.get(key)
+                got = loaded[key]
                 if got != want:
                     raise ValueError(
                         f"{path}: checkpoint config mismatch on "
@@ -217,11 +218,15 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                 f"{path}: checkpoint stores {n_params} arrays, "
                 f"config implies {len(model.params)}"
             )
+        seen = set()
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
             name = _read_exact(fh, name_len, "name").decode()
             if name not in model.params:
                 raise ValueError(f"{path}: unexpected array {name!r}")
+            if name in seen:
+                raise ValueError(f"{path}: duplicate array {name!r}")
+            seen.add(name)
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "rank"))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "dim"))[0]

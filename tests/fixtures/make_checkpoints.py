@@ -1,9 +1,11 @@
 """Write the checkpoint-compatibility fixtures read by test_checkpoint_compat.
 
 For each attention variant: a TWSFORE1 checkpoint of a freshly built,
-untrained micro model, plus its forecast of one fixed window. The fixtures
-pin the parameter init and the forward pass of the commit that wrote them,
-so run this with that commit's package first on the path, e.g.
+untrained micro model, its forecast of one fixed window, and the loss and
+every parameter gradient of one forward/backward on that window and a fixed
+target. The fixtures pin the parameter init, the forward pass and the
+backward pass of the commit that wrote them, so run this with that commit's
+package first on the path, e.g.
 
     PYTHONPATH=<old checkout>/src python tests/fixtures/make_checkpoints.py
 """
@@ -28,13 +30,21 @@ def micro_config(variant: str) -> md.ModelConfig:
 
 def main() -> None:
     window = np.random.default_rng(3).normal(size=(1, 2, 16))
+    target = np.random.default_rng(4).normal(size=(2, 4))
     forecasts = {"window": window}
+    grads = {"window": window, "target": target}
     for variant in VARIANTS:
         model = md.TwinSModel(micro_config(variant))
         tr.save_checkpoint(model, os.path.join(HERE, f"{variant}.ckpt"))
         with ad.no_grad():
             forecasts[variant] = model.forward(window).data
+        loss = ad.mse(model.forward(window), ad.Tensor(target))
+        ad.backward(loss)
+        grads[f"{variant}/loss"] = loss.data
+        for name, t in model.params.items():
+            grads[f"{variant}/{name}"] = t.grad
     np.savez(os.path.join(HERE, "forecasts.npz"), **forecasts)
+    np.savez(os.path.join(HERE, "grads.npz"), **grads)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The fixtures under tests/fixtures come from tests/fixtures/make_checkpoints.py
 run on an earlier commit: one freshly built, untrained micro model per
-variant plus its forecast of one window.
+variant, its forecast of one window, and the loss and parameter gradients of
+one forward/backward on that window and a fixed target.
 """
 
 import os
@@ -34,3 +35,19 @@ def test_old_checkpoint_loads_and_forecasts(variant):
         got = loaded.forward(saved["window"]).data
     want = saved[variant]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant", ["mhsa", "twins", "twins_plus"])
+def test_old_gradients_reproduced(variant):
+    model = tr.load_checkpoint(os.path.join(FIXTURES, f"{variant}.ckpt"))
+    saved = np.load(os.path.join(FIXTURES, "grads.npz"))
+    loss = ad.mse(model.forward(saved["window"]), ad.Tensor(saved["target"]))
+    ad.backward(loss)
+    got = {"loss": loss.data}
+    got.update((name, t.grad) for name, t in model.params.items())
+    prefix = f"{variant}/"
+    assert sorted(got) == sorted(k[len(prefix):] for k in saved.files
+                                 if k.startswith(prefix))
+    for name, g in got.items():
+        want = saved[prefix + name]
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name

@@ -35,6 +35,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="ragged row 3"):
             dt.load_csv(p)
 
+    def test_empty_first_row(self, tmp_path):
+        p = write(tmp_path, "a,b\n\n1,2\n")
+        with pytest.raises(ValueError, match="ragged row 2: 0 cells, expected 2"):
+            dt.load_csv(p)
+
     def test_missing_value(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n3,\n")
         with pytest.raises(ValueError, match="missing value at row 3"):

@@ -135,9 +135,15 @@ class TestParamStore:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
     def test_paa_disabled_is_mhsa_store(self):
-        model = md.TwinSModel(micro_config(variant="twins_plus", use_paa=False))
+        # configs stored before the flag was folded into variant
+        stored = micro_config(variant="twins_plus").to_dict()
+        cfg = md.ModelConfig.from_dict({**stored, "use_paa": False})
+        assert cfg.variant == "mhsa"
+        model = md.TwinSModel(cfg)
         assert "layers.0.subnet.dw" not in model.params
         assert "layers.0.attn.w_q" in model.params
+        kept = md.ModelConfig.from_dict({**stored, "use_paa": True})
+        assert kept == micro_config(variant="twins_plus")
 
 
 class TestForward:

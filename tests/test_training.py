@@ -1,5 +1,8 @@
 """Training loop, evaluation, baselines, and the checkpoint container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="scales"):
             tr.load_checkpoint(p, expect_config=tiny_config(n_layers=2,
                                                             scales=(2, 4)))
+
+    def test_legacy_paa_flag_loads_as_mhsa(self, tmp_path):
+        # older files stored use_paa=false beside the variant it overrode
+        cfg = tiny_config(variant="mhsa")
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(cfg), str(p))
+        blob = p.read_bytes()
+        start = len(tr.CKPT_MAGIC) + 4
+        (n,) = struct.unpack("<I", blob[start - 4:start])
+        stored = json.loads(blob[start:start + n])
+        stored.update(variant="twins", use_paa=False)
+        legacy = json.dumps(stored, sort_keys=True).encode()
+        p.write_bytes(blob[:start - 4] + struct.pack("<I", len(legacy))
+                      + legacy + blob[start + n:])
+        back = tr.load_checkpoint(str(p), expect_config=cfg)
+        assert back.config == cfg
+
+    def test_duplicate_array_name(self, tmp_path):
+        # same name length and shape, so only the repeat betrays the file
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        blob = p.read_bytes()
+        assert blob.count(b"layers.0.ln1.b") == 1
+        p.write_bytes(blob.replace(b"layers.0.ln1.b", b"layers.0.ln1.g"))
+        with pytest.raises(ValueError, match="duplicate array 'layers.0.ln1.g'"):
+            tr.load_checkpoint(str(p))
 
     def test_trailing_garbage(self, tmp_path):
         p = str(tmp_path / "m.ckpt")
