@@ -5,6 +5,10 @@ runs the nodes reachable from the loss newest first, accumulating gradients
 into every reachable leaf, and consumes them; a pass that never reaches
 ``backward`` is freed with its tensors. Wrap evaluation-only code in
 ``no_grad()`` so it records nothing.
+
+A weight shared by every leading row of a ``matmul`` gets its gradient from
+one flattened GEMM, and a gradient array an op has just allocated is stored
+as it is rather than copied.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _recording = True
 _creation = itertools.count()  # orders nodes: inputs before outputs
+# Marks an op output whose node an earlier ``backward`` ran; such a tensor is
+# not a leaf, so a new graph through it cannot get a correct gradient.
+_CONSUMED = object()
 
 # Multiply-accumulate counters for the complexity report.
 _counting_macs = False
@@ -125,9 +132,15 @@ class Tensor:
     def zero_grad(self):
         self._grad = None
 
-    def _accum(self, g):
+    def _accum(self, g, fresh: bool = False):
+        """Add ``g`` into the gradient.
+
+        ``fresh`` hands over an array the caller has just allocated and keeps
+        no other reference to, so the first one is stored without a copy. A
+        view or a pass-through of another tensor's gradient must be copied.
+        """
         if self._grad is None:
-            self._grad = np.array(g, dtype=np.float64, copy=True)
+            self._grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
         else:
             self._grad += g
 
@@ -159,24 +172,34 @@ def backward(loss: Tensor) -> None:
     """Run the graph behind ``loss`` in reverse creation order, consuming it.
 
     Every leaf reachable from ``loss`` receives its accumulated gradient;
-    leaves off the path keep a zero gradient.
+    leaves off the path keep a zero gradient. A repeated ``backward(loss)``
+    does nothing; a new loss whose graph reaches an op output that an earlier
+    ``backward`` consumed raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    loss._accum(np.ones_like(loss.data))
+    if loss._node is _CONSUMED:
+        return
     found = {}
     stack = [loss]
     while stack:
         t = stack.pop()
-        if t._node is not None and id(t) not in found:
-            found[id(t)] = t
-            stack.extend(t._node[2])
+        if t._node is None or id(t) in found:
+            continue
+        if t._node is _CONSUMED:
+            raise ValueError(
+                f"backward: the graph reaches a tensor of shape {t.shape} "
+                "whose graph an earlier backward() consumed"
+            )
+        found[id(t)] = t
+        stack.extend(t._node[2])
+    loss._accum(np.ones_like(loss.data), fresh=True)
     order = sorted(found.values(), key=lambda t: t._node[0])
     del found  # from here each node's arrays die once it has run
     while order:
         t = order.pop()
         _, fn, _ = t._node
-        t._node = None
+        t._node = _CONSUMED
         if t._grad is not None:
             fn(t._grad)
 
@@ -209,10 +232,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes("add", a, b)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                t._accum(gt, fresh=gt is not g)
 
     return _make(a.data + b.data, bwd, a, b)
 
@@ -223,9 +246,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * bd, a.shape))
+            a._accum(_unbroadcast(g * bd, a.shape), fresh=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g * ad, b.shape))
+            b._accum(_unbroadcast(g * ad, b.shape), fresh=True)
 
     return _make(ad * bd, bwd, a, b)
 
@@ -235,7 +258,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * c)
+            a._accum(g * c, fresh=True)
 
     return _make(a.data * c, bwd, a)
 
@@ -248,7 +271,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * y * (1.0 - y))
+            a._accum(g * y * (1.0 - y), fresh=True)
 
     return _make(y, bwd, a)
 
@@ -262,7 +285,7 @@ def gelu(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            a._accum(g * (cdf + x * pdf))
+            a._accum(g * (cdf + x * pdf), fresh=True)
 
     return _make(y, bwd, a)
 
@@ -271,7 +294,11 @@ def gelu(a: Tensor) -> Tensor:
 # contractions and convolutions
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the trailing two axes."""
+    """Batched matrix product over the trailing two axes.
+
+    A 2-D ``b`` is one weight shared by every leading row of ``a``; its
+    backward flattens those rows so that each gradient is a single GEMM.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul needs tensors with at least 2 dims")
     if a.shape[-1] != b.shape[-2]:
@@ -283,10 +310,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _add_macs(out.size // out.shape[-1] * ad.shape[-1] * out.shape[-1])
 
     def bwd(g):
+        if bd.ndim == 2:
+            k, n = bd.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                a._accum((g2 @ bd.T).reshape(a.shape), fresh=True)
+            if b.requires_grad:
+                b._accum(ad.reshape(-1, k).T @ g2, fresh=True)
+            return
         if a.requires_grad:
-            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape))
+            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape), fresh=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
+            b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape), fresh=True)
 
     return _make(out, bwd, a, b)
 
@@ -327,7 +362,7 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     def bwd(g):
         if kernels.requires_grad:
             gk = np.einsum("...ot,...ctk->ock", g, xw, optimize=True)
-            kernels._accum(gk)
+            kernels._accum(gk, fresh=True)
         if x.requires_grad:
             gw = _windows(_pad_last(g, k - 1), k)  # (..., Cout, L+2*pad, K)
             kflip = kd[:, :, ::-1]
@@ -361,7 +396,7 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     def bwd(g):
         if kernels.requires_grad:
             gk = np.einsum("...ct,...ctk->ck", g, xw, optimize=True)
-            kernels._accum(gk)
+            kernels._accum(gk, fresh=True)
         if x.requires_grad:
             gw = _windows(_pad_last(g, k - 1), k)
             kflip = kd[:, ::-1]
@@ -418,7 +453,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[idx] = g
-            a._accum(full)
+            a._accum(full, fresh=True)
 
     return _make(a.data[idx].copy(), bwd, a)
 
@@ -428,7 +463,7 @@ def roll(a: Tensor, shift: int, axis: int) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(np.roll(g, -shift, axis=axis))
+            a._accum(np.roll(g, -shift, axis=axis), fresh=True)
 
     return _make(np.roll(a.data, shift, axis=axis), bwd, a)
 
@@ -444,7 +479,7 @@ def repeat_heads(a: Tensor, reps: int) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1))
+            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1), fresh=True)
 
     return _make(np.repeat(a.data, reps, axis=0), bwd, a)
 
@@ -460,7 +495,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accum(y * (g - dot))
+            a._accum(y * (g - dot), fresh=True)
 
     return _make(y, bwd, a)
 
@@ -483,15 +518,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
     def bwd(g):
         if gamma.requires_grad:
             red = tuple(i for i in range(x.ndim) if i != axis)
-            gamma._accum((g * xhat).sum(axis=red).reshape(gamma.shape))
+            gamma._accum((g * xhat).sum(axis=red).reshape(gamma.shape), fresh=True)
         if beta.requires_grad:
             red = tuple(i for i in range(x.ndim) if i != axis)
-            beta._accum(g.sum(axis=red).reshape(beta.shape))
+            beta._accum(g.sum(axis=red).reshape(beta.shape), fresh=True)
         if x.requires_grad:
             gh = g * gd
             m1 = gh.mean(axis=axis, keepdims=True)
             m2 = (gh * xhat).mean(axis=axis, keepdims=True)
-            x._accum(inv * (gh - m1 - xhat * m2))
+            x._accum(inv * (gh - m1 - xhat * m2), fresh=True)
 
     return _make(y, bwd, x, gamma, beta)
 
@@ -499,7 +534,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
 def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
-            a._accum(np.full(a.shape, float(g)))
+            a._accum(np.full(a.shape, float(g)), fresh=True)
 
     return _make(np.asarray(a.data.sum()), bwd, a)
 
@@ -513,9 +548,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     def bwd(g):
         c = 2.0 * float(g) / n
         if pred.requires_grad:
-            pred._accum(c * diff)
+            pred._accum(c * diff, fresh=True)
         if target.requires_grad:
-            target._accum(-c * diff)
+            target._accum(-c * diff, fresh=True)
 
     return _make(np.asarray((diff * diff).mean()), bwd, pred, target)
 
@@ -530,7 +565,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * mask)
+            a._accum(g * mask, fresh=True)
 
     return _make(a.data * mask, bwd, a)
 

@@ -126,11 +126,11 @@ def make_windows(values: np.ndarray, L: int, T: int, stride: int = 1) -> WindowB
             f"split of length {n} too short for L={L}, T={T}"
         )
     starts = np.arange(count) * stride
-    inputs = np.empty((count, 1, C, L))
-    targets = np.empty((count, C, T))
-    for i, s in enumerate(starts):
-        inputs[i, 0] = values[:, s:s + L]
-        targets[i] = values[:, s + L:s + L + T]
+    # (count, C, L + T) read-only view; each output is copied out of it once
+    win = np.lib.stride_tricks.sliding_window_view(
+        values, L + T, axis=1)[:, ::stride].transpose(1, 0, 2)
+    inputs = np.array(win[:, None, :, :L], dtype=np.float64, order="C")
+    targets = np.array(win[:, :, L:], dtype=np.float64, order="C")
     return WindowBatch(inputs, targets, starts)
 
 

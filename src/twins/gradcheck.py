@@ -71,6 +71,9 @@ def _rng(seed: int) -> np.random.Generator:
 def op_cases():
     """One scalarized case per differentiable op, shapes kept tiny.
 
+    An op with more than one backward path has a case per path, named
+    ``<op>_<path>``.
+
     Returns an ordered dict: name -> (builder() -> (f, tensors)).
     """
     cases = {}
@@ -113,6 +116,17 @@ def op_cases():
     def _matmul():
         a, b = P((2, 3, 4), 11), P((4, 5), 12)
         return (lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))), [a, b]
+
+    @case("matmul_batched")
+    def _matmul_batched():
+        # a per-batch b, and an (S, 1, 1, K, N) b broadcast over two axes
+        a, b = P((2, 3, 4), 36), P((2, 4, 5), 37)
+        c, w = P((2, 2, 3, 2, 4), 38), P((2, 1, 1, 4, 3), 39)
+
+        def f():
+            ab, cw = ad.matmul(a, b), ad.matmul(c, w)
+            return ad.add(ad.sum_all(ad.mul(ab, ab)), ad.sum_all(ad.mul(cw, cw)))
+        return f, [a, b, c, w]
 
     @case("conv1d")
     def _conv1d():

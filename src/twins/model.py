@@ -28,6 +28,24 @@ INSTANCE_EPS = 1e-5
 VARIANTS = ("mhsa", "twins", "twins_plus")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# ModelConfig field annotation -> (accepts value, what it must be), for a
+# stored config (as in a checkpoint) read by from_dict
+_FIELD_TYPES = {
+    "int": (_is_int, "an int"),
+    "Optional[int]": (lambda v: v is None or _is_int(v), "an int or null"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "Optional[list]": (lambda v: v is None or (isinstance(v, (list, tuple))
+                                               and all(map(_is_int, v))),
+                       "null or a list of ints"),
+}
+
+
 @dataclass
 class ModelConfig:
     C: int
@@ -124,10 +142,14 @@ class ModelConfig:
         # legacy key: use_paa=false meant plain dot-product attention
         if not data.pop("use_paa", True):
             data["variant"] = "mhsa"
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        for name, value in data.items():
+            accepts, what = _FIELD_TYPES[fields[name].type]
+            if not accepts(value):
+                raise ValueError(f"config: {name} must be {what}, got {value!r}")
         cfg = cls(**data)
         cfg.validate()
         return cfg

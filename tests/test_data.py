@@ -130,6 +130,36 @@ class TestWindows:
                                       wb.inputs[0, 0, :, 1:])
 
 
+def loop_windows(values, L, T, stride):
+    """Reference: one window at a time, as make_windows used to build them."""
+    starts = np.arange(dt.window_count(values.shape[1], L, T, stride)) * stride
+    inputs = np.empty((len(starts), 1, values.shape[0], L))
+    targets = np.empty((len(starts), values.shape[0], T))
+    for i, s in enumerate(starts):
+        inputs[i, 0] = values[:, s:s + L]
+        targets[i] = values[:, s + L:s + L + T]
+    return inputs, targets, starts
+
+
+class TestWindowsMatchLoop:
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_bit_identical(self, stride):
+        vals = np.random.default_rng(5).normal(size=(3, 41))
+        wb = dt.make_windows(vals, L=8, T=4, stride=stride)
+        inputs, targets, starts = loop_windows(vals, 8, 4, stride)
+        np.testing.assert_array_equal(wb.starts, starts)
+        assert wb.inputs.tobytes() == inputs.tobytes()
+        assert wb.targets.tobytes() == targets.tobytes()
+        assert wb.inputs.flags.c_contiguous and wb.inputs.flags.writeable
+        assert wb.targets.flags.c_contiguous and wb.targets.flags.writeable
+        assert not np.shares_memory(wb.inputs, vals)
+
+    def test_too_short_message(self):
+        with pytest.raises(ValueError,
+                           match=r"^split of length 5 too short for L=4, T=2$"):
+            dt.make_windows(np.zeros((1, 5)), L=4, T=2)
+
+
 class TestSynth:
     def test_lag_exact_shift(self):
         raw = dt.synth_multiperiod(200, 2, [(16, 1.0, None)], lag_per_channel=5)

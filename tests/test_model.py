@@ -98,6 +98,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             md.ModelConfig.from_dict({"C": 1, "L": 8, "T": 4, "bogus": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("C", "2"), ("L", 8.0), ("C", True), ("scales", "44"),
+        ("scales", [4.0]), ("ffn_hidden", 8.5), ("lr", "1e-3"),
+        ("dropout", False), ("variant", 1), ("use_wconv", 1),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        stored = {**micro_config().to_dict(), field: value}
+        with pytest.raises(ValueError, match=rf"^config: {field} must be"):
+            md.ModelConfig.from_dict(stored)
+
+    def test_numeric_fields_accept_int_or_float(self):
+        cfg = md.ModelConfig.from_dict({**micro_config().to_dict(),
+                                        "lr": 1, "dropout": 0,
+                                        "scales": (4,)})
+        assert (cfg.lr, cfg.dropout, cfg.scales) == (1, 0, (4,))
+
     def test_dict_round_trip(self):
         cfg = micro_config()
         again = md.ModelConfig.from_dict(cfg.to_dict())
@@ -257,6 +273,19 @@ class TestModelGradients:
 
         ok, err = gc.gradcheck(f, model.parameters())
         assert ok, f"rel err {err:.3e}"
+
+    @pytest.mark.parametrize("variant", md.VARIANTS)
+    def test_parameter_gradients_own_their_memory(self, variant):
+        # gradients are stored without a copy, so no two may be one array
+        cfg = micro_config(variant=variant, n_layers=2, L=16, patch_len=4)
+        model = md.TwinSModel(cfg)
+        rng = np.random.default_rng(12)
+        pred = model.forward(rng.normal(size=(3, 1, 2, 16)), training=True)
+        ad.backward(ad.mse(pred, Tensor(rng.normal(size=(3, 2, 4)))))
+        grads = [(name, t.grad) for name, t in model.params.items()]
+        for i, (n1, g1) in enumerate(grads):
+            for n2, g2 in grads[i + 1:]:
+                assert not np.shares_memory(g1, g2), (n1, n2)
 
     def test_probe_captures_attention(self):
         model = md.TwinSModel(micro_config(n_layers=2, L=16, patch_len=4))
