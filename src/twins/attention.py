@@ -136,9 +136,8 @@ def paa_scores(x: Tensor, subnet: ScoreSubnet) -> Tensor:
     if P > subnet.P_max:
         raise ValueError(f"P={P} exceeds subnet capacity P_max={subnet.P_max}")
     flat_k = ad.reshape(subnet.dw_kernels, (S * ds, k))
-    conv = ad.depthwise_conv1d(_swap_last2(x), flat_k)     # (..., C, D, P)
-    g = _swap_last2(ad.gelu(conv))                         # (..., C, P, D)
-    gh = _split_heads(g, S)                                # (S, ..., C, P, ds)
+    conv = ad.depthwise_conv1d(x, flat_k)                  # (..., C, P, D)
+    gh = _split_heads(ad.gelu(conv), S)                    # (S, ..., C, P, ds)
     wp = ad.narrow(subnet.w_p, axis=2, start=0, length=P)  # (S, ds, P)
     wp = ad.reshape(wp, (S,) + (1,) * (gh.ndim - 3) + (ds, P))
     return ad.sigmoid(ad.matmul(gh, wp))                   # (S, ..., C, P, P)

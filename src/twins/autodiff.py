@@ -8,7 +8,9 @@ into every reachable leaf, and consumes them; a pass that never reaches
 
 A weight shared by every leading row of a ``matmul`` gets its gradient from
 one flattened GEMM, and a gradient array an op has just allocated is stored
-as it is rather than copied.
+as it is rather than copied. Ops compute in place only on arrays they have
+allocated themselves, never on their inputs, their upstream gradient or an
+array their backward still needs.
 """
 
 from __future__ import annotations
@@ -264,14 +266,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
+    """Logistic function from one exp(-|x|), stable in both tails."""
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x >= 0, 1.0, e)  # 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e += 1.0
+    y /= e
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * y * (1.0 - y), fresh=True)
+            d = g * y
+            d *= 1.0 - y
+            a._accum(d, fresh=True)
 
     return _make(y, bwd, a)
 
@@ -279,15 +287,23 @@ def sigmoid(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    y = x * cdf
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def bwd(g):
         if a.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-            a._accum(g * (cdf + x * pdf), fresh=True)
+            d = np.multiply(x, x)  # becomes g * (cdf + x * pdf)
+            d *= -0.5
+            np.exp(d, out=d)
+            d *= _INV_SQRT2PI
+            d *= x
+            d += cdf
+            d *= g
+            a._accum(d, fresh=True)
 
-    return _make(y, bwd, a)
+    return _make(x * cdf, bwd, a)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +342,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, bwd, a, b)
 
 
-def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Sliding windows of width k over the last axis (read-only view)."""
-    pad = k - 1
-    out_len = x.shape[-1] - pad
-    return np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)[..., :out_len, :]
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(..., Cin, L) -> (..., Cin*k, L) zero-padded columns; row c*k + j
+    holds channel c shifted by tap j."""
+    pad = (k - 1) // 2
+    L = x.shape[-1]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, L, axis=-1)
+    return win.reshape(x.shape[:-2] + (x.shape[-2] * k, L))  # copies the view
 
 
-def _pad_last(x: np.ndarray, pad: int) -> np.ndarray:
-    widths = [(0, 0)] * (x.ndim - 1) + [(pad, pad)]
-    return np.pad(x, widths)
+def _correlate(x: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """(..., Cin, L) correlated with (Cout, Cin, K) -> (..., Cout, L)."""
+    cout, cin, k = kd.shape
+    return kd.reshape(cout, cin * k) @ _im2col(x, k)
 
 
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Length-preserving correlation, stride 1, symmetric zero padding.
 
     x: (..., Cin, L); kernels: (Cout, Cin, K) with K odd -> (..., Cout, L).
+    Computed as one GEMM over sliding-window columns (im2col).
     """
     if kernels.ndim != 3:
         raise ValueError(f"conv1d kernels must be (Cout, Cin, K), got {kernels.shape}")
@@ -352,57 +373,79 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError(
             f"conv1d: input {x.shape} does not match kernels {kernels.shape}"
         )
-    pad = (k - 1) // 2
     xd, kd = x.data, kernels.data
-    xw = _windows(_pad_last(xd, pad), k)           # (..., Cin, L, K)
-    out = np.einsum("...ctk,ock->...ot", xw, kd, optimize=True)
+    out = _correlate(xd, kd)
     L = xd.shape[-1]
     _add_macs(out.size // (cout * L) * cout * L * cin * k)
 
     def bwd(g):
         if kernels.requires_grad:
-            gk = np.einsum("...ot,...ctk->ock", g, xw, optimize=True)
-            kernels._accum(gk, fresh=True)
+            # columns rebuilt here rather than kept alive through the pass
+            cols = _im2col(xd, k)
+            gk = (g @ cols.swapaxes(-1, -2)).reshape(-1, cout, cin * k)
+            kernels._accum(gk.sum(axis=0).reshape(kd.shape), fresh=True)
         if x.requires_grad:
-            gw = _windows(_pad_last(g, k - 1), k)  # (..., Cout, L+2*pad, K)
-            kflip = kd[:, :, ::-1]
-            gx_pad = np.einsum("...otk,ock->...ct", gw, kflip, optimize=True)
-            x._accum(gx_pad[..., pad:pad + L])
+            # the adjoint: correlate with the kernels flipped and transposed
+            x._accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]),
+                     fresh=True)
 
     return _make(out, bwd, x, kernels)
 
 
-def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Per-channel correlation, stride 1, symmetric zero padding.
+def _tap_slices(k: int, n: int):
+    """(tap, output rows, input rows) of an odd width-k zero-padded
+    correlation along an axis of length n; taps that miss it are skipped."""
+    pad = (k - 1) // 2
+    for j in range(k):
+        s = j - pad
+        if abs(s) < n:
+            yield (j, slice(max(0, -s), n - max(0, s)),
+                   slice(max(0, s), n + min(0, s)))
 
-    x: (..., Ch, P); kernels: (Ch, K) with K odd -> (..., Ch, P).
+
+def _dw_correlate(a: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """out[..., p, c] = sum_j kd[c, j] * a[..., p + j - pad, c], zero padded."""
+    k = kd.shape[1]
+    mid = (k - 1) // 2
+    taps = kd.T
+    out = a * taps[mid]
+    for j, dst, src in _tap_slices(k, a.shape[-2]):
+        if j != mid:
+            out[..., dst, :] += a[..., src, :] * taps[j]
+    return out
+
+
+def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Per-feature correlation along the second-last axis, stride 1,
+    symmetric zero padding.
+
+    x: (..., P, Ch) with features innermost; kernels: (Ch, K) with K odd
+    -> (..., P, Ch). Computed tap by tap on shifted slices.
     """
     if kernels.ndim != 2:
         raise ValueError(f"depthwise kernels must be (Ch, K), got {kernels.shape}")
     ch, k = kernels.shape
     if k % 2 == 0:
         raise ValueError(f"depthwise kernel width must be odd, got {k}")
-    if x.ndim < 2 or x.shape[-2] != ch:
+    if x.ndim < 2 or x.shape[-1] != ch:
         raise ValueError(
-            f"depthwise_conv1d: input {x.shape} has channel extent "
-            f"{x.shape[-2] if x.ndim >= 2 else '?'}, kernels expect {ch}"
+            f"depthwise_conv1d: input {x.shape} has feature extent "
+            f"{x.shape[-1] if x.ndim else '?'}, kernels expect {ch}"
         )
-    pad = (k - 1) // 2
     xd, kd = x.data, kernels.data
-    xw = _windows(_pad_last(xd, pad), k)           # (..., Ch, P, K)
-    out = np.einsum("...ctk,ck->...ct", xw, kd, optimize=True)
+    out = _dw_correlate(xd, kd)
     _add_macs(out.size * k)
 
     def bwd(g):
         if kernels.requires_grad:
-            gk = np.einsum("...ct,...ctk->ck", g, xw, optimize=True)
+            P = xd.shape[-2]
+            g3, x3 = g.reshape(-1, P, ch), xd.reshape(-1, P, ch)
+            gk = np.zeros(kd.shape)
+            for j, dst, src in _tap_slices(k, P):
+                gk[:, j] = np.einsum("npc,npc->c", g3[:, dst], x3[:, src])
             kernels._accum(gk, fresh=True)
         if x.requires_grad:
-            gw = _windows(_pad_last(g, k - 1), k)
-            kflip = kd[:, ::-1]
-            gx_pad = np.einsum("...ctk,ck->...ct", gw, kflip, optimize=True)
-            P = xd.shape[-1]
-            x._accum(gx_pad[..., pad:pad + P])
+            x._accum(_dw_correlate(g, kd[:, ::-1]), fresh=True)
 
     return _make(out, bwd, x, kernels)
 
@@ -488,45 +531,58 @@ def repeat_heads(a: Tensor, reps: int) -> Tensor:
 # normalization and reductions
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a._accum(y * (g - dot), fresh=True)
+            d = g * y
+            dot = d.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=d)
+            d *= y
+            a._accum(d, fresh=True)
 
     return _make(y, bwd, a)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``, then affine."""
-    axis = axis % x.ndim
-    xd = x.data
-    mu = xd.mean(axis=axis, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    gshape = tuple(x.shape[axis] if i == axis else 1 for i in range(x.ndim))
-    gd = gamma.data.reshape(gshape)
-    bd = beta.data.reshape(gshape)
-    y = gd * xhat + bd
+    """Normalize each row of the last axis to zero mean / unit variance,
+    then scale by ``gamma`` and shift by ``beta`` (both of that length).
+
+    Row means are products with a vector of 1/D, so they run as BLAS calls.
+    """
+    D = x.shape[-1]
+    if gamma.shape != (D,) or beta.shape != (D,):
+        raise ValueError(
+            f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be "
+            f"({D},) for input {x.shape}"
+        )
+    xd, gd = x.data, gamma.data
+    row_mean = np.full(D, 1.0 / D)
+    xhat = xd - (xd @ row_mean)[..., None]
+    var = np.einsum("...i,...i->...", xhat, xhat) / D
+    inv = (1.0 / np.sqrt(var + eps))[..., None]
+    xhat *= inv
+    y = xhat * gd
+    y += beta.data
 
     def bwd(g):
+        g2 = g.reshape(-1, D)
         if gamma.requires_grad:
-            red = tuple(i for i in range(x.ndim) if i != axis)
-            gamma._accum((g * xhat).sum(axis=red).reshape(gamma.shape), fresh=True)
+            gamma._accum(np.einsum("ni,ni->i", g2, xhat.reshape(-1, D)),
+                         fresh=True)
         if beta.requires_grad:
-            red = tuple(i for i in range(x.ndim) if i != axis)
-            beta._accum(g.sum(axis=red).reshape(beta.shape), fresh=True)
+            beta._accum(np.ones(g2.shape[0]) @ g2, fresh=True)
         if x.requires_grad:
-            gh = g * gd
-            m1 = gh.mean(axis=axis, keepdims=True)
-            m2 = (gh * xhat).mean(axis=axis, keepdims=True)
-            x._accum(inv * (gh - m1 - xhat * m2), fresh=True)
+            d = g * gd
+            m1 = d @ row_mean
+            m2 = np.einsum("...i,...i->...", d, xhat) / D
+            d -= m1[..., None]
+            d -= xhat * m2[..., None]
+            d *= inv
+            x._accum(d, fresh=True)
 
     return _make(y, bwd, x, gamma, beta)
 

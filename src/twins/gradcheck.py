@@ -135,7 +135,7 @@ def op_cases():
 
     @case("depthwise_conv1d")
     def _dwconv():
-        x, k = P((2, 3, 6), 15), P((3, 3), 16)
+        x, k = P((2, 6, 3), 15), P((3, 3), 16)  # (..., P, Ch)
         return (lambda: ad.sum_all(
             ad.mul(ad.depthwise_conv1d(x, k), ad.depthwise_conv1d(x, k)))), [x, k]
 

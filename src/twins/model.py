@@ -211,10 +211,6 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
 
 
-def _ln(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    return ad.layer_norm(x, gamma, beta, axis=-1)
-
-
 def expected_param_count(cfg: ModelConfig) -> int:
     """Closed-form size of the parameter store for a config."""
     total = 0
@@ -332,7 +328,7 @@ class TwinSModel:
         cfg = self.config
         p = f"layers.{l}"
         par = self.params
-        z = _ln(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"])
+        z = ad.layer_norm(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"])
         layer_probe = {} if probe is not None else None
         subnet = self.score_subnet(l) if cfg.has_subnet() else None
         a = at.attention_block(cfg.variant, z,
@@ -341,12 +337,12 @@ class TwinSModel:
         if probe is not None:
             probe.setdefault("attn_layers", []).append(layer_probe["attn"])
         h = ad.add(h, self._maybe_dropout(a, training))
-        z = _ln(h, par[f"{p}.ln2.g"], par[f"{p}.ln2.b"])
+        z = ad.layer_norm(h, par[f"{p}.ln2.g"], par[f"{p}.ln2.b"])
         f = feed_forward(z, par[f"{p}.ffn.w1"], par[f"{p}.ffn.b1"],
                          par[f"{p}.ffn.w2"], par[f"{p}.ffn.b2"])
         h = ad.add(h, self._maybe_dropout(f, training))
         if cfg.use_ctmlp:
-            z = _ln(h, par[f"{p}.ln3.g"], par[f"{p}.ln3.b"])
+            z = ad.layer_norm(h, par[f"{p}.ln3.g"], par[f"{p}.ln3.b"])
             m = ct_mlp(z, par[f"{p}.ct.w1"], par[f"{p}.ct.b1"],
                        par[f"{p}.ct.w2"], par[f"{p}.ct.b2"])
             h = ad.add(h, self._maybe_dropout(m, training))

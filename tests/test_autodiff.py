@@ -1,10 +1,12 @@
 """Gradient and value checks for the autodiff core."""
 
+import math
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from twins import autodiff as ad
 from twins import gradcheck as gc
@@ -23,10 +25,12 @@ class TestValues:
         np.testing.assert_allclose(out.data[0, 0], [2, 3, 3, 3, 2])
 
     def test_depthwise_known_answer(self):
-        x = t([[1.0, 2.0, 3.0, 4.0]], rg=False)
+        x = t([[1.0], [2.0], [3.0], [4.0]], rg=False)  # (P, Ch) = (4, 1)
         k = t([[0.0, 1.0, 0.0]], rg=False)  # identity kernel
         out = ad.depthwise_conv1d(x, k)
-        np.testing.assert_allclose(out.data, [[1, 2, 3, 4]])
+        np.testing.assert_allclose(out.data, [[1], [2], [3], [4]])
+        shift = ad.depthwise_conv1d(x, t([[1.0, 0.0, 0.0]], rg=False))
+        np.testing.assert_allclose(shift.data, [[0], [1], [2], [3]])
 
     def test_softmax_uniform_and_shift_invariance(self):
         x = t([[0.0, 0.0, 0.0, 0.0]], rg=False)
@@ -246,6 +250,181 @@ class TestMatmulSharedWeight:
         assert peak < batched_bytes, (peak, batched_bytes)
 
 
+# The formulas the elementwise, normalization and convolution ops used before
+# they were rewritten to allocate less: forward value and the gradient of each
+# input for upstream gradient g. The convolutions are the einsum over
+# sliding-window views, depthwise in its old (..., Ch, P) layout.
+
+def _windows(x, k):
+    win = np.lib.stride_tricks.sliding_window_view(x, k, axis=-1)
+    return win[..., :x.shape[-1] - k + 1, :]
+
+
+def _pad_last(x, pad):
+    return np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
+
+
+def ref_sigmoid(x, g):
+    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return y, [g * y * (1.0 - y)]
+
+
+def ref_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return x * cdf, [g * (cdf + x * pdf)]
+
+
+def ref_softmax(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, [y * (g - (g * y).sum(axis=-1, keepdims=True))]
+
+
+def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    rows = tuple(range(x.ndim - 1))
+    gh = g * gamma
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    return gamma * xhat + beta, [gx, (g * xhat).sum(axis=rows), g.sum(axis=rows)]
+
+
+def ref_depthwise(x, kern, g):
+    xt, gt = x.swapaxes(-1, -2), g.swapaxes(-1, -2)    # (..., Ch, P)
+    k = kern.shape[1]
+    pad = (k - 1) // 2
+    xw = _windows(_pad_last(xt, pad), k)
+    out = np.einsum("...ctk,ck->...ct", xw, kern, optimize=True)
+    gk = np.einsum("...ct,...ctk->ck", gt, xw, optimize=True)
+    gw = _windows(_pad_last(gt, k - 1), k)
+    gx = np.einsum("...ctk,ck->...ct", gw, kern[:, ::-1], optimize=True)
+    gx = gx[..., pad:pad + xt.shape[-1]]
+    return out.swapaxes(-1, -2), [gx.swapaxes(-1, -2), gk]
+
+
+def ref_conv1d(x, kern, g):
+    k = kern.shape[-1]
+    pad = (k - 1) // 2
+    xw = _windows(_pad_last(x, pad), k)
+    out = np.einsum("...ctk,ock->...ot", xw, kern, optimize=True)
+    gk = np.einsum("...ot,...ctk->ock", g, xw, optimize=True)
+    gw = _windows(_pad_last(g, k - 1), k)
+    gx = np.einsum("...otk,ock->...ct", gw, kern[:, :, ::-1], optimize=True)
+    return out, [gx[..., pad:pad + x.shape[-1]], gk]
+
+
+# name -> (op, reference, input shapes)
+REFERENCE_CASES = {
+    "sigmoid": (ad.sigmoid, ref_sigmoid, [(3, 2, 5, 8)]),
+    "gelu": (ad.gelu, ref_gelu, [(3, 2, 5, 8)]),
+    "softmax": (ad.softmax, ref_softmax, [(3, 2, 5, 8)]),
+    "layer_norm": (ad.layer_norm, ref_layer_norm, [(3, 2, 5, 8), (8,), (8,)]),
+    "depthwise_conv1d": (ad.depthwise_conv1d, ref_depthwise,
+                         [(3, 2, 5, 8), (8, 3)]),
+    # taps reaching past both ends of a 3-long axis
+    "depthwise_conv1d_wide": (ad.depthwise_conv1d, ref_depthwise,
+                              [(3, 2, 3, 8), (8, 9)]),
+    "conv1d": (ad.conv1d, ref_conv1d, [(3, 2, 4, 10), (5, 4, 3)]),
+    # the wavelet embedding's shape: one input channel, a wide kernel
+    "conv1d_embedding": (ad.conv1d, ref_conv1d, [(3, 2, 1, 12), (6, 1, 15)]),
+}
+
+
+class TestKernelsMatchReference:
+    """Forward values and every input gradient within 1e-12 relative of the
+    reference formulas, on contiguous batched inputs and on transposed
+    (non-contiguous) inputs and upstream gradients."""
+
+    @pytest.mark.parametrize("layout", ["batched", "transposed"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_reference(self, name, layout):
+        op, ref, shapes = REFERENCE_CASES[name]
+        rng = np.random.default_rng(11)
+
+        def draw(shape, spread=1.0):
+            if layout == "batched":
+                return rng.normal(size=shape) * spread
+            a = (rng.normal(size=shape[::-1]) * spread).T
+            assert a.ndim < 2 or not a.flags.c_contiguous
+            return a
+
+        # wide spread so sigmoid and softmax see both tails
+        arrays = [draw(shapes[0], 6.0)] + [draw(s) for s in shapes[1:]]
+        ts = [t(a) for a in arrays]
+        out = op(*ts)
+        g = draw(out.shape)
+        out._node[1](g)
+        want, want_grads = ref(*arrays, g)
+        assert out.shape == want.shape
+        assert gc.rel_error(out.data, want) <= 1e-12
+        for x, gw in zip(ts, want_grads):
+            assert x.grad.shape == gw.shape
+            assert gc.rel_error(x.grad, gw) <= 1e-12
+
+
+def op_calls():
+    """name -> (op, input shapes): one call per exported op and path."""
+    return {
+        "add": (ad.add, [(3, 4), (4,)]),
+        "mul": (ad.mul, [(3, 4), (3, 4)]),
+        "scale": (lambda a: ad.scale(a, 1.7), [(3, 4)]),
+        "sigmoid": (ad.sigmoid, [(3, 4)]),
+        "gelu": (ad.gelu, [(3, 4)]),
+        "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+        "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+        "conv1d": (ad.conv1d, [(2, 3, 7), (4, 3, 3)]),
+        "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
+        "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
+        "transpose": (lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
+        "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)]),
+        "roll": (lambda a: ad.roll(a, 1, axis=1), [(3, 4)]),
+        "repeat_heads": (lambda a: ad.repeat_heads(a, 2), [(2, 3)]),
+        "softmax": (ad.softmax, [(3, 4)]),
+        "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
+        "sum_all": (ad.sum_all, [(3, 4)]),
+        "mse": (ad.mse, [(3, 4), (3, 4)]),
+        "dropout": (lambda a: ad.dropout(a, 0.3, np.random.default_rng(1)),
+                    [(3, 4)]),
+    }
+
+
+class TestOpsLeaveArraysAlone:
+    """In-place kernels must write only to arrays they allocated."""
+
+    def test_every_exported_op_called(self):
+        assert set(gc.op_cases()) <= set(op_calls())
+
+    @pytest.mark.parametrize("name", sorted(op_calls()))
+    def test_inputs_output_and_saved_state_unchanged(self, name):
+        op, shapes = op_calls()[name]
+        rng = np.random.default_rng(5)
+        ts = [t(rng.normal(size=s)) for s in shapes]
+        before = [x.data.copy() for x in ts]
+        out = op(*ts)
+        y = out.data.copy()
+        for x, b in zip(ts, before):
+            assert np.array_equal(x.data, b)
+        g = np.asarray(rng.normal(size=out.shape))
+        g_before = g.copy()
+        # a backward that edits what it saved gives another result next time
+        runs = []
+        for _ in range(2):
+            for x in ts:
+                x.zero_grad()
+            out._node[1](g)
+            runs.append([x.grad.copy() for x in ts])
+        for x, b in zip(ts, before):
+            assert np.array_equal(x.data, b)
+        assert np.array_equal(out.data, y)
+        assert np.array_equal(g, g_before)
+        for first, second in zip(*runs):
+            assert np.array_equal(first, second)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ValueError):
@@ -318,7 +497,7 @@ class TestMacCounting:
         ad.reset_mac_count()
         try:
             with ad.no_grad():
-                ad.depthwise_conv1d(t(np.ones((3, 8)), rg=False),
+                ad.depthwise_conv1d(t(np.ones((8, 3)), rg=False),
                                     t(np.ones((3, 5)), rg=False))
             assert ad.mac_count() == 3 * 8 * 5
         finally:

@@ -62,6 +62,20 @@ class TestTrain:
         best = min(r.train_loss for r in hist.records)
         assert best <= 0.5 * first, f"{best} vs initial {first}"
 
+    def test_windows_built_once_per_split(self, monkeypatch):
+        calls = []
+
+        def counting(values, *args, **kwargs):
+            calls.append(values)
+            return dt.make_windows(values, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "make_windows", counting)
+        ds = tiny_dataset(seed=4)
+        _, hist = tr.train(tiny_config(epochs=3, patience=10), ds,
+                           eval_test=False)
+        assert len(hist.records) == 3
+        assert [id(v) for v in calls] == [id(ds.train), id(ds.val)]
+
     def test_zero_lr_freezes_params(self):
         ds = tiny_dataset()
         cfg = tiny_config(lr=0.0, epochs=2)
