@@ -7,10 +7,12 @@ into every reachable leaf, and consumes them; a pass that never reaches
 ``no_grad()`` so it records nothing.
 
 A weight shared by every leading row of a ``matmul`` gets its gradient from
-one flattened GEMM, and a gradient array an op has just allocated is stored
-as it is rather than copied. Ops compute in place only on arrays they have
-allocated themselves, never on their inputs, their upstream gradient or an
-array their backward still needs.
+one flattened GEMM. Gradients are read-only: the first one a tensor receives
+is stored as it is, later ones are added out of place, and a stored array
+may share memory with another tensor's gradient (``reshape`` and
+``transpose`` hand views straight through). Ops compute in place only on
+arrays they have allocated themselves, never on their inputs, their upstream
+gradient or an array their backward still needs.
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ class Tensor:
 
     @property
     def grad(self):
-        """Accumulated gradient; zeros for leaves no backward pass reached."""
+        """Accumulated gradient; zeros for leaves no backward pass reached.
+
+        Read-only: it may share memory with another tensor's gradient.
+        """
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -134,17 +139,13 @@ class Tensor:
     def zero_grad(self):
         self._grad = None
 
-    def _accum(self, g, fresh: bool = False):
-        """Add ``g`` into the gradient.
+    def _accum(self, g):
+        """Add ``g`` into the gradient without writing either array.
 
-        ``fresh`` hands over an array the caller has just allocated and keeps
-        no other reference to, so the first one is stored without a copy. A
-        view or a pass-through of another tensor's gradient must be copied.
+        The first ``g`` is stored as it is, so it may be a view of another
+        tensor's gradient; neither may be written afterwards.
         """
-        if self._grad is None:
-            self._grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
-        else:
-            self._grad += g
+        self._grad = g if self._grad is None else self._grad + g
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -195,7 +196,7 @@ def backward(loss: Tensor) -> None:
             )
         found[id(t)] = t
         stack.extend(t._node[2])
-    loss._accum(np.ones_like(loss.data), fresh=True)
+    loss._accum(np.ones_like(loss.data))
     order = sorted(found.values(), key=lambda t: t._node[0])
     del found  # from here each node's arrays die once it has run
     while order:
@@ -236,8 +237,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         for t in (a, b):
             if t.requires_grad:
-                gt = _unbroadcast(g, t.shape)
-                t._accum(gt, fresh=gt is not g)
+                t._accum(_unbroadcast(g, t.shape))
 
     return _make(a.data + b.data, bwd, a, b)
 
@@ -248,9 +248,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * bd, a.shape), fresh=True)
+            a._accum(_unbroadcast(g * bd, a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(g * ad, b.shape), fresh=True)
+            b._accum(_unbroadcast(g * ad, b.shape))
 
     return _make(ad * bd, bwd, a, b)
 
@@ -260,7 +260,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * c, fresh=True)
+            a._accum(g * c)
 
     return _make(a.data * c, bwd, a)
 
@@ -279,7 +279,7 @@ def sigmoid(a: Tensor) -> Tensor:
         if a.requires_grad:
             d = g * y
             d *= 1.0 - y
-            a._accum(d, fresh=True)
+            a._accum(d)
 
     return _make(y, bwd, a)
 
@@ -301,7 +301,7 @@ def gelu(a: Tensor) -> Tensor:
             d *= x
             d += cdf
             d *= g
-            a._accum(d, fresh=True)
+            a._accum(d)
 
     return _make(x * cdf, bwd, a)
 
@@ -330,14 +330,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             k, n = bd.shape
             g2 = g.reshape(-1, n)
             if a.requires_grad:
-                a._accum((g2 @ bd.T).reshape(a.shape), fresh=True)
+                a._accum((g2 @ bd.T).reshape(a.shape))
             if b.requires_grad:
-                b._accum(ad.reshape(-1, k).T @ g2, fresh=True)
+                b._accum(ad.reshape(-1, k).T @ g2)
             return
         if a.requires_grad:
-            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape), fresh=True)
+            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape), fresh=True)
+            b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(out, bwd, a, b)
 
@@ -383,11 +383,10 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             # columns rebuilt here rather than kept alive through the pass
             cols = _im2col(xd, k)
             gk = (g @ cols.swapaxes(-1, -2)).reshape(-1, cout, cin * k)
-            kernels._accum(gk.sum(axis=0).reshape(kd.shape), fresh=True)
+            kernels._accum(gk.sum(axis=0).reshape(kd.shape))
         if x.requires_grad:
             # the adjoint: correlate with the kernels flipped and transposed
-            x._accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]),
-                     fresh=True)
+            x._accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]))
 
     return _make(out, bwd, x, kernels)
 
@@ -443,9 +442,9 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             gk = np.zeros(kd.shape)
             for j, dst, src in _tap_slices(k, P):
                 gk[:, j] = np.einsum("npc,npc->c", g3[:, dst], x3[:, src])
-            kernels._accum(gk, fresh=True)
+            kernels._accum(gk)
         if x.requires_grad:
-            x._accum(_dw_correlate(g, kd[:, ::-1]), fresh=True)
+            x._accum(_dw_correlate(g, kd[:, ::-1]))
 
     return _make(out, bwd, x, kernels)
 
@@ -496,7 +495,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             full[idx] = g
-            a._accum(full, fresh=True)
+            a._accum(full)
 
     return _make(a.data[idx].copy(), bwd, a)
 
@@ -506,7 +505,7 @@ def roll(a: Tensor, shift: int, axis: int) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(np.roll(g, -shift, axis=axis), fresh=True)
+            a._accum(np.roll(g, -shift, axis=axis))
 
     return _make(np.roll(a.data, shift, axis=axis), bwd, a)
 
@@ -522,7 +521,7 @@ def repeat_heads(a: Tensor, reps: int) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1), fresh=True)
+            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1))
 
     return _make(np.repeat(a.data, reps, axis=0), bwd, a)
 
@@ -541,7 +540,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             dot = d.sum(axis=axis, keepdims=True)
             np.subtract(g, dot, out=d)
             d *= y
-            a._accum(d, fresh=True)
+            a._accum(d)
 
     return _make(y, bwd, a)
 
@@ -571,10 +570,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     def bwd(g):
         g2 = g.reshape(-1, D)
         if gamma.requires_grad:
-            gamma._accum(np.einsum("ni,ni->i", g2, xhat.reshape(-1, D)),
-                         fresh=True)
+            gamma._accum(np.einsum("ni,ni->i", g2, xhat.reshape(-1, D)))
         if beta.requires_grad:
-            beta._accum(np.ones(g2.shape[0]) @ g2, fresh=True)
+            beta._accum(np.ones(g2.shape[0]) @ g2)
         if x.requires_grad:
             d = g * gd
             m1 = d @ row_mean
@@ -582,7 +580,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             d -= m1[..., None]
             d -= xhat * m2[..., None]
             d *= inv
-            x._accum(d, fresh=True)
+            x._accum(d)
 
     return _make(y, bwd, x, gamma, beta)
 
@@ -590,7 +588,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
-            a._accum(np.full(a.shape, float(g)), fresh=True)
+            a._accum(np.full(a.shape, float(g)))
 
     return _make(np.asarray(a.data.sum()), bwd, a)
 
@@ -604,9 +602,9 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     def bwd(g):
         c = 2.0 * float(g) / n
         if pred.requires_grad:
-            pred._accum(c * diff, fresh=True)
+            pred._accum(c * diff)
         if target.requires_grad:
-            target._accum(-c * diff, fresh=True)
+            target._accum(-c * diff)
 
     return _make(np.asarray((diff * diff).mean()), bwd, pred, target)
 
@@ -621,7 +619,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g * mask, fresh=True)
+            a._accum(g * mask)
 
     return _make(a.data * mask, bwd, a)
 

@@ -101,10 +101,14 @@ def _parse_synth(spec: str) -> dt.RawSeries:
     if not comps:
         raise ValueError("synthetic spec: needs at least one period= entry")
     components = [(c["period"], c["amp"], c["active"]) for c in comps]
-    return dt.synth_multiperiod(int(glob["len"]), int(glob["channels"]),
-                                components, lag_per_channel=int(glob["lag"]),
-                                noise_std=float(glob["noise"]),
-                                seed=int(glob["seed"]))
+    try:
+        return dt.synth_multiperiod(int(glob["len"]), int(glob["channels"]),
+                                    components,
+                                    lag_per_channel=int(glob["lag"]),
+                                    noise_std=float(glob["noise"]),
+                                    seed=int(glob["seed"]))
+    except ValueError as err:
+        raise ValueError(f"synthetic spec: {err}") from None
 
 
 def _load_series(args) -> tuple:

@@ -146,9 +146,17 @@ def synth_multiperiod(length: int, channels: int, components,
     comps = list(components)
     if not comps:
         raise ValueError("components must be non-empty")
-    for period, _, _ in comps:
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
+    if noise_std < 0.0:
+        raise ValueError(f"noise std must be >= 0, got {noise_std}")
+    for period, _, active in comps:
         if period < 2:
             raise ValueError(f"component period must be >= 2, got {period}")
+        if active is not None and active[1] <= active[0]:
+            raise ValueError(
+                f"active interval {active[0]}-{active[1]} is empty: "
+                "HI must exceed LO")
 
     def f(u: np.ndarray) -> np.ndarray:
         total = np.zeros_like(u)

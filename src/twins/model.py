@@ -106,17 +106,22 @@ class ModelConfig:
             if not cond:
                 raise ValueError(f"config: {msg}")
 
-        req(self.C >= 1 and self.L >= 1 and self.T >= 1,
-            f"C/L/T must be positive, got {self.C}/{self.L}/{self.T}")
-        req(self.d >= 1, f"d must be >= 1, got {self.d}")
-        req(self.num_scales >= 1, f"num_scales must be >= 1, got {self.num_scales}")
-        req(self.n_layers >= 1, f"n_layers must be >= 1, got {self.n_layers}")
+        for name in ("C", "L", "T", "d", "num_scales", "n_layers", "heads",
+                     "aware_heads", "h", "batch_size", "epochs"):
+            value = getattr(self, name)
+            req(value >= 1, f"{name} must be >= 1, got {value}")
         req(self.variant in VARIANTS,
             f"variant {self.variant!r} not one of {VARIANTS}")
         req(self.scales is None or len(self.scales) == self.n_layers,
             f"scales list has {len(self.scales or [])} entries "
             f"for {self.n_layers} layers")
-        req(self.k % 2 == 1, f"subnet kernel k must be odd, got {self.k}")
+        req(self.k >= 1 and self.k % 2 == 1,
+            f"k must be odd and >= 1, got {self.k}")
+        req(self.ffn_hidden is None or self.ffn_hidden >= 1,
+            f"ffn_hidden must be null or >= 1, got {self.ffn_hidden}")
+        req(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        req(np.isfinite(self.lr) and self.lr >= 0.0,
+            f"lr must be finite and >= 0, got {self.lr}")
         req(0.0 <= self.dropout < 1.0, f"dropout {self.dropout} out of range")
         for l in range(self.n_layers):
             s, D = self.scale_at(l), self.D_at(l)
@@ -211,32 +216,6 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
 
 
-def expected_param_count(cfg: ModelConfig) -> int:
-    """Closed-form size of the parameter store for a config."""
-    total = 0
-    if cfg.use_wconv:
-        total += cfg.d * (2 ** cfg.num_scales - 1)     # kernel bank
-        total += cfg.d * cfg.L                          # position table
-    else:
-        D0 = cfg.D_at(0)
-        total += cfg.patch_len * D0 + D0                # patch affine map
-    for l in range(cfg.n_layers):
-        D, P, F = cfg.D_at(l), cfg.P_at(l), cfg.ffn_at(l)
-        total += 2 * D                                  # ln1
-        total += (4 if cfg.has_qk() else 2) * D * D     # attention projections
-        if cfg.has_subnet():
-            total += D * cfg.k + D * cfg.P_max          # dw kernels + W_p
-        total += 2 * D                                  # ln2
-        total += D * F + F + F * D + D                  # ffn
-        if cfg.use_ctmlp:
-            total += 2 * D                              # ln3
-            cp = cfg.C * P
-            total += cp * cfg.h + cfg.h + cfg.h * cp + cp
-    head_in = cfg.d * cfg.L if cfg.use_wconv else cfg.P_at(0) * cfg.D_at(0)
-    total += head_in * cfg.T + cfg.T                    # shared head
-    return total
-
-
 class TwinSModel:
     """Parameter store plus the forward pass; training lives elsewhere."""
 
@@ -296,9 +275,6 @@ class TwinSModel:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params.values())
 
     # ---- views over the flat store ----
 

@@ -61,14 +61,13 @@ class TrainHistory:
 
 
 def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
-             stride: int = 1, batch_size: int = 64) -> Metrics:
+             batch_size: int = 64) -> Metrics:
     """Mean squared/absolute error over every window of a split, stride 1.
 
     Metrics are on the globally standardized scale, accumulated in window
     order so the reduction is deterministic.
     """
-    return evaluate_windows(model, make_windows(split, L, T, stride),
-                            batch_size)
+    return evaluate_windows(model, make_windows(split, L, T), batch_size)
 
 
 def evaluate_windows(model: TwinSModel, wb: WindowBatch,
@@ -87,10 +86,9 @@ def evaluate_windows(model: TwinSModel, wb: WindowBatch,
     return Metrics(mse=se / count, mae=ae / count)
 
 
-def lookback_mean_baseline(split: np.ndarray, L: int, T: int,
-                           stride: int = 1) -> Metrics:
+def lookback_mean_baseline(split: np.ndarray, L: int, T: int) -> Metrics:
     """Predict each channel's lookback mean for every step of the horizon."""
-    wb = make_windows(split, L, T, stride)
+    wb = make_windows(split, L, T)
     pred = wb.inputs[:, 0].mean(axis=-1, keepdims=True)  # (B, C, 1)
     diff = np.broadcast_to(pred, wb.targets.shape) - wb.targets
     return Metrics(mse=float((diff * diff).mean()),
@@ -107,8 +105,8 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     """
     cfg.validate()
     model = TwinSModel(cfg)
-    wb = make_windows(dataset.train, cfg.L, cfg.T, stride=1)
-    val_wb = make_windows(dataset.val, cfg.L, cfg.T, stride=1)
+    wb = make_windows(dataset.train, cfg.L, cfg.T)
+    val_wb = make_windows(dataset.val, cfg.L, cfg.T)
     n_windows = wb.inputs.shape[0]
     params = model.parameters()
     opt = ad.AdamState(params, lr=cfg.lr)

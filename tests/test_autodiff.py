@@ -178,8 +178,8 @@ class TestTapeSemantics:
         lambda x: ad.reshape(x, (3, 2)),
         lambda x: ad.transpose(x, (1, 0)),
     ], ids=["add", "reshape", "transpose"])
-    def test_pass_through_gradient_copied(self, op):
-        # x first receives y's gradient through op, then adds v in place
+    def test_pass_through_upstream_gradient_intact(self, op):
+        # x first receives y's gradient through op, then adds v out of place
         x = t(np.arange(6.0).reshape(2, 3))
         v = np.full((2, 3), 10.0)
         direct = ad.sum_all(ad.mul(x, t(v, rg=False)))
@@ -188,6 +188,18 @@ class TestTapeSemantics:
         ad.backward(ad.add(direct, ad.sum_all(ad.mul(y, t(w, rg=False)))))
         np.testing.assert_array_equal(y.grad, w)
         assert not np.shares_memory(x.grad, y.grad)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: ad.reshape(x, (3, 2)),
+        lambda x: ad.transpose(x, (1, 0)),
+    ], ids=["reshape", "transpose"])
+    def test_single_path_gradient_is_a_view(self, op):
+        x = t(np.arange(6.0).reshape(2, 3))
+        y = op(x)
+        w = np.random.default_rng(1).normal(size=y.shape)
+        ad.backward(ad.sum_all(ad.mul(y, t(w, rg=False))))
+        assert np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(op(t(x.grad)).data, w)
 
     def test_abandoned_pass_freed_without_gc(self):
         x = t(np.ones(4))

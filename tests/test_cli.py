@@ -140,12 +140,26 @@ def test_bad_config_exit_code(capfd):
     assert "error:" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--heads", "0"), ("--batch-size", "0"),
+])
+def test_out_of_range_flag_exit_code(flag, value, tmp_path, capfd):
+    rc = cli.main(["train", "--synthetic", SPEC, *MODEL_FLAGS, flag, value,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "config: " in capfd.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("spec", [
     "junk",
     "period=bad",
     "amp=2",                   # modifier before any component
     "period=8,active=5",       # missing the LO-HI dash
     "wibble=3",
+    "channels=0|period=8",
+    "noise=-1|period=8",
+    "period=8,active=200-100",
 ])
 def test_synth_spec_errors(spec, capfd):
     rc = cli.main(["analyze", "scalogram", "--synthetic", spec])

@@ -188,3 +188,15 @@ class TestSynth:
             dt.synth_multiperiod(100, 1, [])
         with pytest.raises(ValueError):
             dt.synth_multiperiod(100, 1, [(1, 1.0, None)])
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"channels": 0}, "channels must be >= 1, got 0"),
+        ({"noise_std": -1.0}, "noise std must be >= 0, got -1.0"),
+        ({"components": [(8, 1.0, (200, 100))]}, "active interval 200-100"),
+        ({"components": [(8, 1.0, (50, 50))]}, "active interval 50-50"),
+    ])
+    def test_bad_spec_named(self, kw, message):
+        args = {"length": 300, "channels": 1,
+                "components": [(8, 1.0, None)], **kw}
+        with pytest.raises(ValueError, match=message):
+            dt.synth_multiperiod(**args)

@@ -18,6 +18,32 @@ def micro_config(**kw):
     return md.ModelConfig(**base)
 
 
+def expected_param_count(cfg):
+    """Closed-form size of the parameter store for a config."""
+    total = 0
+    if cfg.use_wconv:
+        total += cfg.d * (2 ** cfg.num_scales - 1)     # kernel bank
+        total += cfg.d * cfg.L                          # position table
+    else:
+        D0 = cfg.D_at(0)
+        total += cfg.patch_len * D0 + D0                # patch affine map
+    for l in range(cfg.n_layers):
+        D, P, F = cfg.D_at(l), cfg.P_at(l), cfg.ffn_at(l)
+        total += 2 * D                                  # ln1
+        total += (4 if cfg.has_qk() else 2) * D * D     # attention projections
+        if cfg.has_subnet():
+            total += D * cfg.k + D * cfg.P_max          # dw kernels + W_p
+        total += 2 * D                                  # ln2
+        total += D * F + F + F * D + D                  # ffn
+        if cfg.use_ctmlp:
+            total += 2 * D                              # ln3
+            cp = cfg.C * P
+            total += cp * cfg.h + cfg.h + cfg.h * cp + cp
+    head_in = cfg.d * cfg.L if cfg.use_wconv else cfg.P_at(0) * cfg.D_at(0)
+    total += head_in * cfg.T + cfg.T                    # shared head
+    return total
+
+
 def zero_weights(model, keep_ln_gain=True):
     for name, t in model.params.items():
         if keep_ln_gain and name.endswith(("ln1.g", "ln2.g", "ln3.g")):
@@ -94,6 +120,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             md.ModelConfig(C=1, L=8, T=4, heads=4, aware_heads=3).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 0), ("aware_heads", 0), ("h", 0), ("batch_size", 0),
+        ("batch_size", -1), ("epochs", 0), ("k", -1), ("k", 0), ("k", 2),
+        ("ffn_hidden", 0), ("seed", -1), ("lr", -1e-3), ("lr", float("nan")),
+        ("lr", float("inf")),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        cfg = micro_config(**{field: value})
+        with pytest.raises(ValueError, match=rf"^config: {field} "):
+            cfg.validate()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             md.ModelConfig.from_dict({"C": 1, "L": 8, "T": 4, "bogus": 1})
@@ -137,7 +174,8 @@ class TestParamStore:
     def test_count_formula(self, kw):
         cfg = micro_config(**kw)
         model = md.TwinSModel(cfg)
-        assert model.param_count() == md.expected_param_count(cfg)
+        count = sum(t.size for t in model.params.values())
+        assert count == expected_param_count(cfg)
 
     def test_keyless_has_no_qk(self):
         model = md.TwinSModel(micro_config(variant="twins"))
