@@ -6,11 +6,11 @@ into every reachable leaf, and consumes them; a pass that never reaches
 ``backward`` is freed with its tensors. Wrap evaluation-only code in
 ``no_grad()`` so it records nothing.
 
-A weight shared by every leading row of a ``matmul`` gets its gradient from
-one flattened GEMM. Gradients are read-only: the first one a tensor receives
-is stored as it is, later ones are added out of place, and a stored array
-may share memory with another tensor's gradient (``reshape`` and
-``transpose`` hand views straight through). Ops compute in place only on
+A weight shared by every leading row of a ``matmul`` or ``linear`` gets its
+gradient from one flattened GEMM. Gradients are read-only: the first one a
+tensor receives is stored as it is, later ones are added out of place, and a
+stored array may share memory with another tensor's gradient (``reshape``
+and ``transpose`` hand views straight through). Ops compute in place only on
 arrays they have allocated themselves, never on their inputs, their upstream
 gradient or an array their backward still needs.
 """
@@ -36,6 +36,7 @@ __all__ = [
     "sigmoid",
     "gelu",
     "matmul",
+    "linear",
     "conv1d",
     "depthwise_conv1d",
     "reshape",
@@ -303,6 +304,9 @@ def gelu(a: Tensor) -> Tensor:
             d *= g
             a._accum(d)
 
+    if not (_recording and a.requires_grad):  # no node keeps cdf
+        cdf *= x
+        return Tensor(cdf)
     return _make(x * cdf, bwd, a)
 
 
@@ -327,12 +331,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if bd.ndim == 2:
-            k, n = bd.shape
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                a._accum((g2 @ bd.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accum(ad.reshape(-1, k).T @ g2)
+            _shared_weight_grads(a, b, g.reshape(-1, bd.shape[1]))
             return
         if a.requires_grad:
             a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape))
@@ -340,6 +339,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(out, bwd, a, b)
+
+
+def _shared_weight_grads(a: Tensor, w: Tensor, g2: np.ndarray) -> None:
+    """Gradients of ``a @ w`` for a 2-D ``w``, upstream ``g2`` flattened to
+    (rows, N): one GEMM each."""
+    if a.requires_grad:
+        a._accum((g2 @ w.data.T).reshape(a.shape))
+    if w.requires_grad:
+        w._accum(a.data.reshape(-1, w.shape[0]).T @ g2)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: a (K, N) weight shared by every leading row of x and
+    an (N,) bias, added in place on the fresh product."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ValueError(
+            f"linear: needs (..., K) input, (K, N) weight and (N,) bias, "
+            f"got {x.shape}, {w.shape}, {b.shape}"
+        )
+    k, n = w.shape
+    out = x.data @ w.data
+    out += b.data
+    _add_macs(out.size * k)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        _shared_weight_grads(x, w, g2)
+        if b.requires_grad:
+            b._accum(np.ones(g2.shape[0]) @ g2)
+
+    return _make(out, bwd, x, w, b)
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -641,7 +671,8 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState):
-    """Bias-corrected Adam update, in place on ``param.data``."""
+    """Bias-corrected Adam update, in place on ``param.data`` and on the
+    moment estimates, with two scratch arrays per parameter."""
     if len(params) != len(state.m):
         raise ValueError("adam_step: parameter count differs from state")
     state.t += 1
@@ -653,11 +684,21 @@ def adam_step(params, grads, state: AdamState):
             raise ValueError(
                 f"adam_step: grad shape {g.shape} != param shape {p.data.shape}"
             )
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m, v = state.m[i], state.v[i]
+        step = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += step                                   # b1*m + (1-b1)*g
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v *= b2
+        v += step                                   # b2*v + (1-b2)*(g*g)
+        np.divide(m, c1, out=step)
+        step *= state.lr                            # lr * m_hat
+        denom = np.divide(v, c2)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon                      # sqrt(v_hat) + eps
+        step /= denom
+        p.data -= step
     return params, state
 
 

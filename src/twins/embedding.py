@@ -98,4 +98,4 @@ def linear_patch_embed(x: Tensor, patch_len: int, w: Tensor,
     P = L // patch_len
     lead = x.shape[:-3]
     xg = ad.reshape(x, lead + (C, P, patch_len))
-    return ad.add(ad.matmul(xg, w), b)
+    return ad.linear(xg, w, b)

@@ -128,6 +128,15 @@ def op_cases():
             return ad.add(ad.sum_all(ad.mul(ab, ab)), ad.sum_all(ad.mul(cw, cw)))
         return f, [a, b, c, w]
 
+    @case("linear")
+    def _linear():
+        x, w, b = P((2, 3, 4), 40), P((4, 5), 41), P((5,), 42)
+
+        def f():
+            y = ad.linear(x, w, b)
+            return ad.sum_all(ad.mul(y, y))
+        return f, [x, w, b]
+
     @case("conv1d")
     def _conv1d():
         x, k = P((2, 3, 7), 13), P((4, 3, 3), 14)

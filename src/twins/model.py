@@ -107,7 +107,7 @@ class ModelConfig:
                 raise ValueError(f"config: {msg}")
 
         for name in ("C", "L", "T", "d", "num_scales", "n_layers", "heads",
-                     "aware_heads", "h", "batch_size", "epochs"):
+                     "aware_heads", "h", "batch_size", "epochs", "patience"):
             value = getattr(self, name)
             req(value >= 1, f"{name} must be >= 1, got {value}")
         req(self.variant in VARIANTS,
@@ -191,7 +191,7 @@ def instance_denormalize(pred: Tensor, stats: NormStats) -> Tensor:
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Position-wise D -> hidden -> D with GELU."""
-    return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+    return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
 
 
 def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -210,7 +210,7 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     lead = x.shape[:-3]
     xt = ad.transpose(x, tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
     rows = ad.reshape(xt, lead + (D, C * P))
-    mixed = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(rows, w1), b1)), w2), b2)
+    mixed = ad.linear(ad.gelu(ad.linear(rows, w1, b1)), w2, b2)
     back = ad.reshape(mixed, lead + (D, C, P))
     m = back.ndim
     return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
@@ -362,5 +362,5 @@ class TwinSModel:
             for l in range(cfg.n_layers):
                 h = self._residual_block(h, l, probe=probe, training=training)
             flat = ad.reshape(h, lead + (cfg.C, cfg.P_at(0) * cfg.D_at(0)))
-        y = ad.add(ad.matmul(flat, self.params["head.w"]), self.params["head.b"])
+        y = ad.linear(flat, self.params["head.w"], self.params["head.b"])
         return instance_denormalize(y, stats)

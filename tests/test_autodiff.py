@@ -262,6 +262,91 @@ class TestMatmulSharedWeight:
         assert peak < batched_bytes, (peak, batched_bytes)
 
 
+class TestLinear:
+    """``linear`` against the ``add(matmul(x, w), b)`` it replaced."""
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((32, 2, 12, 64), (64, 128)),     # train-gate FFN
+        ((32, 7, 12, 128), (128, 256)),   # ETTh1 FFN
+    ], ids=["gate_ffn", "etth1_ffn"])
+    def test_matches_matmul_plus_bias(self, x_shape, w_shape):
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=w_shape),
+                  rng.normal(size=w_shape[1])]
+        new, old = [t(a) for a in arrays], [t(a) for a in arrays]
+        y = ad.linear(*new)
+        ref = ad.add(ad.matmul(old[0], old[1]), old[2])
+        assert np.array_equal(y.data, ref.data)
+        w = t(rng.normal(size=y.shape), rg=False)
+        ad.backward(ad.sum_all(ad.mul(y, w)))
+        ad.backward(ad.sum_all(ad.mul(ref, w)))
+        for a, b in zip(new, old):
+            assert gc.rel_error(a.grad, b.grad) <= 1e-12
+
+    def test_macs_match_matmul(self):
+        ad.enable_mac_counting(True)
+        ad.reset_mac_count()
+        try:
+            with ad.no_grad():
+                ad.linear(t(np.ones((3, 4, 5)), rg=False),
+                          t(np.ones((5, 6)), rg=False), t(np.ones(6), rg=False))
+            assert ad.mac_count() == 3 * 4 * 5 * 6
+        finally:
+            ad.enable_mac_counting(False)
+
+    def test_bad_shapes_rejected(self):
+        for shapes in [((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),
+                       ((2, 4), (1, 4, 5), (5,))]:
+            with pytest.raises(ValueError, match="^linear: "):
+                ad.linear(*(t(np.ones(s)) for s in shapes))
+
+
+def test_gelu_without_node_matches_recorded():
+    x = np.random.default_rng(2).normal(size=(4, 6)) * 3
+    with ad.no_grad():
+        free = ad.gelu(t(x))
+    frozen = ad.gelu(t(x, rg=False))
+    recorded = ad.gelu(t(x))
+    assert recorded._node is not None and free._node is None
+    assert np.array_equal(free.data, recorded.data)
+    assert np.array_equal(frozen.data, recorded.data)
+
+
+def ref_adam_step(params, grads, state):
+    """The update as ``adam_step`` computed it with fresh arrays."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+def test_adam_in_place_matches_reference():
+    rng = np.random.default_rng(9)
+    shapes = [(5, 3), (7,), (2, 3, 4)]
+    start = [rng.normal(size=s) for s in shapes]
+    new = [t(a.copy()) for a in start]
+    old = [t(a.copy()) for a in start]
+    st_new = ad.AdamState(new, lr=3e-3)
+    st_old = ad.AdamState(old, lr=3e-3)
+    for _ in range(2):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)
+                 for s in shapes]
+        for g in grads:
+            g.flags.writeable = False  # stored gradients are read-only
+        ad.adam_step(new, grads, st_new)
+        ref_adam_step(old, grads, st_old)
+        for a, b in zip(new, old):
+            assert np.array_equal(a.data, b.data)
+        for a, b in zip(st_new.m + st_new.v, st_old.m + st_old.v):
+            assert np.array_equal(a, b)
+
+
 # The formulas the elementwise, normalization and convolution ops used before
 # they were rewritten to allocate less: forward value and the gradient of each
 # input for upstream gradient g. The convolutions are the einsum over
@@ -388,6 +473,7 @@ def op_calls():
         "gelu": (ad.gelu, [(3, 4)]),
         "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
         "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+        "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
         "conv1d": (ad.conv1d, [(2, 3, 7), (4, 3, 3)]),
         "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
         "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),

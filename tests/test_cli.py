@@ -141,7 +141,7 @@ def test_bad_config_exit_code(capfd):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--heads", "0"), ("--batch-size", "0"),
+    ("--heads", "0"), ("--batch-size", "0"), ("--patience", "0"),
 ])
 def test_out_of_range_flag_exit_code(flag, value, tmp_path, capfd):
     rc = cli.main(["train", "--synthetic", SPEC, *MODEL_FLAGS, flag, value,

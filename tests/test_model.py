@@ -124,7 +124,7 @@ class TestConfig:
         ("heads", 0), ("aware_heads", 0), ("h", 0), ("batch_size", 0),
         ("batch_size", -1), ("epochs", 0), ("k", -1), ("k", 0), ("k", 2),
         ("ffn_hidden", 0), ("seed", -1), ("lr", -1e-3), ("lr", float("nan")),
-        ("lr", float("inf")),
+        ("lr", float("inf")), ("patience", 0), ("patience", -3),
     ])
     def test_out_of_range_rejected(self, field, value):
         cfg = micro_config(**{field: value})
