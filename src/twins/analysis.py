@@ -120,6 +120,14 @@ def export_attention(model: TwinSModel, window: np.ndarray, layer: int,
     return mat
 
 
+def _check_sizes(T: int, P: int, D: int, k: int, **heads) -> None:
+    for name, value in dict(T=T, P=P, D=D, k=k, **heads).items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if T % P != 0:
+        raise ValueError(f"P={P} must divide T={T}")
+
+
 def flop_analytic(T: int, P: int, D: int, k: int) -> FlopReport:
     """Closed-form multiply-accumulate counts of both attention blocks.
 
@@ -127,8 +135,7 @@ def flop_analytic(T: int, P: int, D: int, k: int) -> FlopReport:
       dot-product block: 4*N*D^2 (q,k,v,o maps) + 2*N^2*D (qk^T and attn*v)
       keyless block:     2*N*D^2 (v,o maps) + (k+N)*N*D (scoring) + N^2*D
     """
-    if P <= 0 or T % P != 0:
-        raise ValueError(f"P={P} must divide T={T}")
+    _check_sizes(T, P, D, k)
     N = T // P
     mhsa = 4 * N * D * D + 2 * N * N * D
     paa = 2 * N * D * D + (k + N) * N * D + N * N * D
@@ -142,8 +149,7 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int,
     Counts projections, score computation, and value aggregation only,
     on a single channel of N = T/P tokens.
     """
-    if T % P != 0:
-        raise ValueError(f"P={P} must divide T={T}")
+    _check_sizes(T, P, D, k, heads=M, score_heads=S)
     N = T // P
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(1, N, D)))

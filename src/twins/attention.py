@@ -108,7 +108,7 @@ def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
     logits = ad.matmul(qh, _swap_last2(kh))
     if scores is not None:
         logits = ad.mul(scores, logits)
-    attn = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(D // m)), axis=-1)
+    attn = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(D // m)))
     return _attend(attn, vh, w.w_o, probe)
 
 
@@ -172,7 +172,7 @@ def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
     m = scores.shape[0] if heads is None else heads
     if scores.shape[0] != m:
         raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
-    attn = ad.softmax(scores, axis=-1)                     # (m, ..., C, P, P)
+    attn = ad.softmax(scores)  # (m, ..., C, P, P)
     vh = _split_heads(ad.matmul(x, w_v), m)
     return _attend(attn, vh, w_o, probe)
 

@@ -58,6 +58,10 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 _recording = True
@@ -559,15 +563,16 @@ def repeat_heads(a: Tensor, reps: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization and reductions
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    y = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         if a.requires_grad:
             d = g * y
-            dot = d.sum(axis=axis, keepdims=True)
+            dot = d.sum(axis=-1, keepdims=True)
             np.subtract(g, dot, out=d)
             d *= y
             a._accum(d)
@@ -575,8 +580,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, bwd, a)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each row of the last axis to zero mean / unit variance,
     then scale by ``gamma`` and shift by ``beta`` (both of that length).
 
@@ -592,7 +596,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     row_mean = np.full(D, 1.0 / D)
     xhat = xd - (xd @ row_mean)[..., None]
     var = np.einsum("...i,...i->...", xhat, xhat) / D
-    inv = (1.0 / np.sqrt(var + eps))[..., None]
+    inv = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[..., None]
     xhat *= inv
     y = xhat * gd
     y += beta.data
@@ -660,11 +664,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 class AdamState:
     """First/second moment estimates per parameter, keyed by position."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -676,7 +677,7 @@ def adam_step(params, grads, state: AdamState):
     if len(params) != len(state.m):
         raise ValueError("adam_step: parameter count differs from state")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -696,7 +697,7 @@ def adam_step(params, grads, state: AdamState):
         step *= state.lr                            # lr * m_hat
         denom = np.divide(v, c2)
         np.sqrt(denom, out=denom)
-        denom += state.epsilon                      # sqrt(v_hat) + eps
+        denom += ADAM_EPS                           # sqrt(v_hat) + eps
         step /= denom
         p.data -= step
     return params, state

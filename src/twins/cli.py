@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from . import autodiff as ad
 from . import data as dt
 from .attention import init_subnet, paa_scores
 from .autodiff import Tensor
-from .gradcheck import op_cases, run_op_checks
-from .model import ModelConfig, TwinSModel, instance_denormalize, \
-    instance_normalize
+from .gradcheck import OP_CALLS, run_op_checks
+from .model import VARIANTS, ModelConfig, TwinSModel, \
+    instance_denormalize, instance_normalize
 from .patching import window_fold, window_unfold
 from .training import TrainAbort, evaluate, load_checkpoint, \
     lookback_mean_baseline, save_checkpoint, train
@@ -148,24 +149,9 @@ def _snapshot(run_dir: str, command: str, source: str,
 
 
 def _config_from_args(args, C: int) -> ModelConfig:
-    kwargs = dict(C=C, L=args.lookback, T=args.horizon, d=args.d,
-                  num_scales=args.num_scales, n_layers=args.layers,
-                  patch_len=args.patch, heads=args.heads,
-                  aware_heads=args.aware_heads, k=args.k, h=args.hidden,
-                  variant=args.variant, lr=args.lr, epochs=args.epochs,
-                  batch_size=args.batch_size, patience=args.patience,
-                  seed=args.seed, dropout=args.dropout,
-                  use_wconv=not args.no_wconv,
-                  use_ctmlp=not args.no_ctmlp)
-    if args.ffn_hidden is not None:
-        kwargs["ffn_hidden"] = args.ffn_hidden
-    if args.scales:
-        try:
-            kwargs["scales"] = tuple(int(s) for s in args.scales.split(","))
-        except ValueError:
-            raise ValueError(f"--scales wants comma-separated integers, "
-                             f"got {args.scales!r}") from None
-    cfg = ModelConfig(**kwargs)
+    """Every ModelConfig field but C comes from the flag of the same dest."""
+    cfg = ModelConfig(C=C, **{f.name: getattr(args, f.name)
+                              for f in fields(ModelConfig) if f.name != "C"})
     cfg.validate()
     return cfg
 
@@ -313,8 +299,8 @@ def _selfcheck_cases(inject_bug):
 
 
 def cmd_selfcheck(args) -> int:
-    if args.inject_bug is not None and args.inject_bug not in op_cases():
-        known = ", ".join(op_cases())
+    if args.inject_bug is not None and args.inject_bug not in OP_CALLS:
+        known = ", ".join(OP_CALLS)
         raise CliError(EXIT_USAGE,
                        f"unknown op for --inject-bug: {args.inject_bug!r} "
                        f"(known: {known})")
@@ -418,40 +404,52 @@ def _add_data_args(p):
                         "'len=2000,channels=2|period=8|period=32,amp=0.5'")
 
 
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants comma-separated integers, got {text!r}") from None
+
+
 def _add_model_args(p):
+    """Model and training flags; dest is the ModelConfig field, and each
+    default but the lookback's and horizon's is that field's default."""
     g = p.add_argument_group("model")
-    g.add_argument("--lookback", type=int, default=96, metavar="L")
-    g.add_argument("--horizon", type=int, default=96, metavar="T")
-    g.add_argument("--patch", type=int, default=8, metavar="P",
+    g.add_argument("--lookback", dest="L", type=int, default=96, metavar="L")
+    g.add_argument("--horizon", dest="T", type=int, default=96, metavar="T")
+    g.add_argument("--patch", dest="patch_len", type=int,
+                   default=ModelConfig.patch_len, metavar="P",
                    help="window length used by every layer unless --scales")
-    g.add_argument("--scales", metavar="S1,S2,..",
+    g.add_argument("--scales", type=_int_list, default=ModelConfig.scales,
+                   metavar="S1,S2,..",
                    help="per-layer window lengths, overrides --patch")
-    g.add_argument("--d", type=int, default=16,
+    g.add_argument("--d", type=int, default=ModelConfig.d,
                    help="embedding width per time step")
-    g.add_argument("--num-scales", type=int, default=4,
+    g.add_argument("--num-scales", type=int, default=ModelConfig.num_scales,
                    help="kernel bank size for the wavelet embedding")
-    g.add_argument("--layers", type=int, default=2)
-    g.add_argument("--heads", type=int, default=4)
-    g.add_argument("--aware-heads", type=int, default=4,
+    g.add_argument("--layers", dest="n_layers", type=int,
+                   default=ModelConfig.n_layers, metavar="LAYERS")
+    g.add_argument("--heads", type=int, default=ModelConfig.heads)
+    g.add_argument("--aware-heads", type=int, default=ModelConfig.aware_heads,
                    help="score subnet head count")
-    g.add_argument("--k", type=int, default=3,
+    g.add_argument("--k", type=int, default=ModelConfig.k,
                    help="score subnet kernel width, odd")
-    g.add_argument("--hidden", type=int, default=128,
-                   help="channel-time mixer hidden width")
-    g.add_argument("--ffn-hidden", type=int, default=None)
-    g.add_argument("--variant", choices=("mhsa", "twins", "twins_plus"),
-                   default="twins")
-    g.add_argument("--no-wconv", action="store_true",
+    g.add_argument("--hidden", dest="h", type=int, default=ModelConfig.h,
+                   metavar="HIDDEN", help="channel-time mixer hidden width")
+    g.add_argument("--ffn-hidden", type=int, default=ModelConfig.ffn_hidden)
+    g.add_argument("--variant", choices=VARIANTS, default=ModelConfig.variant)
+    g.add_argument("--no-wconv", dest="use_wconv", action="store_false",
                    help="replace the wavelet embedding with a linear patch "
                         "map")
-    g.add_argument("--no-ctmlp", action="store_true")
+    g.add_argument("--no-ctmlp", dest="use_ctmlp", action="store_false")
     t = p.add_argument_group("training")
-    t.add_argument("--lr", type=float, default=1e-4)
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--patience", type=int, default=10)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--dropout", type=float, default=0.0)
+    t.add_argument("--lr", type=float, default=ModelConfig.lr)
+    t.add_argument("--epochs", type=int, default=ModelConfig.epochs)
+    t.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
+    t.add_argument("--patience", type=int, default=ModelConfig.patience)
+    t.add_argument("--seed", type=int, default=ModelConfig.seed)
+    t.add_argument("--dropout", type=float, default=ModelConfig.dropout)
 
 
 def build_parser() -> _Parser:

@@ -34,7 +34,6 @@ class SplitDataset:
 class WindowBatch:
     inputs: np.ndarray       # (B, 1, C, L)
     targets: np.ndarray      # (B, C, T)
-    starts: np.ndarray       # (B,) window start offsets
 
 
 def load_csv(path: str) -> RawSeries:
@@ -111,27 +110,20 @@ def split_standardize(raw: RawSeries, ratios=(0.6, 0.2, 0.2)) -> SplitDataset:
     )
 
 
-def window_count(length: int, L: int, T: int, stride: int = 1) -> int:
-    if length < L + T:
-        return 0
-    return (length - L - T) // stride + 1
-
-
-def make_windows(values: np.ndarray, L: int, T: int, stride: int = 1) -> WindowBatch:
-    """Lookback/target pairs at every stride offset of one split."""
-    C, n = values.shape
-    count = window_count(n, L, T, stride)
-    if count == 0:
+def make_windows(values: np.ndarray, L: int, T: int) -> WindowBatch:
+    """Lookback/target pairs at every offset of one split."""
+    n = values.shape[1]
+    if n < L + T:
         raise ValueError(
             f"split of length {n} too short for L={L}, T={T}"
         )
-    starts = np.arange(count) * stride
-    # (count, C, L + T) read-only view; each output is copied out of it once
+    # (n - L - T + 1, C, L + T) read-only view; each output is copied out
+    # of it once
     win = np.lib.stride_tricks.sliding_window_view(
-        values, L + T, axis=1)[:, ::stride].transpose(1, 0, 2)
+        values, L + T, axis=1).transpose(1, 0, 2)
     inputs = np.array(win[:, None, :, :L], dtype=np.float64, order="C")
     targets = np.array(win[:, :, L:], dtype=np.float64, order="C")
-    return WindowBatch(inputs, targets, starts)
+    return WindowBatch(inputs, targets)
 
 
 def synth_multiperiod(length: int, channels: int, components,

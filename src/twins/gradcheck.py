@@ -3,6 +3,8 @@
 Central differences with step 1e-5 against float64 analytic gradients.
 The error metric is max|analytic - fd| / max(max|fd|, 1e-12), so a perfectly
 zero true gradient is compared absolutely rather than blowing up.
+``OP_CALLS`` is the one table of op calls: the finite-difference cases, the
+``twins selfcheck`` lines and the op tests are all built from it.
 """
 
 from __future__ import annotations
@@ -64,168 +66,69 @@ def gradcheck(f, tensors, h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
     return worst < tol, worst
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
+# name -> (call, input shapes): one row per exported op and per further
+# backward path of an op, named "<op>_<path>"
+OP_CALLS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(2, 5), (2, 5)]),
+    "scale": (lambda a: ad.scale(a, 1.7), [(4, 3)]),
+    "sigmoid": (ad.sigmoid, [(3, 3)]),
+    "gelu": (ad.gelu, [(3, 3)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+    # an (S, 1, 1, K, N) right operand broadcast over two axes
+    "matmul_broadcast": (ad.matmul, [(2, 2, 3, 2, 4), (2, 1, 1, 4, 3)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "conv1d": (ad.conv1d, [(2, 3, 7), (4, 3, 3)]),
+    "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
+    "reshape": (lambda a: ad.reshape(a, (3, 4)), [(2, 6)]),
+    "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
+    "narrow": (lambda a: ad.narrow(a, 1, 2, 3), [(3, 6)]),
+    "roll": (lambda a: ad.roll(a, 2, axis=1), [(3, 5)]),
+    "repeat_heads": (lambda a: ad.repeat_heads(a, 3), [(2, 3)]),
+    "softmax": (ad.softmax, [(2, 5)]),
+    "layer_norm": (ad.layer_norm, [(2, 3, 6), (6,), (6,)]),
+    "sum_all": (ad.sum_all, [(4, 4)]),
+    "mse": (ad.mse, [(3, 4), (3, 4)]),
+    # a fresh generator per call gives every evaluation the same mask
+    "dropout": (lambda a: ad.dropout(a, 0.3, np.random.default_rng(99)),
+                [(4, 4)]),
+}
+
+
+def _case(call, shapes, rng):
+    """Loss sum(call(*inputs) * W), W a fixed random tensor of the output's
+    size, so the check covers the whole vector-Jacobian product.
+
+    The output is flattened first: the product of two 0-d arrays is a numpy
+    scalar, which would reach a 0-d output as its gradient.
+    """
+    inputs = [ad.Tensor(rng.uniform(-1.0, 1.0, s), requires_grad=True)
+              for s in shapes]
+    with ad.no_grad():
+        n = call(*inputs).size
+    w = ad.Tensor(rng.uniform(-1.0, 1.0, n))
+
+    def f():
+        return ad.sum_all(ad.mul(ad.reshape(call(*inputs), (n,)), w))
+    return f, inputs
 
 
 def op_cases():
-    """One scalarized case per differentiable op, shapes kept tiny.
-
-    An op with more than one backward path has a case per path, named
-    ``<op>_<path>``.
-
-    Returns an ordered dict: name -> (builder() -> (f, tensors)).
-    """
-    cases = {}
-
-    def case(name):
-        def deco(fn):
-            cases[name] = fn
-            return fn
-        return deco
-
-    def P(shape, seed, lo=-1.0, hi=1.0):
-        return ad.Tensor(_rng(seed).uniform(lo, hi, shape), requires_grad=True)
-
-    @case("add")
-    def _add():
-        a, b = P((3, 4), 0), P((4,), 1)
-        return (lambda: ad.sum_all(ad.mul(ad.add(a, b), ad.add(a, b)))), [a, b]
-
-    @case("mul")
-    def _mul():
-        a, b = P((2, 5), 4), P((2, 5), 5)
-        return (lambda: ad.sum_all(ad.mul(ad.mul(a, b), a))), [a, b]
-
-    @case("scale")
-    def _scale():
-        a = P((4, 3), 6)
-        return (lambda: ad.sum_all(ad.mul(ad.scale(a, 1.7), a))), [a]
-
-    @case("sigmoid")
-    def _sigmoid():
-        a = P((3, 3), 7, -3, 3)
-        return (lambda: ad.sum_all(ad.mul(ad.sigmoid(a), a))), [a]
-
-    @case("gelu")
-    def _gelu():
-        a = P((3, 3), 8, -3, 3)
-        return (lambda: ad.sum_all(ad.mul(ad.gelu(a), a))), [a]
-
-    @case("matmul")
-    def _matmul():
-        a, b = P((2, 3, 4), 11), P((4, 5), 12)
-        return (lambda: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))), [a, b]
-
-    @case("matmul_batched")
-    def _matmul_batched():
-        # a per-batch b, and an (S, 1, 1, K, N) b broadcast over two axes
-        a, b = P((2, 3, 4), 36), P((2, 4, 5), 37)
-        c, w = P((2, 2, 3, 2, 4), 38), P((2, 1, 1, 4, 3), 39)
-
-        def f():
-            ab, cw = ad.matmul(a, b), ad.matmul(c, w)
-            return ad.add(ad.sum_all(ad.mul(ab, ab)), ad.sum_all(ad.mul(cw, cw)))
-        return f, [a, b, c, w]
-
-    @case("linear")
-    def _linear():
-        x, w, b = P((2, 3, 4), 40), P((4, 5), 41), P((5,), 42)
-
-        def f():
-            y = ad.linear(x, w, b)
-            return ad.sum_all(ad.mul(y, y))
-        return f, [x, w, b]
-
-    @case("conv1d")
-    def _conv1d():
-        x, k = P((2, 3, 7), 13), P((4, 3, 3), 14)
-        return (lambda: ad.sum_all(ad.mul(ad.conv1d(x, k), ad.conv1d(x, k)))), [x, k]
-
-    @case("depthwise_conv1d")
-    def _dwconv():
-        x, k = P((2, 6, 3), 15), P((3, 3), 16)  # (..., P, Ch)
-        return (lambda: ad.sum_all(
-            ad.mul(ad.depthwise_conv1d(x, k), ad.depthwise_conv1d(x, k)))), [x, k]
-
-    @case("reshape")
-    def _reshape():
-        a = P((2, 6), 17)
-        return (lambda: ad.sum_all(
-            ad.mul(ad.reshape(a, (3, 4)), ad.reshape(a, (3, 4))))), [a]
-
-    @case("transpose")
-    def _transpose():
-        a = P((2, 3, 4), 18)
-        f = lambda: ad.sum_all(ad.mul(ad.transpose(a, (2, 0, 1)),
-                                      ad.transpose(a, (2, 0, 1))))
-        return f, [a]
-
-    @case("narrow")
-    def _narrow():
-        a = P((3, 6), 21)
-        f = lambda: ad.sum_all(ad.mul(ad.narrow(a, 1, 2, 3), ad.narrow(a, 1, 2, 3)))
-        return f, [a]
-
-    @case("roll")
-    def _roll():
-        a = P((3, 5), 22)
-        f = lambda: ad.sum_all(ad.mul(ad.roll(a, 2, axis=1), a))
-        return f, [a]
-
-    @case("repeat_heads")
-    def _repeat():
-        a = P((2, 3), 23)
-        b = P((6, 3), 24)
-        f = lambda: ad.sum_all(ad.mul(ad.repeat_heads(a, 3), b))
-        return f, [a, b]
-
-    @case("softmax")
-    def _softmax():
-        a = P((2, 5), 25, -2, 2)
-        w = P((2, 5), 26)
-        f = lambda: ad.sum_all(ad.mul(ad.softmax(a, axis=-1), w))
-        return f, [a, w]
-
-    @case("layer_norm")
-    def _layer_norm():
-        x = P((2, 3, 6), 27)
-        g = P((6,), 28, 0.5, 1.5)
-        b = P((6,), 29)
-        f = lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), x))
-        return f, [x, g, b]
-
-    @case("sum_all")
-    def _sum_all():
-        a = P((4, 4), 30)
-        return (lambda: ad.sum_all(ad.mul(a, a))), [a]
-
-    @case("mse")
-    def _mse():
-        p, t = P((3, 4), 31), P((3, 4), 32)
-        return (lambda: ad.mse(p, t)), [p, t]
-
-    @case("dropout")
-    def _dropout():
-        a = P((4, 4), 35)
-
-        def f():
-            # same mask every call: reseed before each evaluation
-            return ad.sum_all(ad.mul(ad.dropout(a, 0.3, np.random.default_rng(99)), a))
-        return f, [a]
-
-    return cases
+    """name -> (f, tensors): one scalar case per ``OP_CALLS`` row."""
+    rng = np.random.default_rng(0)
+    return {name: _case(call, shapes, rng)
+            for name, (call, shapes) in OP_CALLS.items()}
 
 
 def run_op_checks(inject_bug: str | None = None, tol: float = DEFAULT_TOL):
-    """Gradcheck every registered op; returns list of (name, ok, err).
+    """Gradcheck every ``OP_CALLS`` row; returns list of (name, ok, err).
 
-    ``inject_bug`` names one op whose analytic gradient is corrupted by 1%
+    ``inject_bug`` names one case whose analytic gradient is corrupted by 1%
     before comparison; that case must then FAIL, demonstrating sensitivity.
     """
     results = []
-    for name, builder in op_cases().items():
-        f, tensors = builder()
+    for name, (f, tensors) in op_cases().items():
         tweak = None
         if inject_bug == name:
             tweak = lambda gs: [g * 1.01 for g in gs]

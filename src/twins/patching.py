@@ -19,7 +19,6 @@ from .autodiff import Tensor
 class PatchedFeatureMap:
     data: Tensor              # (..., C, P, D)
     scale: int
-    parent_shape: tuple       # full shape of the source point map
 
     @property
     def P(self):
@@ -47,7 +46,7 @@ def window_unfold(x: Tensor, scale: int) -> PatchedFeatureMap:
     # (..., d, C, L) -> (..., C, L, d) -> (..., C, P, scale*d)
     xt = ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
     data = ad.reshape(xt, lead + (C, P, scale * d))
-    return PatchedFeatureMap(data, scale, tuple(x.shape))
+    return PatchedFeatureMap(data, scale)
 
 
 def window_fold(pm: PatchedFeatureMap) -> Tensor:
@@ -62,12 +61,6 @@ def window_fold(pm: PatchedFeatureMap) -> Tensor:
     d = D // scale
     L = P * scale
     lead = x.shape[:-3]
-    expected = lead + (d, C, L)
-    if tuple(pm.parent_shape) != expected:
-        raise ValueError(
-            f"corrupt metadata: parent shape {pm.parent_shape} "
-            f"inconsistent with patch map {x.shape} at scale {scale}"
-        )
     xt = ad.reshape(x, lead + (C, L, d))
     n = xt.ndim
     # (..., C, L, d) -> (..., d, C, L)

@@ -315,7 +315,7 @@ def test_gelu_without_node_matches_recorded():
 def ref_adam_step(params, grads, state):
     """The update as ``adam_step`` computed it with fresh arrays."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -323,7 +323,7 @@ def ref_adam_step(params, grads, state):
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def test_adam_in_place_matches_reference():
@@ -463,42 +463,12 @@ class TestKernelsMatchReference:
             assert gc.rel_error(x.grad, gw) <= 1e-12
 
 
-def op_calls():
-    """name -> (op, input shapes): one call per exported op and path."""
-    return {
-        "add": (ad.add, [(3, 4), (4,)]),
-        "mul": (ad.mul, [(3, 4), (3, 4)]),
-        "scale": (lambda a: ad.scale(a, 1.7), [(3, 4)]),
-        "sigmoid": (ad.sigmoid, [(3, 4)]),
-        "gelu": (ad.gelu, [(3, 4)]),
-        "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
-        "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
-        "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
-        "conv1d": (ad.conv1d, [(2, 3, 7), (4, 3, 3)]),
-        "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
-        "reshape": (lambda a: ad.reshape(a, (4, 3)), [(3, 4)]),
-        "transpose": (lambda a: ad.transpose(a, (1, 0)), [(3, 4)]),
-        "narrow": (lambda a: ad.narrow(a, 1, 1, 2), [(3, 4)]),
-        "roll": (lambda a: ad.roll(a, 1, axis=1), [(3, 4)]),
-        "repeat_heads": (lambda a: ad.repeat_heads(a, 2), [(2, 3)]),
-        "softmax": (ad.softmax, [(3, 4)]),
-        "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
-        "sum_all": (ad.sum_all, [(3, 4)]),
-        "mse": (ad.mse, [(3, 4), (3, 4)]),
-        "dropout": (lambda a: ad.dropout(a, 0.3, np.random.default_rng(1)),
-                    [(3, 4)]),
-    }
-
-
 class TestOpsLeaveArraysAlone:
     """In-place kernels must write only to arrays they allocated."""
 
-    def test_every_exported_op_called(self):
-        assert set(gc.op_cases()) <= set(op_calls())
-
-    @pytest.mark.parametrize("name", sorted(op_calls()))
+    @pytest.mark.parametrize("name", sorted(gc.OP_CALLS))
     def test_inputs_output_and_saved_state_unchanged(self, name):
-        op, shapes = op_calls()[name]
+        op, shapes = gc.OP_CALLS[name]
         rng = np.random.default_rng(5)
         ts = [t(rng.normal(size=s)) for s in shapes]
         before = [x.data.copy() for x in ts]
@@ -554,9 +524,9 @@ class TestShapeErrors:
 class TestGradcheckAllOps:
     """Every differentiable op against central finite differences."""
 
-    @pytest.mark.parametrize("name", sorted(gc.op_cases().keys()))
+    @pytest.mark.parametrize("name", sorted(gc.OP_CALLS))
     def test_op_gradient(self, name):
-        f, tensors = gc.op_cases()[name]()
+        f, tensors = gc.op_cases()[name]
         ok, err = gc.gradcheck(f, tensors)
         assert ok, f"{name}: rel err {err:.3e} >= {gc.DEFAULT_TOL}"
 
@@ -567,16 +537,17 @@ class TestGradcheckAllOps:
         for name in ad.__all__:
             assert hasattr(ad, name), f"__all__ names missing {name!r}"
         ops = set(ad.__all__) - not_ops
-        cases = set(gc.op_cases())
+        cases = set(gc.OP_CALLS)
         assert ops <= cases, ops - cases
         for name in cases - ops:  # a further backward path: "<op>_<path>"
             assert any(name.startswith(op + "_") for op in ops), name
 
-    def test_injected_bug_detected(self):
-        results = gc.run_op_checks(inject_bug="matmul")
+    @pytest.mark.parametrize("name", sorted(gc.OP_CALLS))
+    def test_injected_bug_detected(self, name):
+        results = gc.run_op_checks(inject_bug=name)
         by_name = {n: ok for n, ok, _ in results}
-        assert by_name["matmul"] is False
-        assert all(ok for n, ok in by_name.items() if n != "matmul")
+        assert by_name.pop(name) is False
+        assert all(by_name.values())
 
 
 class TestMacCounting:

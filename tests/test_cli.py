@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import twins.cli as cli
+from twins.model import ModelConfig
 from twins.training import TrainAbort
 
 SPEC = "len=160,channels=2,lag=2,noise=0.05,seed=3|period=8|period=16,amp=0.5"
@@ -115,6 +116,17 @@ def test_flops_bad_grid(capfd):
     assert "divide" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--T", "0"], ["--D", "0"], ["--heads", "0"], ["--score-heads", "0"],
+    ["--no-measure", "--D", "0"], ["--no-measure", "--k", "-1"],
+], ids=["T", "D", "heads", "score_heads", "D_no_measure", "k_no_measure"])
+def test_flops_non_positive_rejected(flags, capfd):
+    rc = cli.main(["analyze", "flops", *flags])
+    assert rc == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
 def test_missing_data_file(capfd):
     rc = cli.main(["train", "--data", "/no/such/file.csv", *MODEL_FLAGS])
     assert rc == 1
@@ -200,6 +212,18 @@ def test_selfcheck_unknown_op(capfd):
     rc = cli.main(["selfcheck", "--inject-bug", "wibble"])
     assert rc == 1
     assert "wibble" in capfd.readouterr().err
+
+
+def test_bare_train_parse_builds_config_defaults():
+    args = cli.build_parser().parse_args(["train"])
+    assert cli._config_from_args(args, C=2) == ModelConfig(C=2, L=96, T=96)
+
+
+def test_scales_flag_parsed(capfd):
+    args = cli.build_parser().parse_args(["train", "--scales", "2,4"])
+    assert args.scales == (2, 4)
+    assert cli.main(["train", "--scales", "2,x"]) == 1
+    assert "comma-separated integers" in capfd.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capfd):
