@@ -75,8 +75,8 @@ def morlet_cwt(series: np.ndarray, scales=None,
     if scales is None:
         scales = default_scales(L)
     scales = np.asarray(scales, dtype=np.float64)
-    if np.any(scales <= 0):
-        raise ValueError("scales must be positive")
+    if not np.all((scales > 0) & (scales < np.inf)):  # nan fails both
+        raise ValueError(f"scales must be positive and finite, got {scales}")
     norm = math.pi ** -0.25
     energy = np.empty((scales.size, L))
     for si, a in enumerate(scales):

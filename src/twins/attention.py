@@ -2,8 +2,9 @@
 
 All ops act on patch maps (..., C, P, D) where every axis before P is batch
 (channel independence: C never mixes here). Heads are carried as a leading
-axis internally, so score tensors are (S, ..., C, P, P) and aligned score
-tensors are (M, ..., C, P, P).
+axis internally, so score tensors are (S, ..., C, P, P). Each of the S score
+maps guides a group of M/S consecutive attention heads; the groups share the
+map by broadcasting, never by copying it.
 
 The scoring sub-network convolves each feature along the patch axis, so it
 reacts to where in time a periodic pattern is present; its sigmoid output
@@ -87,10 +88,11 @@ def _swap_last2(x: Tensor) -> Tensor:
     return ad.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
-def _attend(attn: Tensor, vh: Tensor, w_o: Tensor, probe) -> Tensor:
-    """Shared tail: record attn in the probe, weight values, project out."""
+def _attend(attn: Tensor, vh: Tensor, w_o: Tensor, m: int, probe) -> Tensor:
+    """Shared tail: record one map per attention head in the probe, weight
+    values, project out."""
     if probe is not None:
-        probe["attn"] = attn.data.copy()
+        probe["attn"] = np.repeat(attn.data, m // attn.shape[0], axis=0)
     return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w_o)
 
 
@@ -100,16 +102,17 @@ def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
     if w.w_v.shape[0] != D:
         raise ValueError(f"weights sized {w.w_v.shape} vs input D={D}")
     m = w.heads
-    if scores is not None and scores.shape[0] != m:
-        raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
     qh = _split_heads(ad.matmul(x, w.w_q), m)
     kh = _split_heads(ad.matmul(x, w.w_k), m)
     vh = _split_heads(ad.matmul(x, w.w_v), m)
     logits = ad.matmul(qh, _swap_last2(kh))
     if scores is not None:
-        logits = ad.mul(scores, logits)
+        s = align_heads(scores, m).shape[0]
+        grouped = ad.reshape(logits, (s, m // s) + logits.shape[1:])
+        shared = ad.reshape(scores, (s, 1) + scores.shape[1:])
+        logits = ad.reshape(ad.mul(shared, grouped), logits.shape)
     attn = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(D // m)))
-    return _attend(attn, vh, w.w_o, probe)
+    return _attend(attn, vh, w.w_o, m, probe)
 
 
 def mhsa(x: Tensor, w: AttentionWeights, probe: dict = None) -> Tensor:
@@ -137,28 +140,29 @@ def paa_scores(x: Tensor, subnet: ScoreSubnet) -> Tensor:
         raise ValueError(f"P={P} exceeds subnet capacity P_max={subnet.P_max}")
     flat_k = ad.reshape(subnet.dw_kernels, (S * ds, k))
     conv = ad.depthwise_conv1d(x, flat_k)                  # (..., C, P, D)
-    gh = _split_heads(ad.gelu(conv), S)                    # (S, ..., C, P, ds)
+    rows = ad.reshape(ad.gelu(conv), (conv.size // D, S, ds))  # (N, S, ds)
+    gh = ad.transpose(rows, (1, 0, 2))                     # (S, N, ds)
     wp = ad.narrow(subnet.w_p, axis=2, start=0, length=P)  # (S, ds, P)
-    wp = ad.reshape(wp, (S,) + (1,) * (gh.ndim - 3) + (ds, P))
-    return ad.sigmoid(ad.matmul(gh, wp))                   # (S, ..., C, P, P)
+    out = ad.reshape(ad.matmul(gh, wp), (S,) + x.shape[:-1] + (P,))
+    return ad.sigmoid(out)                                 # (S, ..., C, P, P)
 
 
 def align_heads(scores: Tensor, m: int) -> Tensor:
-    """Repeat each aware head M/S times: (S, ...) -> (M, ...)."""
+    """Check that the S score maps split M attention heads into groups of
+    M/S; the scores are returned as they are."""
     s = scores.shape[0]
     if m % s != 0:
         raise ValueError(f"attention heads {m} not a multiple of aware heads {s}")
-    if m == s:
-        return scores
-    return ad.repeat_heads(scores, m // s)
+    return scores
 
 
 def twins_plus_attention(x: Tensor, w: AttentionWeights, scores: Tensor,
                          probe: dict = None) -> Tensor:
-    """Dot-product attention with logits gated by aligned scores.
+    """Dot-product attention with logits gated by the scores.
 
-    logits = scores (*) qk^T / sqrt(Dh), then softmax over keys as usual.
-    Scores of 1 everywhere reduce this to plain mhsa.
+    logits = scores (*) qk^T / sqrt(Dh), then softmax over keys as usual;
+    score map i gates attention heads i*M/S .. (i+1)*M/S - 1. Scores of 1
+    everywhere reduce this to plain mhsa.
     """
     return _dot_product(x, w, scores, probe)
 
@@ -167,14 +171,15 @@ def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
                     heads: int = None, probe: dict = None) -> Tensor:
     """Keyless attention: row-softmax of the scores is the attention matrix.
 
-    No query/key projections at all; only values and the output map.
+    No query/key projections at all; only values and the output map. Heads
+    that share a score map share its attention, so the values are split into
+    S heads of width D/S; ``heads`` (M) sets how many maps the probe holds.
     """
     m = scores.shape[0] if heads is None else heads
-    if scores.shape[0] != m:
-        raise ValueError(f"scores carry {scores.shape[0]} heads, expected {m}")
-    attn = ad.softmax(scores)  # (m, ..., C, P, P)
-    vh = _split_heads(ad.matmul(x, w_v), m)
-    return _attend(attn, vh, w_o, probe)
+    s = align_heads(scores, m).shape[0]
+    attn = ad.softmax(scores)  # (S, ..., C, P, P)
+    vh = _split_heads(ad.matmul(x, w_v), s)
+    return _attend(attn, vh, w_o, m, probe)
 
 
 def attention_block(variant: str, x: Tensor, w: AttentionWeights,
@@ -187,7 +192,7 @@ def attention_block(variant: str, x: Tensor, w: AttentionWeights,
         return mhsa(x, w, probe=probe)
     if variant not in ("twins", "twins_plus"):
         raise ValueError(f"unknown variant {variant!r}")
-    scores = align_heads(paa_scores(x, subnet), w.heads)
+    scores = paa_scores(x, subnet)
     if variant == "twins_plus":
         return twins_plus_attention(x, w, scores, probe=probe)
     return twins_attention(x, w.w_v, w.w_o, scores, heads=w.heads,

@@ -43,7 +43,6 @@ __all__ = [
     "transpose",
     "narrow",
     "roll",
-    "repeat_heads",
     "softmax",
     "layer_norm",
     "sum_all",
@@ -150,7 +149,8 @@ class Tensor:
         The first ``g`` is stored as it is, so it may be a view of another
         tensor's gradient; neither may be written afterwards.
         """
-        self._grad = g if self._grad is None else self._grad + g
+        g = g if self._grad is None else self._grad + g
+        self._grad = np.asarray(g)  # 0-d arithmetic yields numpy scalars
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -320,15 +320,15 @@ def gelu(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the trailing two axes.
 
-    A 2-D ``b`` is one weight shared by every leading row of ``a``; its
-    backward flattens those rows so that each gradient is a single GEMM.
+    ``b`` is either 2-D, one weight shared by every leading row of ``a``
+    whose backward flattens those rows so that each gradient is a single
+    GEMM, or has exactly ``a``'s batch axes.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul needs tensors with at least 2 dims")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(
-            f"matmul: inner dims disagree, {a.shape} x {b.shape}"
-        )
+    batch_differs = b.ndim > 2 and a.shape[:-2] != b.shape[:-2]
+    if a.shape[-1] != b.shape[-2] or batch_differs:
+        raise ValueError(f"matmul: shapes disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
     _add_macs(out.size // out.shape[-1] * ad.shape[-1] * out.shape[-1])
@@ -338,9 +338,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _shared_weight_grads(a, b, g.reshape(-1, bd.shape[1]))
             return
         if a.requires_grad:
-            a._accum(_unbroadcast(g @ bd.swapaxes(-1, -2), a.shape))
+            a._accum(g @ bd.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accum(_unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape))
+            b._accum(ad.swapaxes(-1, -2) @ g)
 
     return _make(out, bwd, a, b)
 
@@ -542,22 +542,6 @@ def roll(a: Tensor, shift: int, axis: int) -> Tensor:
             a._accum(np.roll(g, -shift, axis=axis))
 
     return _make(np.roll(a.data, shift, axis=axis), bwd, a)
-
-
-def repeat_heads(a: Tensor, reps: int) -> Tensor:
-    """Repeat each leading-axis slice ``reps`` times consecutively.
-
-    Backward sums the gradients of all replicas of a slice.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    s = a.shape[0]
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1))
-
-    return _make(np.repeat(a.data, reps, axis=0), bwd, a)
 
 
 # ---------------------------------------------------------------------------

@@ -326,10 +326,7 @@ def cmd_scalogram(args) -> int:
         raise CliError(EXIT_USAGE,
                        f"channel {args.channel} out of range 0..{C - 1}")
     series = raw.values[args.channel]
-    scales = None
-    if args.scales:
-        scales = [float(s) for s in args.scales.split(",")]
-    sg = ana.morlet_cwt(series, scales)
+    sg = ana.morlet_cwt(series, args.scales)
     run_dir = _run_dir(args, "scalogram")
     _snapshot(run_dir, "analyze scalogram", source, None)
     path = os.path.join(run_dir, "scalogram.csv")
@@ -404,12 +401,17 @@ def _add_data_args(p):
                         "'len=2000,channels=2|period=8|period=32,amp=0.5'")
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"wants comma-separated integers, got {text!r}") from None
+def _list_of(kind):
+    """argparse type: comma-separated ``kind`` values (int or float)."""
+    noun = "integers" if kind is int else "numbers"
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(s) for s in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"wants comma-separated {noun}, got {text!r}") from None
+    return parse
 
 
 def _add_model_args(p):
@@ -421,7 +423,7 @@ def _add_model_args(p):
     g.add_argument("--patch", dest="patch_len", type=int,
                    default=ModelConfig.patch_len, metavar="P",
                    help="window length used by every layer unless --scales")
-    g.add_argument("--scales", type=_int_list, default=ModelConfig.scales,
+    g.add_argument("--scales", type=_list_of(int), default=ModelConfig.scales,
                    metavar="S1,S2,..",
                    help="per-layer window lengths, overrides --patch")
     g.add_argument("--d", type=int, default=ModelConfig.d,
@@ -490,7 +492,7 @@ def build_parser() -> _Parser:
     p = az.add_parser("scalogram", help="wavelet energy map as CSV")
     _add_data_args(p)
     p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--scales", metavar="A1,A2,..",
+    p.add_argument("--scales", type=_list_of(float), metavar="A1,A2,..",
                    help="explicit scale grid")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scalogram)

@@ -76,6 +76,12 @@ def test_cwt_rejects_bad_inputs():
         morlet_cwt(np.zeros(32), [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cwt_rejects_non_finite_scales(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        morlet_cwt(np.zeros(32), [2.0, bad])
+
+
 def test_default_scales_grid():
     sc = default_scales(256)
     assert sc[0] == 2.0

@@ -1,7 +1,10 @@
 """Contracts of the attention variants and the scoring sub-network."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from twins import attention as attn
 from twins import autodiff as ad
@@ -113,24 +116,9 @@ class TestAlign:
         s = Tensor(rand((4, 2, 3, 3)))
         assert attn.align_heads(s, 4) is s
 
-    def test_block_repetition(self):
-        s = Tensor(rand((2, 1, 2, 2), seed=1))
-        a = attn.align_heads(s, 4)
-        np.testing.assert_array_equal(a.data[0], s.data[0])
-        np.testing.assert_array_equal(a.data[1], s.data[0])
-        np.testing.assert_array_equal(a.data[2], s.data[1])
-        np.testing.assert_array_equal(a.data[3], s.data[1])
-
     def test_non_multiple_rejected(self):
         with pytest.raises(ValueError):
             attn.align_heads(Tensor(rand((3, 1, 2, 2))), 4)
-
-    def test_replica_gradient_sums(self):
-        s = Tensor(rand((2, 1, 2, 2), seed=2), requires_grad=True)
-        w = rand((4, 1, 2, 2), seed=3)
-        ad.backward(ad.sum_all(ad.mul(attn.align_heads(s, 4), Tensor(w))))
-        np.testing.assert_allclose(s.grad[0], w[0] + w[1])
-        np.testing.assert_allclose(s.grad[1], w[2] + w[3])
 
 
 class TestTwinsPlus:
@@ -166,9 +154,9 @@ class TestTwinsPlus:
 
     def test_head_count_mismatch(self):
         w = shared_random_weights(8, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a multiple"):
             attn.twins_plus_attention(Tensor(np.zeros((1, 4, 8))), w,
-                                      Tensor(np.ones((2, 1, 4, 4))))
+                                      Tensor(np.ones((3, 1, 4, 4))))
 
 
 class TestTwins:
@@ -281,3 +269,111 @@ class TestGradients:
 
         ok, err = gc.gradcheck(f, params)
         assert ok, f"rel err {err:.3e}"
+
+
+def repeat_heads(a, reps):
+    """Each leading-axis slice repeated ``reps`` times consecutively; the
+    backward sums the replicas' gradients."""
+    s = a.shape[0]
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1))
+
+    return ad._make(np.repeat(a.data, reps, axis=0), bwd, a)
+
+
+def ref_attention(variant, x, w, scores, probe):
+    """Attention with every score map copied to each of its M/S heads and
+    one softmax per head, as before the heads shared maps by grouping."""
+    m = w.heads
+    aligned = repeat_heads(scores, m // scores.shape[0])
+    vh = attn._split_heads(ad.matmul(x, w.w_v), m)
+    if variant == "twins":
+        a = ad.softmax(aligned)
+    else:
+        qh = attn._split_heads(ad.matmul(x, w.w_q), m)
+        kh = attn._split_heads(ad.matmul(x, w.w_k), m)
+        logits = ad.mul(aligned, ad.matmul(qh, attn._swap_last2(kh)))
+        a = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(x.shape[-1] // m)))
+    probe["attn"] = a.data.copy()
+    return ad.matmul(attn._merge_heads(ad.matmul(a, vh)), w.w_o)
+
+
+class TestGroupedHeadsMatchRepeated:
+    """Score maps shared by grouping agree with copied score maps."""
+
+    @pytest.mark.parametrize("variant", ["twins", "twins_plus"])
+    @pytest.mark.parametrize("M, S", [(4, 2), (8, 2), (8, 1), (4, 4)])
+    def test_outputs_probe_and_gradients(self, variant, M, S):
+        B, C, P, D = 2, 3, 5, 16
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.normal(size=(B, C, P, D)), requires_grad=True)
+        w = attn.init_attention(D, M, rng, keyless=(variant == "twins"))
+        sub = attn.init_subnet(D, S, 3, P, rng)
+        leaves = [x, w.w_v, w.w_o, sub.dw_kernels, sub.w_p]
+        if variant == "twins_plus":
+            leaves += [w.w_q, w.w_k]
+        up = Tensor(rng.normal(size=x.shape))
+        runs = []
+        for block in (
+            lambda probe: attn.attention_block(variant, x, w, sub, probe),
+            lambda probe: ref_attention(variant, x, w,
+                                        attn.paa_scores(x, sub), probe),
+        ):
+            for leaf in leaves:
+                leaf.zero_grad()
+            probe = {}
+            y = block(probe)
+            ad.backward(ad.sum_all(ad.mul(y, up)))
+            runs.append([y.data, probe["attn"]] + [v.grad for v in leaves])
+        assert runs[1][1].shape == (M, B, C, P, P)
+        for new, ref in zip(*runs):
+            assert new.shape == ref.shape
+            assert gc.rel_error(new, ref) <= 1e-12
+
+
+def ref_paa_scores(x, dw, w_p, up):
+    """Scores and the gradients of x, the kernels and w_p under upstream
+    ``up``, with the score product broadcast over (S, 1, .., ds, P) and its
+    weight gradient summed out of (S, ..., ds, P)."""
+    S, ds, k = dw.shape
+    P, D = x.shape[-2:]
+    pad = k // 2
+    kern = dw.reshape(D, k)
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)])
+    conv = sum(xp[..., j:j + P, :] * kern[:, j] for j in range(k))
+    cdf = 0.5 * (1.0 + erf(conv / math.sqrt(2.0)))
+    gh = np.moveaxis((conv * cdf).reshape(x.shape[:-1] + (S, ds)), -2, 0)
+    wp = w_p[:, :, :P].reshape((S,) + (1,) * (x.ndim - 2) + (ds, P))
+    scores = 1.0 / (1.0 + np.exp(-(gh @ wp)))
+    dz = up * scores * (1.0 - scores)
+    g_wp = np.zeros_like(w_p)
+    g_wp[:, :, :P] = (gh.swapaxes(-1, -2) @ dz).reshape(S, -1, ds, P).sum(1)
+    g_h = np.moveaxis(dz @ wp.swapaxes(-1, -2), 0, -2).reshape(x.shape)
+    pdf = np.exp(-0.5 * conv * conv) / math.sqrt(2.0 * math.pi)
+    g_conv = g_h * (cdf + conv * pdf)
+    g_xp = np.zeros_like(xp)
+    g_kern = np.zeros_like(kern)
+    for j in range(k):
+        g_xp[..., j:j + P, :] += g_conv * kern[:, j]
+        g_kern[:, j] = (g_conv * xp[..., j:j + P, :]).reshape(-1, D).sum(0)
+    return scores, [g_xp[..., pad:pad + P, :], g_kern.reshape(dw.shape), g_wp]
+
+
+@pytest.mark.parametrize("shape, S", [((2, 3, 5, 16), 4), ((3, 4, 8), 2),
+                                      ((2, 2, 2, 6, 12), 3)])
+def test_paa_scores_match_broadcast_reference(shape, S):
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    sub = attn.init_subnet(shape[-1], S, 3, shape[-2] + 2, rng)
+    scores = attn.paa_scores(x, sub)
+    up = rng.normal(size=scores.shape)
+    ad.backward(ad.sum_all(ad.mul(scores, Tensor(up))))
+    want, want_grads = ref_paa_scores(x.data, sub.dw_kernels.data,
+                                      sub.w_p.data, up)
+    assert scores.shape == want.shape
+    assert gc.rel_error(scores.data, want) <= 1e-12
+    for leaf, gw in zip([x, sub.dw_kernels, sub.w_p], want_grads):
+        assert leaf.grad.shape == gw.shape
+        assert gc.rel_error(leaf.grad, gw) <= 1e-12

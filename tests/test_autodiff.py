@@ -174,6 +174,18 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(y.grad, w)  # upstream gradient intact
 
     @pytest.mark.parametrize("op", [
+        lambda w: ad.mul(ad.sum_all(t([1.0, 2.0])), w),
+        lambda w: ad.add(w, w),  # the second path is added to the first
+        lambda w: ad.scale(w, 2.0),
+    ], ids=["mul", "add", "scale"])
+    def test_zero_d_leaf_gradient_is_read_only_ndarray(self, op):
+        # arithmetic on 0-d arrays yields numpy scalars, not arrays
+        w = t(0.5)
+        ad.backward(ad.sum_all(op(w)))
+        assert type(w.grad) is np.ndarray and w.grad.shape == ()
+        assert not w.grad.flags.writeable
+
+    @pytest.mark.parametrize("op", [
         lambda x: ad.add(x, t(np.zeros((2, 3)))),
         lambda x: ad.reshape(x, (3, 2)),
         lambda x: ad.transpose(x, (1, 0)),
@@ -497,6 +509,14 @@ class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (1, 4, 5)), ((2, 2, 3, 4), (2, 1, 4, 5)),
+        ((3, 4), (2, 4, 5)), ((2, 3, 4), (3, 2, 4, 5)),
+    ])
+    def test_matmul_batch_axes_differ(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match="^matmul: "):
+            ad.matmul(t(np.ones(a_shape)), t(np.ones(b_shape)))
 
     def test_conv_even_kernel_rejected(self):
         with pytest.raises(ValueError):

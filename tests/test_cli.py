@@ -101,6 +101,22 @@ def test_scalogram_cmd(tmp_path, capfd):
     assert len(lines[1].split(",")) == 129
 
 
+@pytest.mark.parametrize("scales", ["", "a,b", "2,,4"],
+                         ids=["empty", "letters", "empty_item"])
+def test_scalogram_bad_scales_rejected(scales, tmp_path, capfd):
+    rc = cli.main(["analyze", "scalogram", "--synthetic", "len=128,period=16",
+                   "--scales", scales, "--out", str(tmp_path / "sg")])
+    assert rc == 1
+    assert "argument --scales: wants comma-separated numbers" in \
+        capfd.readouterr().err
+
+
+def test_scalogram_scales_parsed():
+    args = cli.build_parser().parse_args(
+        ["analyze", "scalogram", "--scales", "2,4.5"])
+    assert args.scales == (2.0, 4.5)
+
+
 def test_flops_reference_values(capfd):
     rc = cli.main(["analyze", "flops", "--T", "96", "--P", "8",
                    "--D", "128", "--k", "3"])
