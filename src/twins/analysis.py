@@ -16,9 +16,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SplitDataset
 from .model import ModelConfig, TwinSModel
-from .training import Metrics, train
+from .training import train
 
 OMEGA0 = 6.0
+VOICES = 12
 
 
 @dataclass
@@ -41,13 +42,13 @@ class FlopReport:
     measured_paa: Optional[int] = None
 
 
-def default_scales(L: int, voices: int = 12) -> np.ndarray:
-    """Geometric grid, `voices` per octave, from 2 up to L/2."""
+def default_scales(L: int) -> np.ndarray:
+    """Geometric grid, ``VOICES`` per octave, from 2 up to L/2."""
     top = L / 2.0
     out = []
     j = 0
     while True:
-        a = 2.0 * 2.0 ** (j / voices)
+        a = 2.0 * 2.0 ** (j / VOICES)
         if a > top * (1 + 1e-12):
             break
         out.append(a)
@@ -55,17 +56,17 @@ def default_scales(L: int, voices: int = 12) -> np.ndarray:
     return np.array(out)
 
 
-def fourier_wavelength(a, omega0: float = OMEGA0):
+def fourier_wavelength(a):
     """Wavelength of the oscillation a scale-a kernel responds to most."""
-    return 4.0 * math.pi * a / (omega0 + math.sqrt(2.0 + omega0 ** 2))
+    return 4.0 * math.pi * a / (OMEGA0 + math.sqrt(2.0 + OMEGA0 ** 2))
 
 
-def morlet_cwt(series: np.ndarray, scales=None,
-               omega0: float = OMEGA0) -> Scalogram:
+def morlet_cwt(series: np.ndarray, scales=None) -> Scalogram:
     """Energy of the complex Morlet transform by direct summation.
 
-    psi(t) = pi^(-1/4) exp(i*omega0*t) exp(-t^2/2), support truncated at
-    four standard deviations. energy(a, tau) = |a^(-1/2) * sum_t x(t)
+    psi(t) = pi^(-1/4) exp(i*OMEGA0*t) exp(-t^2/2), support truncated at
+    four standard deviations, and at L - 1 samples, past which no tap
+    meets the series. energy(a, tau) = |a^(-1/2) * sum_t x(t)
     conj(psi)((t - tau)/a)|^2 with zero padding at the edges.
     """
     x = np.asarray(series, dtype=np.float64).ravel()
@@ -80,17 +81,17 @@ def morlet_cwt(series: np.ndarray, scales=None,
     norm = math.pi ** -0.25
     energy = np.empty((scales.size, L))
     for si, a in enumerate(scales):
-        R = int(math.floor(4.0 * a))
+        R = min(int(math.floor(4.0 * a)), L - 1)
         u = np.arange(-R, R + 1) / a
         # w(u) = conj(psi)(u); the correlation sum_t x(t) w(t - tau) is the
         # convolution of x with w reversed
-        w = norm * np.exp(-1j * omega0 * u) * np.exp(-0.5 * u * u)
+        w = norm * np.exp(-1j * OMEGA0 * u) * np.exp(-0.5 * u * u)
         # full convolution with the reversed kernel puts the lag-tau
         # correlation at index tau + R, valid even when 2R + 1 > L
         full = np.convolve(x, w[::-1])
         coeff = full[R:R + L] / math.sqrt(a)
         energy[si] = np.abs(coeff) ** 2
-    return Scalogram(scales, energy, omega0)
+    return Scalogram(scales, energy)
 
 
 def scalogram_to_csv(sg: Scalogram, path: str) -> None:

@@ -63,69 +63,57 @@ def _parse_synth(spec: str) -> dt.RawSeries:
     """
     glob = {"len": 2000, "channels": 1, "lag": 0, "noise": 0.0, "seed": 0}
     comps: list = []
-    for segment in spec.split("|"):
-        for pair in segment.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            if "=" not in pair:
-                raise ValueError(f"synthetic spec: bad clause {pair!r}")
-            key, val = (s.strip() for s in pair.split("=", 1))
-            try:
-                if key == "period":
-                    comps.append({"period": float(val), "amp": 1.0,
-                                  "active": None})
-                elif key in ("amp", "active"):
-                    if not comps:
-                        raise ValueError(
-                            f"synthetic spec: {key}= before any period=")
-                    if key == "amp":
-                        comps[-1]["amp"] = float(val)
-                    else:
-                        lo, sep, hi = val.partition("-")
-                        if not sep:
-                            raise ValueError(
-                                f"synthetic spec: active wants LO-HI, "
-                                f"got {val!r}")
-                        comps[-1]["active"] = (int(lo), int(hi))
-                elif key == "noise":
-                    glob["noise"] = float(val)
-                elif key in glob:
-                    glob[key] = int(val)
-                else:
-                    raise ValueError(f"synthetic spec: unknown key {key!r}")
-            except ValueError as err:
-                if "synthetic spec" in str(err):
-                    raise
-                raise ValueError(
-                    f"synthetic spec: bad value for {key}: {val!r}") from None
+    for pair in spec.replace("|", ",").split(","):
+        pair = pair.strip()
+        if not pair:
+            continue
+        if "=" not in pair:
+            raise ValueError(f"synthetic spec: bad clause {pair!r}")
+        key, val = (s.strip() for s in pair.split("=", 1))
+        if key in ("amp", "active") and not comps:
+            raise ValueError(f"synthetic spec: {key}= before any period=")
+        if key == "active" and "-" not in val:
+            raise ValueError(
+                f"synthetic spec: active wants LO-HI, got {val!r}")
+        if key not in glob and key not in ("period", "amp", "active"):
+            raise ValueError(f"synthetic spec: unknown key {key!r}")
+        try:
+            if key == "period":
+                comps.append([float(val), 1.0, None])  # period, amp, active
+            elif key == "amp":
+                comps[-1][1] = float(val)
+            elif key == "active":
+                lo, _, hi = val.partition("-")
+                comps[-1][2] = (int(lo), int(hi))
+            else:
+                glob[key] = type(glob[key])(val)  # noise float, rest int
+        except ValueError:
+            raise ValueError(
+                f"synthetic spec: bad value for {key}: {val!r}") from None
     if not comps:
         raise ValueError("synthetic spec: needs at least one period= entry")
-    components = [(c["period"], c["amp"], c["active"]) for c in comps]
     try:
-        return dt.synth_multiperiod(int(glob["len"]), int(glob["channels"]),
-                                    components,
-                                    lag_per_channel=int(glob["lag"]),
-                                    noise_std=float(glob["noise"]),
-                                    seed=int(glob["seed"]))
+        return dt.synth_multiperiod(glob["len"], glob["channels"], comps,
+                                    lag_per_channel=glob["lag"],
+                                    noise_std=glob["noise"], seed=glob["seed"])
     except ValueError as err:
         raise ValueError(f"synthetic spec: {err}") from None
 
 
 def _load_series(args) -> tuple:
-    if getattr(args, "data", None) and getattr(args, "synthetic", None):
+    if args.data and args.synthetic:
         raise CliError(EXIT_USAGE, "pass either --data or --synthetic, not both")
-    if getattr(args, "data", None):
+    if args.data:
         if not os.path.exists(args.data):
             raise CliError(EXIT_USAGE, f"data file not found: {args.data}")
         return dt.load_csv(args.data), args.data
-    if getattr(args, "synthetic", None):
+    if args.synthetic:
         return _parse_synth(args.synthetic), f"synthetic:{args.synthetic}"
     raise CliError(EXIT_USAGE, "no input: pass --data CSV or --synthetic SPEC")
 
 
 def _run_dir(args, command: str) -> str:
-    if getattr(args, "out", None):
+    if args.out:
         path = args.out
     else:
         root = os.environ.get(OUT_ROOT_VAR, "runs")
@@ -135,17 +123,19 @@ def _run_dir(args, command: str) -> str:
     return path
 
 
-def _snapshot(run_dir: str, command: str, source: str,
-              cfg: ModelConfig | None) -> None:
-    doc = {"command": command, "data": source,
-           "config": cfg.to_dict() if cfg else None}
-    with open(os.path.join(run_dir, "run.json"), "w") as fh:
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _snapshot(run_dir: str, command: str, source: str,
+              cfg: ModelConfig | None) -> None:
+    _write_json(os.path.join(run_dir, "run.json"),
+                {"command": command, "data": source,
+                 "config": cfg.to_dict() if cfg else None})
     if cfg is not None:
-        with open(os.path.join(run_dir, "config.json"), "w") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
 
 
 def _config_from_args(args, C: int) -> ModelConfig:
@@ -162,13 +152,19 @@ def _load_model(args) -> TwinSModel:
     return load_checkpoint(args.ckpt)
 
 
+def _series_for(model: TwinSModel, args) -> tuple:
+    """``_load_series``, checked against the checkpoint's channel count."""
+    raw, source = _load_series(args)
+    if raw.values.shape[0] != model.config.C:
+        raise CliError(EXIT_USAGE,
+                       f"series has {raw.values.shape[0]} channels, "
+                       f"checkpoint expects {model.config.C}")
+    return raw, source
+
+
 def _last_window(model: TwinSModel, ds: dt.SplitDataset,
                  raw: dt.RawSeries) -> np.ndarray:
     cfg = model.config
-    if raw.values.shape[0] != cfg.C:
-        raise CliError(EXIT_USAGE,
-                       f"series has {raw.values.shape[0]} channels, "
-                       f"checkpoint expects {cfg.C}")
     if raw.values.shape[1] < cfg.L:
         raise CliError(EXIT_USAGE,
                        f"series length {raw.values.shape[1]} is shorter "
@@ -205,9 +201,7 @@ def cmd_train(args) -> int:
                "epochs_run": len(hist.records),
                "test_mse": hist.test.mse, "test_mae": hist.test.mae,
                "baseline_mse": base.mse, "baseline_mae": base.mae}
-    with open(os.path.join(run_dir, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "metrics.json"), metrics)
     print(f"best epoch {hist.best_epoch}: val_mse={hist.best_val_mse:.6f}")
     print(f"test mse={hist.test.mse:.6f} mae={hist.test.mae:.6f}")
     print(f"checkpoint: {ckpt_path}")
@@ -216,11 +210,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model(args)
-    raw, source = _load_series(args)
-    if raw.values.shape[0] != model.config.C:
-        raise CliError(EXIT_USAGE,
-                       f"series has {raw.values.shape[0]} channels, "
-                       f"checkpoint expects {model.config.C}")
+    raw, source = _series_for(model, args)
     ds = dt.split_standardize(raw)
     cfg = model.config
     m = evaluate(model, ds.test, cfg.L, cfg.T)
@@ -228,16 +218,14 @@ def cmd_eval(args) -> int:
     if args.out:
         run_dir = _run_dir(args, "eval")
         _snapshot(run_dir, "eval", source, cfg)
-        with open(os.path.join(run_dir, "metrics.json"), "w") as fh:
-            json.dump({"test_mse": m.mse, "test_mae": m.mae}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(run_dir, "metrics.json"),
+                    {"test_mse": m.mse, "test_mae": m.mae})
     return 0
 
 
 def cmd_forecast(args) -> int:
     model = _load_model(args)
-    raw, source = _load_series(args)
+    raw, source = _series_for(model, args)
     ds = dt.split_standardize(raw)
     window = _last_window(model, ds, raw)
     with ad.no_grad():
@@ -335,14 +323,14 @@ def cmd_scalogram(args) -> int:
     band = sg.energy[:, L // 4:3 * L // 4].sum(axis=1)
     peak = sg.scales[int(np.argmax(band))]
     print(f"peak scale {peak:.3f} "
-          f"(wavelength {ana.fourier_wavelength(peak, sg.omega0):.3f})")
+          f"(wavelength {ana.fourier_wavelength(peak):.3f})")
     print(f"scalogram: {path}")
     return 0
 
 
 def cmd_attn(args) -> int:
     model = _load_model(args)
-    raw, source = _load_series(args)
+    raw, source = _series_for(model, args)
     ds = dt.split_standardize(raw)
     window = _last_window(model, ds, raw)
     run_dir = _run_dir(args, "attn")
@@ -399,6 +387,9 @@ def _add_data_args(p):
     p.add_argument("--synthetic", metavar="SPEC",
                    help="generator spec, e.g. "
                         "'len=2000,channels=2|period=8|period=32,amp=0.5'")
+    p.add_argument("--out", help="run directory (default: a new one under "
+                                 f"${OUT_ROOT_VAR} or ./runs; eval writes "
+                                 "none)")
 
 
 def _list_of(kind):
@@ -462,21 +453,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
     _add_data_args(p)
     _add_model_args(p)
-    p.add_argument("--out", help="run directory (default: under "
-                                 f"${OUT_ROOT_VAR} or ./runs)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="test-split metrics for a checkpoint")
     p.add_argument("--ckpt", required=True)
     _add_data_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("forecast",
                        help="continue the series past its last window")
     p.add_argument("--ckpt", required=True)
     _add_data_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("selfcheck",
@@ -494,7 +481,6 @@ def build_parser() -> _Parser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--scales", type=_list_of(float), metavar="A1,A2,..",
                    help="explicit scale grid")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_scalogram)
 
     p = az.add_parser("attn", help="post-softmax attention matrix as CSV")
@@ -503,7 +489,6 @@ def build_parser() -> _Parser:
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--head", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_attn)
 
     p = az.add_parser("flops", help="attention cost ledger")
@@ -520,7 +505,6 @@ def build_parser() -> _Parser:
     p = az.add_parser("ablate", help="four-variant comparison table")
     _add_data_args(p)
     _add_model_args(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +46,8 @@ def load_csv(path: str) -> RawSeries:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        if not header:
+            raise ValueError(f"{path}: blank header line")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -128,8 +129,7 @@ def make_windows(values: np.ndarray, L: int, T: int) -> WindowBatch:
 
 def synth_multiperiod(length: int, channels: int, components,
                       lag_per_channel: int = 0, noise_std: float = 0.0,
-                      seed: int = 0,
-                      names: Optional[list] = None) -> RawSeries:
+                      seed: int = 0) -> RawSeries:
     """Sum of sinusoids, each optionally active only on a sub-range.
 
     Channel c is the same composite signal delayed by c*lag_per_channel
@@ -165,6 +165,4 @@ def synth_multiperiod(length: int, channels: int, components,
     if noise_std > 0.0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_std, size=values.shape)
-    if names is None:
-        names = [f"ch{c}" for c in range(channels)]
-    return RawSeries(names, values)
+    return RawSeries([f"ch{c}" for c in range(channels)], values)

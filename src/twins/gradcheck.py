@@ -13,11 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOL = 1e-4
+STEP = 1e-5
+TOL = 1e-4
 
 
-def numeric_grads(f, tensors, h: float = DEFAULT_STEP):
+def numeric_grads(f, tensors):
     """Central-difference gradient of scalar-valued ``f`` w.r.t. each tensor."""
     grads = []
     with ad.no_grad():
@@ -27,12 +27,12 @@ def numeric_grads(f, tensors, h: float = DEFAULT_STEP):
             gflat = g.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
+                flat[i] = orig + STEP
                 fp = f().item()
-                flat[i] = orig - h
+                flat[i] = orig - STEP
                 fm = f().item()
                 flat[i] = orig
-                gflat[i] = (fp - fm) / (2.0 * h)
+                gflat[i] = (fp - fm) / (2.0 * STEP)
             grads.append(g)
     return grads
 
@@ -50,8 +50,7 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / denom
 
 
-def gradcheck(f, tensors, h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-              grad_tweak=None):
+def gradcheck(f, tensors, grad_tweak=None):
     """Compare analytic and numeric gradients of scalar ``f``.
 
     ``grad_tweak``, if given, is applied to the analytic gradient list before
@@ -61,9 +60,9 @@ def gradcheck(f, tensors, h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
     ana = analytic_grads(f, tensors)
     if grad_tweak is not None:
         ana = grad_tweak(ana)
-    num = numeric_grads(f, tensors, h=h)
+    num = numeric_grads(f, tensors)
     worst = max((rel_error(a, n) for a, n in zip(ana, num)), default=0.0)
-    return worst < tol, worst
+    return worst < TOL, worst
 
 
 # name -> (call, input shapes): one row per exported op and per further
@@ -114,7 +113,7 @@ def op_cases():
             for name, (call, shapes) in OP_CALLS.items()}
 
 
-def run_op_checks(inject_bug: str | None = None, tol: float = DEFAULT_TOL):
+def run_op_checks(inject_bug: str | None = None):
     """Gradcheck every ``OP_CALLS`` row; returns list of (name, ok, err).
 
     ``inject_bug`` names one case whose analytic gradient is corrupted by 1%
@@ -125,6 +124,6 @@ def run_op_checks(inject_bug: str | None = None, tol: float = DEFAULT_TOL):
         tweak = None
         if inject_bug == name:
             tweak = lambda gs: [g * 1.01 for g in gs]
-        ok, err = gradcheck(f, tensors, tol=tol, grad_tweak=tweak)
+        ok, err = gradcheck(f, tensors, grad_tweak=tweak)
         results.append((name, ok, err))
     return results

@@ -164,7 +164,6 @@ class ModelConfig:
 class NormStats:
     mean: np.ndarray        # (..., C, 1)
     std: np.ndarray         # (..., C, 1), population
-    eps: float = INSTANCE_EPS
 
 
 def instance_normalize(x) -> tuple:
@@ -184,7 +183,7 @@ def instance_normalize(x) -> tuple:
 
 def instance_denormalize(pred: Tensor, stats: NormStats) -> Tensor:
     """Map (..., C, T) predictions back: pred * (std + eps) + mean."""
-    scale = Tensor(stats.std + stats.eps)
+    scale = Tensor(stats.std + INSTANCE_EPS)
     shift = Tensor(stats.mean)
     return ad.add(ad.mul(pred, scale), shift)
 
@@ -341,7 +340,7 @@ class TwinSModel:
         cfg = self.config
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        if x.shape[-3] != 1 or x.shape[-2] != cfg.C or x.shape[-1] != cfg.L:
+        if x.shape[-3:] != (1, cfg.C, cfg.L):
             raise ValueError(
                 f"input {x.shape} does not match config (1, {cfg.C}, {cfg.L})"
             )

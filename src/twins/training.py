@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import SplitDataset, WindowBatch, make_windows
+from .data import SplitDataset, make_windows
 from .model import ModelConfig, TwinSModel
 
 CLIP_NORM = 5.0
@@ -54,11 +54,6 @@ class TrainHistory:
     best_val_mse: float = float("inf")
     test: Optional[Metrics] = None
 
-    def comparable(self) -> list:
-        """History without wall-clock fields, for determinism checks."""
-        return [(r.epoch, r.train_loss, r.val_mse, r.val_mae)
-                for r in self.records]
-
 
 def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
              batch_size: int = 64) -> Metrics:
@@ -67,12 +62,7 @@ def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
     Metrics are on the globally standardized scale, accumulated in window
     order so the reduction is deterministic.
     """
-    return evaluate_windows(model, make_windows(split, L, T), batch_size)
-
-
-def evaluate_windows(model: TwinSModel, wb: WindowBatch,
-                     batch_size: int = 64) -> Metrics:
-    """``evaluate`` on windows already built, e.g. once for every epoch."""
+    wb = make_windows(split, L, T)
     se = 0.0
     ae = 0.0
     count = 0
@@ -106,7 +96,6 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     cfg.validate()
     model = TwinSModel(cfg)
     wb = make_windows(dataset.train, cfg.L, cfg.T)
-    val_wb = make_windows(dataset.val, cfg.L, cfg.T)
     n_windows = wb.inputs.shape[0]
     params = model.parameters()
     opt = ad.AdamState(params, lr=cfg.lr)
@@ -133,7 +122,7 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
             ad.adam_step(params, grads, opt)
             loss_sum += lv
             loss_batches += 1
-        val = evaluate_windows(model, val_wb)
+        val = evaluate(model, dataset.val, cfg.L, cfg.T)
         rec = EpochRecord(epoch=epoch, train_loss=loss_sum / loss_batches,
                           val_mse=val.mse, val_mae=val.mae,
                           seconds=time.monotonic() - t0)

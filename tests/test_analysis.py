@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,28 @@ def test_cwt_matches_direct_sum(a):
     got = morlet_cwt(x, [a]).energy[0]
     ref = cwt_reference(x, a)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_cwt_kernel_capped_at_series_length():
+    # taps past L - 1 samples never meet the series, so a huge scale costs
+    # no more than one just above L and loses nothing
+    x = np.random.default_rng(4).normal(size=128)
+    a = 130.0
+    R = int(math.floor(4 * a))  # the uncapped kernel, 2R + 1 = 1041 taps
+    u = np.arange(-R, R + 1) / a
+    w = math.pi ** -0.25 * np.exp(-6j * u) * np.exp(-0.5 * u * u)
+    uncapped = np.abs(np.convolve(x, w[::-1])[R:R + 128] / math.sqrt(a)) ** 2
+    np.testing.assert_array_equal(morlet_cwt(x, [a]).energy[0], uncapped)
+
+    tracemalloc.start()
+    try:
+        got = morlet_cwt(x, [1e7]).energy[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the uncapped kernel alone would be 1.28 GB
+    ref = cwt_reference(x, 1e7)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
 def test_cwt_zero_series():

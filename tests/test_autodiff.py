@@ -548,7 +548,7 @@ class TestGradcheckAllOps:
     def test_op_gradient(self, name):
         f, tensors = gc.op_cases()[name]
         ok, err = gc.gradcheck(f, tensors)
-        assert ok, f"{name}: rel err {err:.3e} >= {gc.DEFAULT_TOL}"
+        assert ok, f"{name}: rel err {err:.3e} >= {gc.TOL}"
 
     def test_every_exported_op_has_a_case(self):
         not_ops = {"Tensor", "AdamState", "no_grad", "backward",

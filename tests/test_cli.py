@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import twins.cli as cli
+import twins.data as dt
 from twins.model import ModelConfig
 from twins.training import TrainAbort
 
@@ -195,6 +196,33 @@ def test_synth_spec_errors(spec, capfd):
     assert "synthetic spec" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("junk", "bad clause 'junk'"),
+    ("period=bad", "bad value for period: 'bad'"),
+    ("active=1-2", "active= before any period="),
+    ("period=8,active=5", "active wants LO-HI, got '5'"),
+    ("period=8,active=a-b", "bad value for active: 'a-b'"),
+    ("=3", "unknown key ''"),
+    ("len=3.0|period=8", "bad value for len: '3.0'"),
+    ("noise=abc|period=8", "bad value for noise: 'abc'"),
+    ("len=64", "needs at least one period= entry"),
+    ("period=1", "component period must be >= 2, got 1.0"),
+])
+def test_synth_spec_messages(spec, message):
+    with pytest.raises(ValueError) as err:
+        cli._parse_synth(spec)
+    assert str(err.value) == f"synthetic spec: {message}"
+
+
+def test_synth_spec_groups_and_spaces():
+    raw = cli._parse_synth(" len = 64 , lag=2,channels=3|period=8,amp=0.5|"
+                           "period=16,active=10-40,noise=0.3,seed=1")
+    want = dt.synth_multiperiod(64, 3, [(8.0, 0.5, None), (16.0, 1.0, (10, 40))],
+                                lag_per_channel=2, noise_std=0.3, seed=1)
+    assert raw.names == want.names
+    np.testing.assert_array_equal(raw.values, want.values)
+
+
 def test_nan_abort_maps_to_exit_2(monkeypatch, tmp_path, capfd):
     def explode(cfg, dataset, **kw):
         raise TrainAbort(0, 1)
@@ -257,6 +285,25 @@ def test_ablate_cmd(tmp_path, capfd):
     assert lines[0] == "variant,mse,mae,seconds"
     assert len(lines) == 5
     assert lines[1].startswith("full,")
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["eval", "--ckpt", "m.ckpt"], ["forecast", "--ckpt", "m.ckpt"],
+    ["analyze", "scalogram"], ["analyze", "attn", "--ckpt", "m.ckpt"],
+    ["analyze", "ablate"],
+], ids=lambda c: c[-1] if c[-1] != "m.ckpt" else c[-3])
+def test_data_commands_take_out(command):
+    args = cli.build_parser().parse_args([*command, "--out", "dir"])
+    assert args.out == "dir"
+
+
+def test_blank_csv_header_is_an_error(tmp_path, capfd):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\n")
+    rc = cli.main(["analyze", "scalogram", "--data", str(path),
+                   "--out", str(tmp_path / "sg")])
+    assert rc == 1
+    assert capfd.readouterr().err == f"error: {path}: blank header line\n"
 
 
 def test_out_root_env_var(tmp_path, monkeypatch, capfd):

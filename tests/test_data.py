@@ -1,5 +1,7 @@
 """CSV loading, splitting, windows, and synthetic generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,11 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError):
             dt.load_csv(write(tmp_path, ""))
+
+    def test_blank_header_line(self, tmp_path):
+        p = write(tmp_path, "\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(p)}: blank header line$"):
+            dt.load_csv(p)
 
 
 class TestSplit:

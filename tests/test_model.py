@@ -242,8 +242,9 @@ class TestForward:
 
     def test_wrong_input_shape(self):
         model = md.TwinSModel(micro_config())
-        with pytest.raises(ValueError):
-            model.forward(np.zeros((1, 3, 8)))
+        for shape in [(1, 3, 8), (2, 8), (8,), ()]:  # the last three: too few axes
+            with pytest.raises(ValueError, match="does not match config"):
+                model.forward(np.zeros(shape))
 
     def test_mismatched_variant_outputs_differ(self):
         x = np.random.default_rng(5).normal(size=(1, 2, 8))

@@ -62,19 +62,28 @@ class TestTrain:
         best = min(r.train_loss for r in hist.records)
         assert best <= 0.5 * first, f"{best} vs initial {first}"
 
-    def test_windows_built_once_per_split(self, monkeypatch):
-        calls = []
+    def test_train_windows_once_and_evaluate_per_epoch(self, monkeypatch):
+        # validation runs through ``evaluate`` itself, so whatever wraps
+        # ``training.evaluate`` sees it
+        windows, evaluated = [], []
+        real_evaluate = tr.evaluate
 
-        def counting(values, *args, **kwargs):
-            calls.append(values)
+        def counting_windows(values, *args, **kwargs):
+            windows.append(values)
             return dt.make_windows(values, *args, **kwargs)
 
-        monkeypatch.setattr(tr, "make_windows", counting)
+        def counting_evaluate(model, split, *args, **kwargs):
+            evaluated.append(split)
+            return real_evaluate(model, split, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "make_windows", counting_windows)
+        monkeypatch.setattr(tr, "evaluate", counting_evaluate)
         ds = tiny_dataset(seed=4)
         _, hist = tr.train(tiny_config(epochs=3, patience=10), ds,
                            eval_test=False)
         assert len(hist.records) == 3
-        assert [id(v) for v in calls] == [id(ds.train), id(ds.val)]
+        assert [id(v) for v in evaluated] == [id(ds.val)] * 3
+        assert [id(v) for v in windows] == [id(ds.train)] + [id(ds.val)] * 3
 
     def test_zero_lr_freezes_params(self):
         ds = tiny_dataset()
@@ -89,7 +98,10 @@ class TestTrain:
         cfg = tiny_config(epochs=2)
         _, h1 = tr.train(cfg, ds, eval_test=False)
         _, h2 = tr.train(cfg, ds, eval_test=False)
-        assert h1.comparable() == h2.comparable()
+        def fields(h):
+            return [(r.epoch, r.train_loss, r.val_mse, r.val_mae)
+                    for r in h.records]
+        assert fields(h1) == fields(h2)
 
     def test_best_epoch_is_minimum(self):
         ds = tiny_dataset(noise=0.3, seed=5)
