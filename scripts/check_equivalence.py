@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that this tree trains bit-for-bit like another tree of the package.
+
+    python3 scripts/check_equivalence.py PARENT_SRC
+
+PARENT_SRC is the directory that holds the other tree's ``twins`` package
+(its ``src``). Each tree runs in its own subprocess: for every config below
+it builds the model, then takes 2 steps of forward, MSE loss, backward,
+gradient clipping and Adam on fixed random batches, and saves the forecasts,
+the losses, every parameter gradient of each step and the final parameters.
+The script prints, per config and in total, how many arrays are bit-identical
+and the worst relative difference, max|a - b| / max|b|. It exits 1 when an
+array is missing on one side or differs by more than 1e-12, and 2 on a bad
+argument.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+TOL = 1e-12
+STEPS = 2
+BATCH = 32
+GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)      # the learning gate
+ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, lr=1e-4)   # the paper's ETTh1 runs
+CONFIGS = {
+    **{f"{v}_{name}": dict(shape, variant=v)
+       for name, shape in (("gate", GATE), ("etth1", ETTH1))
+       for v in ("mhsa", "twins", "twins_plus")},
+    "twins_plus_gate_dropout": dict(GATE, variant="twins_plus", dropout=0.1),
+    "twins_plus_gate_no_wconv": dict(GATE, variant="twins_plus",
+                                     use_wconv=False),
+    "twins_plus_gate_no_ctmlp": dict(GATE, variant="twins_plus",
+                                     use_ctmlp=False),
+    "twins_gate_scales_8_4": dict(GATE, variant="twins", scales=[8, 4]),
+}
+HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "src")
+
+
+def run_tree(src: str, out_path: str) -> None:
+    """Worker: train every config with the package under ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
+    import twins
+    import twins.autodiff as ad
+    import twins.model as md
+    import twins.training as tr
+
+    pkg = os.path.dirname(os.path.realpath(twins.__file__))
+    if os.path.dirname(pkg) != os.path.realpath(src):
+        raise SystemExit(f"imported twins from {pkg}, not from {src}")
+    arrays = {}
+    for name, fields in CONFIGS.items():
+        cfg = md.ModelConfig(**fields)
+        rng = np.random.default_rng(0)
+        model = md.TwinSModel(cfg)
+        params = model.parameters()
+        opt = ad.AdamState(params, lr=cfg.lr)
+        for step in range(STEPS):
+            x = rng.standard_normal((BATCH, 1, cfg.C, cfg.L))
+            y = rng.standard_normal((BATCH, cfg.C, cfg.T))
+            model.zero_grad()
+            pred = model.forward(x, training=True)
+            loss = ad.mse(pred, ad.Tensor(y))
+            ad.backward(loss)
+            arrays[f"{name}/{step}/forecast"] = pred.data
+            arrays[f"{name}/{step}/loss"] = loss.data
+            for pname, p in model.params.items():
+                arrays[f"{name}/{step}/grad/{pname}"] = p.grad
+            grads, _ = ad.clip_grad_norm([p.grad for p in params],
+                                         tr.CLIP_NORM)
+            ad.adam_step(params, grads, opt)
+        for pname, p in model.params.items():
+            arrays[f"{name}/param/{pname}"] = p.data
+    np.savez(out_path, **arrays)
+
+
+def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        return float("inf")
+    scale = float(np.max(np.abs(b))) if b.size else 0.0
+    err = float(np.max(np.abs(a - b))) if b.size else 0.0
+    return err / scale if scale > 0.0 else err
+
+
+def compare(mine: dict, theirs: dict) -> bool:
+    ok = True
+    for key in sorted(set(mine) ^ set(theirs)):
+        print(f"only in {'this tree' if key in mine else 'PARENT_SRC'}: {key}")
+        ok = False
+    total_same = total = 0
+    overall = 0.0
+    for name in CONFIGS:
+        keys = sorted(k for k in set(mine) & set(theirs)
+                      if k.startswith(name + "/"))
+        same = sum(np.array_equal(mine[k], theirs[k]) for k in keys)
+        worst = max((rel_diff(mine[k], theirs[k]) for k in keys), default=0.0)
+        print(f"{name:26s} {same:4d}/{len(keys):<4d} bit-identical, "
+              f"worst relative difference {worst:.3e}")
+        total_same += same
+        total += len(keys)
+        overall = max(overall, worst)
+    print(f"{'total':26s} {total_same:4d}/{total:<4d} bit-identical, "
+          f"worst relative difference {overall:.3e}")
+    return ok and overall <= TOL
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--worker":
+        run_tree(argv[1], argv[2])
+        return 0
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "twins")):
+        print("usage: check_equivalence.py PARENT_SRC, a directory that "
+              "holds a twins package", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for i, src in enumerate((HERE_SRC, argv[0])):
+            out = os.path.join(tmp, f"tree{i}.npz")
+            subprocess.run([sys.executable, os.path.abspath(__file__),
+                            "--worker", os.path.abspath(src), out], check=True)
+            with np.load(out) as f:
+                results.append({k: f[k] for k in f.files})
+    same = compare(*results)
+    print("equivalent" if same else f"NOT equivalent (tolerance {TOL:g})")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

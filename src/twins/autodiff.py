@@ -1,15 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Each op output that needs a gradient carries its backward node. ``backward``
-runs the nodes reachable from the loss newest first, accumulating gradients
-into every reachable leaf, and consumes them; a pass that never reaches
-``backward`` is freed with its tensors. Wrap evaluation-only code in
-``no_grad()`` so it records nothing.
+A ``Tensor`` is its value, ``data``; one that needs a gradient also carries
+a record of its shape, its gradient and, if an op made it, its backward
+node. A node points to its inputs' records, never to the tensors, and keeps
+only the arrays its backward reads (``gelu`` its derivative, ``layer_norm``
+the normalized rows), so an intermediate such as the residual stream into
+``add`` is freed as soon as the forward code drops it. ``backward`` runs the
+nodes reachable from the loss newest first, accumulating gradients into
+every reachable leaf, and consumes them; a pass that never reaches
+``backward`` is freed with its tensors. Under ``no_grad()`` ops record
+nothing.
 
 A weight shared by every leading row of a ``matmul`` or ``linear`` gets its
 gradient from one flattened GEMM. Gradients are read-only: the first one a
-tensor receives is stored as it is, later ones are added out of place, and a
-stored array may share memory with another tensor's gradient (``reshape``
+record receives is stored as it is, later ones are added out of place, and a
+stored array may share memory with another record's gradient (``reshape``
 and ``transpose`` hand views straight through). Ops compute in place only on
 arrays they have allocated themselves, never on their inputs, their upstream
 gradient or an array their backward still needs.
@@ -65,8 +70,8 @@ ADAM_EPS = 1e-8
 
 _recording = True
 _creation = itertools.count()  # orders nodes: inputs before outputs
-# Marks an op output whose node an earlier ``backward`` ran; such a tensor is
-# not a leaf, so a new graph through it cannot get a correct gradient.
+# Marks the record of an op output whose node an earlier ``backward`` ran; it
+# is not a leaf, so a new graph through it cannot get a correct gradient.
 _CONSUMED = object()
 
 # Multiply-accumulate counters for the complexity report.
@@ -107,16 +112,40 @@ def no_grad():
         _recording = prev
 
 
-class Tensor:
-    """A dense float64 array plus optional gradient."""
+class _Record:
+    """Autograd state of a tensor that needs a gradient: its shape, its
+    gradient and, for an op output, the node ``(creation order, backward fn,
+    input records)``; an input that needs no gradient has ``None`` there."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("shape", "grad", "node")
+
+    def __init__(self, shape, node=None):
+        self.shape = shape
+        self.grad = None
+        self.node = node
+
+    def accum(self, g):
+        """Add ``g`` into the gradient without writing either array.
+
+        The first ``g`` is stored as it is, so it may be a view of another
+        record's gradient; neither may be written afterwards.
+        """
+        g = g if self.grad is None else self.grad + g
+        self.grad = np.asarray(g)  # 0-d arithmetic yields numpy scalars
+
+
+class Tensor:
+    """A dense float64 array plus, if it needs a gradient, its record."""
+
+    __slots__ = ("data", "_rec")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self._grad = None
-        self._node = None
+        self._rec = _Record(self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._rec is not None
 
     @property
     def shape(self):
@@ -136,21 +165,13 @@ class Tensor:
 
         Read-only: it may share memory with another tensor's gradient.
         """
-        if self._grad is None:
+        if self._rec is None or self._rec.grad is None:
             return np.zeros_like(self.data)
-        return self._grad
+        return self._rec.grad
 
     def zero_grad(self):
-        self._grad = None
-
-    def _accum(self, g):
-        """Add ``g`` into the gradient without writing either array.
-
-        The first ``g`` is stored as it is, so it may be a view of another
-        tensor's gradient; neither may be written afterwards.
-        """
-        g = g if self._grad is None else self._grad + g
-        self._grad = np.asarray(g)  # 0-d arithmetic yields numpy scalars
+        if self._rec is not None:
+            self._rec.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -168,11 +189,17 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 
 def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
-    """Wrap op output; give it a backward node if anything needs grad."""
-    needs = _recording and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:  # backward_fn must not hold ``out``: a cycle outlives the pass
-        out._node = (next(_creation), backward_fn, inputs)
+    """Wrap op output; give it a record if any input needs grad.
+
+    ``backward_fn(g, *input_records)`` must hold neither the inputs nor the
+    output (a cycle outlives the pass), only the arrays it reads.
+    """
+    out = Tensor(out_data)
+    if _recording:
+        recs = tuple(t._rec for t in inputs)
+        if any(recs):
+            out._rec = _Record(out.data.shape,
+                               (next(_creation), backward_fn, recs))
     return out
 
 
@@ -186,30 +213,31 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    if loss._node is _CONSUMED:
+    root = loss._rec
+    if root is None or root.node is _CONSUMED:
         return
     found = {}
-    stack = [loss]
+    stack = [root]
     while stack:
-        t = stack.pop()
-        if t._node is None or id(t) in found:
+        r = stack.pop()
+        if r is None or r.node is None or id(r) in found:
             continue
-        if t._node is _CONSUMED:
+        if r.node is _CONSUMED:
             raise ValueError(
-                f"backward: the graph reaches a tensor of shape {t.shape} "
+                f"backward: the graph reaches a tensor of shape {r.shape} "
                 "whose graph an earlier backward() consumed"
             )
-        found[id(t)] = t
-        stack.extend(t._node[2])
-    loss._accum(np.ones_like(loss.data))
-    order = sorted(found.values(), key=lambda t: t._node[0])
+        found[id(r)] = r
+        stack.extend(r.node[2])
+    root.accum(np.ones(root.shape))
+    order = sorted(found.values(), key=lambda r: r.node[0])
     del found  # from here each node's arrays die once it has run
     while order:
-        t = order.pop()
-        _, fn, _ = t._node
-        t._node = _CONSUMED
-        if t._grad is not None:
-            fn(t._grad)
+        r = order.pop()
+        _, fn, recs = r.node
+        r.node = _CONSUMED
+        if r.grad is not None:
+            fn(r.grad, *recs)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -239,10 +267,10 @@ def _check_binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes("add", a, b)
 
-    def bwd(g):
-        for t in (a, b):
-            if t.requires_grad:
-                t._accum(_unbroadcast(g, t.shape))
+    def bwd(g, ra, rb):
+        for r in (ra, rb):
+            if r:
+                r.accum(_unbroadcast(g, r.shape))
 
     return _make(a.data + b.data, bwd, a, b)
 
@@ -251,11 +279,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary_shapes("mul", a, b)
     ad, bd = a.data, b.data
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * bd, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * ad, b.shape))
+    def bwd(g, ra, rb):
+        if ra:
+            ra.accum(_unbroadcast(g * bd, ra.shape))
+        if rb:
+            rb.accum(_unbroadcast(g * ad, rb.shape))
 
     return _make(ad * bd, bwd, a, b)
 
@@ -263,9 +291,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * c)
+    def bwd(g, ra):
+        ra.accum(g * c)
 
     return _make(a.data * c, bwd, a)
 
@@ -280,38 +307,35 @@ def sigmoid(a: Tensor) -> Tensor:
     e += 1.0
     y /= e
 
-    def bwd(g):
-        if a.requires_grad:
-            d = g * y
-            d *= 1.0 - y
-            a._accum(d)
+    def bwd(g, ra):
+        d = g * y
+        d *= 1.0 - y
+        ra.accum(d)
 
     return _make(y, bwd, a)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form)."""
+    """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form); a recorded
+    pass saves only its derivative Phi(x) + x * pdf(x)."""
     x = a.data
     cdf = np.multiply(x, _INV_SQRT2)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    if _recording and a.requires_grad:  # else no node, so bwd never runs
+        d = np.multiply(x, x)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
 
-    def bwd(g):
-        if a.requires_grad:
-            d = np.multiply(x, x)  # becomes g * (cdf + x * pdf)
-            d *= -0.5
-            np.exp(d, out=d)
-            d *= _INV_SQRT2PI
-            d *= x
-            d += cdf
-            d *= g
-            a._accum(d)
+    def bwd(g, ra):
+        ra.accum(g * d)
 
-    if not (_recording and a.requires_grad):  # no node keeps cdf
-        cdf *= x
-        return Tensor(cdf)
-    return _make(x * cdf, bwd, a)
+    cdf *= x
+    return _make(cdf, bwd, a)
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +357,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
     _add_macs(out.size // out.shape[-1] * ad.shape[-1] * out.shape[-1])
 
-    def bwd(g):
+    def bwd(g, ra, rb):
         if bd.ndim == 2:
-            _shared_weight_grads(a, b, g.reshape(-1, bd.shape[1]))
+            _shared_weight_grads(ra, rb, ad, bd, g.reshape(-1, bd.shape[1]))
             return
-        if a.requires_grad:
-            a._accum(g @ bd.swapaxes(-1, -2))
-        if b.requires_grad:
-            b._accum(ad.swapaxes(-1, -2) @ g)
+        if ra:
+            ra.accum(g @ bd.swapaxes(-1, -2))
+        if rb:
+            rb.accum(ad.swapaxes(-1, -2) @ g)
 
     return _make(out, bwd, a, b)
 
 
-def _shared_weight_grads(a: Tensor, w: Tensor, g2: np.ndarray) -> None:
-    """Gradients of ``a @ w`` for a 2-D ``w``, upstream ``g2`` flattened to
-    (rows, N): one GEMM each."""
-    if a.requires_grad:
-        a._accum((g2 @ w.data.T).reshape(a.shape))
-    if w.requires_grad:
-        w._accum(a.data.reshape(-1, w.shape[0]).T @ g2)
+def _shared_weight_grads(ra, rw, ad, wd, g2: np.ndarray) -> None:
+    """Gradients of ``ad @ wd`` for a 2-D ``wd`` into the records ``ra`` and
+    ``rw``, upstream ``g2`` flattened to (rows, N): one GEMM each."""
+    if ra:
+        ra.accum((g2 @ wd.T).reshape(ra.shape))
+    if rw:
+        rw.accum(ad.reshape(-1, wd.shape[0]).T @ g2)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -363,15 +387,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"got {x.shape}, {w.shape}, {b.shape}"
         )
     k, n = w.shape
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     out += b.data
     _add_macs(out.size * k)
 
-    def bwd(g):
+    def bwd(g, rx, rw, rb):
         g2 = g.reshape(-1, n)
-        _shared_weight_grads(x, w, g2)
-        if b.requires_grad:
-            b._accum(np.ones(g2.shape[0]) @ g2)
+        _shared_weight_grads(rx, rw, xd, wd, g2)
+        if rb:
+            rb.accum(np.ones(g2.shape[0]) @ g2)
 
     return _make(out, bwd, x, w, b)
 
@@ -412,15 +437,15 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     L = xd.shape[-1]
     _add_macs(out.size // (cout * L) * cout * L * cin * k)
 
-    def bwd(g):
-        if kernels.requires_grad:
+    def bwd(g, rx, rk):
+        if rk:
             # columns rebuilt here rather than kept alive through the pass
             cols = _im2col(xd, k)
             gk = (g @ cols.swapaxes(-1, -2)).reshape(-1, cout, cin * k)
-            kernels._accum(gk.sum(axis=0).reshape(kd.shape))
-        if x.requires_grad:
+            rk.accum(gk.sum(axis=0).reshape(kd.shape))
+        if rx:
             # the adjoint: correlate with the kernels flipped and transposed
-            x._accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]))
+            rx.accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]))
 
     return _make(out, bwd, x, kernels)
 
@@ -469,16 +494,16 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     out = _dw_correlate(xd, kd)
     _add_macs(out.size * k)
 
-    def bwd(g):
-        if kernels.requires_grad:
+    def bwd(g, rx, rk):
+        if rk:
             P = xd.shape[-2]
             g3, x3 = g.reshape(-1, P, ch), xd.reshape(-1, P, ch)
             gk = np.zeros(kd.shape)
             for j, dst, src in _tap_slices(k, P):
                 gk[:, j] = np.einsum("npc,npc->c", g3[:, dst], x3[:, src])
-            kernels._accum(gk)
-        if x.requires_grad:
-            x._accum(_dw_correlate(g, kd[:, ::-1]))
+            rk.accum(gk)
+        if rx:
+            rx.accum(_dw_correlate(g, kd[:, ::-1]))
 
     return _make(out, bwd, x, kernels)
 
@@ -490,11 +515,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise ValueError(f"reshape {a.shape} -> {shape} changes element count")
-    old = a.shape
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.reshape(old))
+    def bwd(g, ra):
+        ra.accum(g.reshape(ra.shape))
 
     return _make(a.data.reshape(shape), bwd, a)
 
@@ -505,9 +528,8 @@ def transpose(a: Tensor, axes) -> Tensor:
         raise ValueError(f"transpose axes {axes} invalid for ndim {a.ndim}")
     inv = np.argsort(axes)
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.transpose(inv))
+    def bwd(g, ra):
+        ra.accum(g.transpose(inv))
 
     return _make(a.data.transpose(axes), bwd, a)
 
@@ -525,11 +547,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         for i in range(a.ndim)
     )
 
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a._accum(full)
+    def bwd(g, ra):
+        full = np.zeros(ra.shape)
+        full[idx] = g
+        ra.accum(full)
 
     return _make(a.data[idx].copy(), bwd, a)
 
@@ -537,9 +558,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def roll(a: Tensor, shift: int, axis: int) -> Tensor:
     axis = axis % a.ndim
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(np.roll(g, -shift, axis=axis))
+    def bwd(g, ra):
+        ra.accum(np.roll(g, -shift, axis=axis))
 
     return _make(np.roll(a.data, shift, axis=axis), bwd, a)
 
@@ -553,13 +573,12 @@ def softmax(a: Tensor) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
-        if a.requires_grad:
-            d = g * y
-            dot = d.sum(axis=-1, keepdims=True)
-            np.subtract(g, dot, out=d)
-            d *= y
-            a._accum(d)
+    def bwd(g, ra):
+        d = g * y
+        dot = d.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=d)
+        d *= y
+        ra.accum(d)
 
     return _make(y, bwd, a)
 
@@ -585,28 +604,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     y = xhat * gd
     y += beta.data
 
-    def bwd(g):
+    def bwd(g, rx, rg, rb):
         g2 = g.reshape(-1, D)
-        if gamma.requires_grad:
-            gamma._accum(np.einsum("ni,ni->i", g2, xhat.reshape(-1, D)))
-        if beta.requires_grad:
-            beta._accum(np.ones(g2.shape[0]) @ g2)
-        if x.requires_grad:
+        if rg:
+            rg.accum(np.einsum("ni,ni->i", g2, xhat.reshape(-1, D)))
+        if rb:
+            rb.accum(np.ones(g2.shape[0]) @ g2)
+        if rx:
             d = g * gd
             m1 = d @ row_mean
             m2 = np.einsum("...i,...i->...", d, xhat) / D
             d -= m1[..., None]
             d -= xhat * m2[..., None]
             d *= inv
-            x._accum(d)
+            rx.accum(d)
 
     return _make(y, bwd, x, gamma, beta)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(np.full(a.shape, float(g)))
+    def bwd(g, ra):
+        ra.accum(np.full(ra.shape, float(g)))
 
     return _make(np.asarray(a.data.sum()), bwd, a)
 
@@ -617,12 +635,12 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = diff.size
 
-    def bwd(g):
+    def bwd(g, rp, rt):
         c = 2.0 * float(g) / n
-        if pred.requires_grad:
-            pred._accum(c * diff)
-        if target.requires_grad:
-            target._accum(-c * diff)
+        if rp:
+            rp.accum(c * diff)
+        if rt:
+            rt.accum(-c * diff)
 
     return _make(np.asarray((diff * diff).mean()), bwd, pred, target)
 
@@ -635,9 +653,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError("dropout rate must be < 1")
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * mask)
+    def bwd(g, ra):
+        ra.accum(g * mask)
 
     return _make(a.data * mask, bwd, a)
 

@@ -6,7 +6,7 @@ import io
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,11 +40,15 @@ class Metrics:
 
 @dataclass
 class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_mse: float
-    val_mae: float
-    seconds: float
+    """One line of the training log: an epoch, or the final test metrics,
+    with ``None`` for the fields that do not apply."""
+    epoch: Optional[int] = None
+    train_loss: Optional[float] = None
+    val_mse: Optional[float] = None
+    val_mae: Optional[float] = None
+    test_mse: Optional[float] = None
+    test_mae: Optional[float] = None
+    seconds: Optional[float] = None
 
 
 @dataclass
@@ -128,10 +132,7 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
                           seconds=time.monotonic() - t0)
         history.records.append(rec)
         if log_fn:
-            log_fn({"epoch": epoch, "train_loss": rec.train_loss,
-                    "val_mse": rec.val_mse, "val_mae": rec.val_mae,
-                    "test_mse": None, "test_mae": None,
-                    "seconds": rec.seconds})
+            log_fn(asdict(rec))
         if val.mse < history.best_val_mse:
             history.best_val_mse = val.mse
             history.best_epoch = epoch
@@ -148,10 +149,8 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     if eval_test:
         history.test = evaluate(model, dataset.test, cfg.L, cfg.T)
         if log_fn:
-            log_fn({"epoch": None, "train_loss": None,
-                    "val_mse": None, "val_mae": None,
-                    "test_mse": history.test.mse,
-                    "test_mae": history.test.mae, "seconds": None})
+            log_fn(asdict(EpochRecord(test_mse=history.test.mse,
+                                      test_mae=history.test.mae)))
     return model, history
 
 

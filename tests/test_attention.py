@@ -276,9 +276,8 @@ def repeat_heads(a, reps):
     backward sums the replicas' gradients."""
     s = a.shape[0]
 
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g.reshape((s, reps) + a.shape[1:]).sum(axis=1))
+    def bwd(g, ra):
+        ra.accum(g.reshape((s, reps) + ra.shape[1:]).sum(axis=1))
 
     return ad._make(np.repeat(a.data, reps, axis=0), bwd, a)
 

@@ -16,6 +16,13 @@ def t(data, rg=True):
     return ad.Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
 
 
+def run_node(out, g):
+    """Run the backward node of op output ``out`` on upstream gradient ``g``
+    without consuming it."""
+    _, fn, recs = out._rec.node
+    fn(g, *recs)
+
+
 class TestValues:
     def test_conv1d_known_answer(self):
         # ones(5) * kernel [1,1,1], zero padded: [2,3,3,3,2]
@@ -226,7 +233,7 @@ def matmul_grads(a, b, g):
     """Gradients of ``a @ b`` for upstream gradient ``g``."""
     ta, tb = t(a), t(b)
     out = ad.matmul(ta, tb)
-    out._node[1](g)
+    run_node(out, g)
     return ta.grad, tb.grad
 
 
@@ -266,7 +273,7 @@ class TestMatmulSharedWeight:
         out = ad.matmul(ta, tb)
         tracemalloc.start()
         try:
-            out._node[1](g)
+            run_node(out, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,9 +326,67 @@ def test_gelu_without_node_matches_recorded():
         free = ad.gelu(t(x))
     frozen = ad.gelu(t(x, rg=False))
     recorded = ad.gelu(t(x))
-    assert recorded._node is not None and free._node is None
+    assert recorded._rec.node is not None and free._rec is None
     assert np.array_equal(free.data, recorded.data)
     assert np.array_equal(frozen.data, recorded.data)
+
+
+def old_gelu_backward(x, g):
+    """gelu's input gradient as its backward computed it when the node kept
+    x and Phi(x); the derivative the forward pass now saves must give the
+    same bits."""
+    cdf = np.multiply(x, 1.0 / math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    d = np.multiply(x, x)  # becomes g * (cdf + x * pdf)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= 1.0 / math.sqrt(2.0 * math.pi)
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_gelu_gradient_matches_old_backward(layout):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 4, 33)) * 4  # the centre and both tails
+    g = rng.normal(size=x.shape)
+    if layout == "transposed":
+        x, g = x.T, g.T
+    xt = t(x)
+    run_node(ad.gelu(xt), g)
+    assert np.array_equal(xt.grad, old_gelu_backward(x, g))
+
+
+# ops whose backward reads none of the listed input arrays, so the graph
+# must not keep them alive
+INPUT_ARRAYS_FREED = {
+    "add": (0, 1), "scale": (0,), "sigmoid": (0,), "gelu": (0,),
+    "narrow": (0,), "roll": (0,), "softmax": (0,), "layer_norm": (0,),
+    "sum_all": (0,), "mse": (0, 1), "dropout": (0,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(gc.OP_CALLS))
+def test_node_holds_input_records_not_inputs(name):
+    op, shapes = gc.OP_CALLS[name]
+    rng = np.random.default_rng(7)
+    ts = [t(rng.normal(size=s)) for s in shapes]
+    out = op(*ts)
+    records = [x._rec for x in ts]
+    _, fn, held = out._rec.node
+    assert list(held) == records
+    held += tuple(cell.cell_contents for cell in fn.__closure__ or ())
+    assert not any(isinstance(v, ad.Tensor) for v in held)
+    arrays = [weakref.ref(ts[i].data) for i in INPUT_ARRAYS_FREED.get(name, ())]
+    del ts, held
+    assert [r() for r in arrays] == [None] * len(arrays)
+    run_node(out, rng.normal(size=out.shape))
+    for r, shape in zip(records, shapes):
+        assert r.grad.shape == shape
 
 
 def ref_adam_step(params, grads, state):
@@ -466,7 +531,7 @@ class TestKernelsMatchReference:
         ts = [t(a) for a in arrays]
         out = op(*ts)
         g = draw(out.shape)
-        out._node[1](g)
+        run_node(out, g)
         want, want_grads = ref(*arrays, g)
         assert out.shape == want.shape
         assert gc.rel_error(out.data, want) <= 1e-12
@@ -495,7 +560,7 @@ class TestOpsLeaveArraysAlone:
         for _ in range(2):
             for x in ts:
                 x.zero_grad()
-            out._node[1](g)
+            run_node(out, g)
             runs.append([x.grad.copy() for x in ts])
         for x, b in zip(ts, before):
             assert np.array_equal(x.data, b)

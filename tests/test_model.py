@@ -1,5 +1,8 @@
 """Model assembly contracts: shapes, residual identity, equivariance, grads."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,10 @@ from twins import gradcheck as gc
 from twins import model as md
 from twins import patching as pt
 from twins.autodiff import Tensor
+
+
+# the model of the tier-1 learning gate and of the train-gate benchmark
+GATE = dict(C=2, L=96, T=24, d=8, h=64, variant="twins", lr=1e-3)
 
 
 def micro_config(**kw):
@@ -337,3 +344,51 @@ class TestModelGradients:
         assert a0.shape == (2, 2, 4, 4)   # (M, C, P, P)
         np.testing.assert_allclose(a0.sum(axis=-1), np.ones((2, 2, 4)),
                                    atol=1e-9)
+
+
+class TestGraphMemory:
+    """A recorded forward keeps only the arrays that backward reads."""
+
+    @staticmethod
+    def batch(cfg, n=32):
+        rng = np.random.default_rng(21)
+        return (rng.normal(size=(n, 1, cfg.C, cfg.L)),
+                Tensor(rng.normal(size=(n, cfg.C, cfg.T))))
+
+    def test_residual_and_norm_inputs_freed(self, monkeypatch):
+        cfg = md.ModelConfig(**GATE)
+        x, y = self.batch(cfg)
+        reference = md.TwinSModel(cfg)
+        ad.backward(ad.mse(reference.forward(x, training=True), y))
+
+        watched = []
+
+        def watch(op):
+            def first_input_watched(a, *rest):
+                watched.append((op.__name__, weakref.ref(a.data)))
+                return op(a, *rest)
+            return first_input_watched
+
+        monkeypatch.setattr(ad, "add", watch(ad.add))
+        monkeypatch.setattr(ad, "layer_norm", watch(ad.layer_norm))
+        model = md.TwinSModel(cfg)
+        loss = ad.mse(model.forward(x, training=True), y)
+        assert {name for name, _ in watched} == {"add", "layer_norm"}
+        assert [name for name, ref in watched if ref() is not None] == []
+        ad.backward(loss)
+        for name, p in model.params.items():
+            assert np.array_equal(p.grad, reference.params[name].grad), name
+
+    def test_graph_bytes_after_gate_forward(self):
+        cfg = md.ModelConfig(**GATE)
+        x, y = self.batch(cfg)
+        model = md.TwinSModel(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = ad.mse(model.forward(x, training=True), y)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 20 * 2 ** 20, f"graph holds {held / 2 ** 20:.1f} MiB"
+        ad.backward(loss)
