@@ -33,6 +33,7 @@ __all__ = [
     "Tensor",
     "AdamState",
     "no_grad",
+    "is_recording",
     "backward",
     "uniform_init",
     "add",
@@ -110,6 +111,11 @@ def no_grad():
         yield
     finally:
         _recording = prev
+
+
+def is_recording() -> bool:
+    """False inside ``no_grad``, where no op builds a graph node."""
+    return _recording
 
 
 class _Record:

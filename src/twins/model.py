@@ -12,7 +12,8 @@ optional batch prefix, predictions are (C, T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+import math
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,12 @@ from . import patching as pt
 from .autodiff import Tensor
 
 INSTANCE_EPS = 1e-5
+# A no-grad pass runs in chunks of windows whose residual map fits in this
+# many bytes (see chunk_windows), so a chunk's elementwise passes stay in a
+# 2 MiB per-core L2. Swept on the ETTh1-shape infer benchmark: 256 KiB to
+# 1 MiB reach the same resident-set floor, 2 and 4 MiB do not; 1 MiB is as
+# fast as 512 KiB and keeps a 64-window pass at the gate shape one chunk.
+CHUNK_BYTES = 2 ** 20
 
 VARIANTS = ("mhsa", "twins", "twins_plus")
 
@@ -215,6 +222,15 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
 
 
+def chunk_windows(cfg: ModelConfig) -> int:
+    """Windows per chunk of a no-grad pass, at least one.
+
+    A window's residual map costs 8*C*L*d bytes at every layer, since
+    P*D = L*d whatever the scale.
+    """
+    return max(1, CHUNK_BYTES // (8 * cfg.C * cfg.L * cfg.d))
+
+
 class TwinSModel:
     """Parameter store plus the forward pass; training lives elsewhere."""
 
@@ -299,44 +315,40 @@ class TwinSModel:
 
     def _residual_block(self, h: Tensor, l: int, probe=None,
                         training: bool = False) -> Tensor:
-        """Attention, FFN, and mixer branches with pre-norm residuals."""
+        """Attention, FFN, and mixer branches with pre-norm residuals.
+
+        Each branch's normed input and output pass straight between calls,
+        so no local keeps a map past its use, and the block input goes at
+        the first residual add when the caller holds no reference to it.
+        """
         cfg = self.config
         p = f"layers.{l}"
         par = self.params
-        z = ad.layer_norm(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"])
         layer_probe = {} if probe is not None else None
         subnet = self.score_subnet(l) if cfg.has_subnet() else None
-        a = at.attention_block(cfg.variant, z,
-                               self.attention_weights(l), subnet,
-                               probe=layer_probe)
+        h = ad.add(h, self._maybe_dropout(at.attention_block(
+            cfg.variant, ad.layer_norm(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"]),
+            self.attention_weights(l), subnet, probe=layer_probe), training))
         if probe is not None:
             probe.setdefault("attn_layers", []).append(layer_probe["attn"])
-        h = ad.add(h, self._maybe_dropout(a, training))
-        z = ad.layer_norm(h, par[f"{p}.ln2.g"], par[f"{p}.ln2.b"])
-        f = feed_forward(z, par[f"{p}.ffn.w1"], par[f"{p}.ffn.b1"],
-                         par[f"{p}.ffn.w2"], par[f"{p}.ffn.b2"])
-        h = ad.add(h, self._maybe_dropout(f, training))
+        h = ad.add(h, self._maybe_dropout(feed_forward(
+            ad.layer_norm(h, par[f"{p}.ln2.g"], par[f"{p}.ln2.b"]),
+            par[f"{p}.ffn.w1"], par[f"{p}.ffn.b1"],
+            par[f"{p}.ffn.w2"], par[f"{p}.ffn.b2"]), training))
         if cfg.use_ctmlp:
-            z = ad.layer_norm(h, par[f"{p}.ln3.g"], par[f"{p}.ln3.b"])
-            m = ct_mlp(z, par[f"{p}.ct.w1"], par[f"{p}.ct.b1"],
-                       par[f"{p}.ct.w2"], par[f"{p}.ct.b2"])
-            h = ad.add(h, self._maybe_dropout(m, training))
+            h = ad.add(h, self._maybe_dropout(ct_mlp(
+                ad.layer_norm(h, par[f"{p}.ln3.g"], par[f"{p}.ln3.b"]),
+                par[f"{p}.ct.w1"], par[f"{p}.ct.b1"],
+                par[f"{p}.ct.w2"], par[f"{p}.ct.b2"]), training))
         return h
 
-    def encoder_layer(self, x_point: Tensor, l: int, probe=None,
-                      training: bool = False) -> Tensor:
-        """Unfold at this layer's scale, run the block, restore the point map."""
-        cfg = self.config
-        pm = pt.window_unfold(x_point, cfg.scale_at(l))
-        r = cfg.roll_at(l)
-        pm = pt.window_roll(pm, r)
-        h = self._residual_block(pm.data, l, probe=probe, training=training)
-        pm = replace(pm, data=h)
-        pm = pt.window_roll(pm, -r)
-        return pt.window_fold(pm)
-
     def forward(self, x, probe=None, training: bool = False) -> Tensor:
-        """(1, C, L) raw window (batch prefix allowed) -> (C, T) forecast."""
+        """(1, C, L) raw window (batch prefix allowed) -> (C, T) forecast.
+
+        A pass that records no graph, takes no probe and is not training
+        runs in chunks of ``chunk_windows`` windows, so its working set
+        stays near ``CHUNK_BYTES`` whatever the batch.
+        """
         cfg = self.config
         if not isinstance(x, Tensor):
             x = Tensor(x)
@@ -344,22 +356,50 @@ class TwinSModel:
             raise ValueError(
                 f"input {x.shape} does not match config (1, {cfg.C}, {cfg.L})"
             )
+        lead = x.shape[:-3]
+        n = math.prod(lead)
+        rows = chunk_windows(cfg)
+        if n <= rows or probe is not None or training or ad.is_recording():
+            return self._forward_chunk(x, probe, training)
+        flat = x.data.reshape((n, 1, cfg.C, cfg.L))
+        out = np.empty((n, cfg.C, cfg.T))
+        for i in range(0, n, rows):
+            out[i:i + rows] = self._forward_chunk(
+                Tensor(flat[i:i + rows]), None, False).data
+        return Tensor(out.reshape(lead + (cfg.C, cfg.T)))
+
+    def _forward_chunk(self, x: Tensor, probe, training: bool) -> Tensor:
+        """One forward over every window of ``x``, as one batch."""
+        cfg = self.config
         xn, stats = instance_normalize(x)
         lead = x.shape[:-3]
+        # each layer pops its input from a one-slot list and hands the block
+        # its only reference, so the input goes at the first residual add
         if cfg.use_wconv:
-            pm = emb.wconv_embed(xn, self.params["embed.bank"])
-            pm = emb.add_position(pm, self.params["embed.pos"])
+            slot = [emb.add_position(
+                emb.wconv_embed(xn, self.params["embed.bank"]),
+                self.params["embed.pos"])]
             for l in range(cfg.n_layers):
-                pm = self.encoder_layer(pm, l, probe=probe, training=training)
+                # unfold at this layer's scale, run the block, fold back
+                s, r = cfg.scale_at(l), cfg.roll_at(l)
+                h = self._residual_block(
+                    pt.window_roll(pt.window_unfold(slot.pop(), s), r).data,
+                    l, probe=probe, training=training)
+                slot.append(pt.window_fold(
+                    pt.window_roll(pt.PatchedFeatureMap(h, s), -r)))
+                del h
+            pm = slot.pop()
             n = pm.ndim
             z = ad.transpose(pm, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
             flat = ad.reshape(z, lead + (cfg.C, cfg.d * cfg.L))
         else:
-            h = emb.linear_patch_embed(xn, cfg.patch_len,
-                                       self.params["embed.patch.w"],
-                                       self.params["embed.patch.b"])
+            slot = [emb.linear_patch_embed(xn, cfg.patch_len,
+                                           self.params["embed.patch.w"],
+                                           self.params["embed.patch.b"])]
             for l in range(cfg.n_layers):
-                h = self._residual_block(h, l, probe=probe, training=training)
+                slot.append(self._residual_block(slot.pop(), l, probe=probe,
+                                                 training=training))
+            h = slot.pop()
             flat = ad.reshape(h, lead + (cfg.C, cfg.P_at(0) * cfg.D_at(0)))
         y = ad.linear(flat, self.params["head.w"], self.params["head.b"])
         return instance_denormalize(y, stats)

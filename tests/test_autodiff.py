@@ -127,8 +127,11 @@ class TestTapeSemantics:
 
     def test_no_grad_records_nothing(self):
         x = t([3.0])
+        assert ad.is_recording()
         with ad.no_grad():
+            assert not ad.is_recording()
             y = ad.mul(x, x)
+        assert ad.is_recording()
         assert not y.requires_grad
         # only the recorded factor x carries gradient, not the path through y
         ad.backward(ad.sum_all(ad.mul(y, x)))
@@ -616,8 +619,8 @@ class TestGradcheckAllOps:
         assert ok, f"{name}: rel err {err:.3e} >= {gc.TOL}"
 
     def test_every_exported_op_has_a_case(self):
-        not_ops = {"Tensor", "AdamState", "no_grad", "backward",
-                   "uniform_init", "adam_step", "clip_grad_norm",
+        not_ops = {"Tensor", "AdamState", "no_grad", "is_recording",
+                   "backward", "uniform_init", "adam_step", "clip_grad_norm",
                    "enable_mac_counting", "mac_count", "reset_mac_count"}
         for name in ad.__all__:
             assert hasattr(ad, name), f"__all__ names missing {name!r}"

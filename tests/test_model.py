@@ -2,9 +2,12 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twins import autodiff as ad
 from twins import gradcheck as gc
@@ -243,9 +246,10 @@ class TestForward:
         model = md.TwinSModel(micro_config())
         zero_weights(model)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 2, 8)))
+        h = pt.window_unfold(x, model.config.patch_len).data
         with ad.no_grad():
-            out = model.encoder_layer(x, 0)
-        np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+            out = model._residual_block(h, 0)
+        np.testing.assert_allclose(out.data, h.data, atol=1e-12)
 
     def test_wrong_input_shape(self):
         model = md.TwinSModel(micro_config())
@@ -292,8 +296,9 @@ class TestComposition:
         par = model.params
         x = Tensor(np.random.default_rng(8).normal(size=(2, 2, 8)))
         with ad.no_grad():
-            got = model.encoder_layer(x, 0)
             pm = pt.window_unfold(x, cfg.patch_len)
+            got = pt.window_fold(replace(pm, data=model._residual_block(
+                pm.data, 0)))
             h = pm.data
             z = ad.layer_norm(h, par["layers.0.ln1.g"], par["layers.0.ln1.b"])
             h = ad.add(h, at.mhsa(z, model.attention_weights(0)))
@@ -302,7 +307,6 @@ class TestComposition:
                                           par["layers.0.ffn.b1"],
                                           par["layers.0.ffn.w2"],
                                           par["layers.0.ffn.b2"]))
-            from dataclasses import replace
             want = pt.window_fold(replace(pm, data=h))
         np.testing.assert_allclose(got.data, want.data, atol=1e-9)
 
@@ -392,3 +396,107 @@ class TestGraphMemory:
             tracemalloc.stop()
         assert held <= 20 * 2 ** 20, f"graph holds {held / 2 ** 20:.1f} MiB"
         ad.backward(loss)
+
+    @pytest.mark.parametrize("use_wconv", [True, False])
+    def test_forward_peak_near_graph(self, use_wconv):
+        # dropped maps (branch outputs, normed inputs, the layer input) go
+        # as soon as they are used, so a recorded forward peaks 2.6 maps
+        # above the graph it leaves, against 6.6 with the wavelet embedding
+        # and 5.6 without when locals held them to the end of each layer
+        cfg = md.ModelConfig(**GATE, use_wconv=use_wconv)
+        x, y = self.batch(cfg)
+        model = md.TwinSModel(cfg)
+        one_map = x.shape[0] * cfg.C * cfg.L * cfg.d * 8
+        tracemalloc.start()
+        try:
+            pred = model.forward(x, training=True)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess = (peak - held) / one_map
+        assert excess <= 4.0, f"forward peaks {excess:.2f} maps above graph"
+        ad.backward(ad.mse(pred, y))
+
+
+# the ETTh1 model of the infer benchmark
+ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, variant="twins")
+
+
+class TestChunkedInference:
+    """A no-grad forward runs in chunks of windows and gives what one
+    batch or single windows give."""
+
+    ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
+
+    def test_chunk_size_from_config(self):
+        assert self.ROWS == 12
+        assert md.chunk_windows(md.ModelConfig(**GATE)) == 85
+        huge = md.ModelConfig(C=64, L=512, T=8, d=64, patch_len=64, h=8)
+        assert md.chunk_windows(huge) == 1
+
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           variant=st.sampled_from(md.VARIANTS), use_wconv=st.booleans())
+    @pytest.mark.parametrize("lead", [
+        (1,), (ROWS - 1,), (ROWS,), (ROWS + 1,), (3 * ROWS + 2,), (2, 3)])
+    def test_batched_equals_single_windows(self, lead, seed, variant,
+                                           use_wconv):
+        cfg = md.ModelConfig(**dict(ETTH1, variant=variant,
+                                    use_wconv=use_wconv))
+        model = md.TwinSModel(cfg)
+        x = np.random.default_rng(seed).normal(size=lead + (1, cfg.C, cfg.L))
+        with ad.no_grad():
+            got = model.forward(x).data
+            singles = np.stack([model.forward(w).data
+                                for w in x.reshape(-1, 1, cfg.C, cfg.L)])
+        assert got.shape == lead + (cfg.C, cfg.T)
+        assert gc.rel_error(got, singles.reshape(got.shape)) <= 1e-12
+
+    def test_chunked_matches_one_batch(self, monkeypatch):
+        model = md.TwinSModel(md.ModelConfig(**ETTH1))
+        x = np.random.default_rng(3).normal(size=(3 * self.ROWS + 5, 1, 7, 96))
+        with ad.no_grad():
+            got = model.forward(x).data
+            monkeypatch.setattr(md, "CHUNK_BYTES", 2 ** 40)
+            whole = model.forward(x).data
+        assert gc.rel_error(got, whole) <= 1e-12
+
+    @pytest.mark.parametrize("how", ["recorded", "training", "probe"])
+    def test_only_plain_no_grad_passes_chunked(self, how, monkeypatch):
+        model = md.TwinSModel(md.ModelConfig(**ETTH1))
+        x = np.random.default_rng(4).normal(size=(self.ROWS + 1, 1, 7, 96))
+        batches = []
+        chunk = model._forward_chunk
+
+        def counted_chunk(xs, *rest):
+            batches.append(xs.shape[0])
+            return chunk(xs, *rest)
+
+        monkeypatch.setattr(model, "_forward_chunk", counted_chunk)
+        if how == "recorded":
+            model.forward(x)
+        elif how == "training":
+            with ad.no_grad():
+                model.forward(x, training=True)
+        else:
+            with ad.no_grad():
+                model.forward(x, probe={})
+        assert batches == [self.ROWS + 1]
+        batches.clear()
+        with ad.no_grad():
+            model.forward(x)
+        assert batches == [self.ROWS, 1]
+
+    def test_peak_independent_of_batch(self):
+        model = md.TwinSModel(md.ModelConfig(**ETTH1))
+        x = np.random.default_rng(5).normal(size=(256, 1, 7, 96))
+        peaks = []
+        with ad.no_grad():
+            for n in (self.ROWS, 256):
+                tracemalloc.start()
+                try:
+                    model.forward(x[:n])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], [p / 2 ** 20 for p in peaks]

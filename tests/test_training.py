@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twins import data as dt
 from twins import model as md
@@ -51,6 +53,21 @@ class TestEvaluate:
         model = md.TwinSModel(tiny_config())
         with pytest.raises(ValueError):
             tr.evaluate(model, np.zeros((1, 10)), 32, 8)
+
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_metrics_independent_of_batch_size(self, seed):
+        # the ETTh1 shape, where a no-grad pass runs 12 windows at a time;
+        # 70 windows make batch 64 two batches and chunk it unevenly
+        cfg = md.ModelConfig(C=7, L=96, T=96, d=16, h=128, seed=seed % 1000)
+        model = md.TwinSModel(cfg)
+        split = np.random.default_rng(seed).normal(
+            size=(cfg.C, cfg.L + cfg.T - 1 + 70))
+        got = [tr.evaluate(model, split, cfg.L, cfg.T, batch_size=b)
+               for b in (1, 7, 64, 70)]
+        for m in got[1:]:
+            assert m.mse == pytest.approx(got[0].mse, rel=1e-12, abs=0)
+            assert m.mae == pytest.approx(got[0].mae, rel=1e-12, abs=0)
 
 
 class TestTrain:
