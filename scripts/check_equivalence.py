@@ -5,18 +5,23 @@
 
 PARENT_SRC is the directory that holds the other tree's ``twins`` package
 (its ``src``). Each tree runs in its own subprocess: for every config below
-it builds the model, then takes 2 steps of forward, MSE loss, backward,
-gradient clipping and Adam on fixed random batches, and saves the forecasts,
-the losses, every parameter gradient of each step and the final parameters.
-It then forecasts 100 fresh windows in one no-grad forward with the final
-parameters.
+it builds the model, then takes 2 training steps on fixed random batches,
+each the step ``training.train`` takes (the loss and gradients of
+``training.batch_gradients``, then gradient clipping and Adam), and saves
+the losses, every parameter gradient of each step and the final
+parameters. A tree without ``batch_gradients`` trains on one recorded pass
+per batch, as its ``train`` does. It then forecasts 100 fresh windows in
+one no-grad forward with the final parameters.
 
-The two kinds of array are held to different standards. The recorded
-arrays (training forecasts, losses, gradients, parameters) must be
-bit-identical when a change leaves the arithmetic alone. The no-grad
-forecast need only agree within 1e-12: a no-grad pass runs in chunks of
-windows sized from the config, 12 at the ETTh1 shape, so its matrix
-products see other shapes than one batch of 100 and may round differently.
+Both a training step and a no-grad pass run in chunks of windows sized
+from the config: 85 windows at the gate shape and 12 at the ETTh1 shape.
+So a change that leaves the arithmetic alone keeps every recorded array
+(losses, gradients, parameters) of the gate-shape configs bit-identical,
+since a batch of 32 is one chunk there. At the ETTh1 shape a batch is
+three chunks whose matrix products see other shapes than one batch, and
+the 100-window no-grad forecast is several chunks at both shapes; these
+arrays need only agree within 1e-12 when compared with a tree that runs
+them as one batch.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
@@ -64,6 +69,14 @@ def run_tree(src: str, out_path: str) -> None:
     pkg = os.path.dirname(os.path.realpath(twins.__file__))
     if os.path.dirname(pkg) != os.path.realpath(src):
         raise SystemExit(f"imported twins from {pkg}, not from {src}")
+
+    def one_pass(model, x, y):
+        model.zero_grad()
+        loss = ad.mse(model.forward(x, training=True), ad.Tensor(y))
+        ad.backward(loss)
+        return loss.item()
+
+    batch_gradients = getattr(tr, "batch_gradients", one_pass)
     arrays = {}
     for name, fields in CONFIGS.items():
         cfg = md.ModelConfig(**fields)
@@ -74,12 +87,7 @@ def run_tree(src: str, out_path: str) -> None:
         for step in range(STEPS):
             x = rng.standard_normal((BATCH, 1, cfg.C, cfg.L))
             y = rng.standard_normal((BATCH, cfg.C, cfg.T))
-            model.zero_grad()
-            pred = model.forward(x, training=True)
-            loss = ad.mse(pred, ad.Tensor(y))
-            ad.backward(loss)
-            arrays[f"{name}/{step}/forecast"] = pred.data
-            arrays[f"{name}/{step}/loss"] = loss.data
+            arrays[f"{name}/{step}/loss"] = batch_gradients(model, x, y)
             for pname, p in model.params.items():
                 arrays[f"{name}/{step}/grad/{pname}"] = p.grad
             grads, _ = ad.clip_grad_norm([p.grad for p in params],

@@ -111,20 +111,26 @@ def split_standardize(raw: RawSeries, ratios=(0.6, 0.2, 0.2)) -> SplitDataset:
     )
 
 
-def make_windows(values: np.ndarray, L: int, T: int) -> WindowBatch:
-    """Lookback/target pairs at every offset of one split."""
+def window_view(values: np.ndarray, L: int, T: int) -> WindowBatch:
+    """Lookback/target pairs at every offset of one split, as read-only
+    views of it: nothing is copied until a batch is taken."""
     n = values.shape[1]
     if n < L + T:
         raise ValueError(
             f"split of length {n} too short for L={L}, T={T}"
         )
-    # (n - L - T + 1, C, L + T) read-only view; each output is copied out
-    # of it once
+    # (n - L - T + 1, C, L + T)
     win = np.lib.stride_tricks.sliding_window_view(
-        values, L + T, axis=1).transpose(1, 0, 2)
-    inputs = np.array(win[:, None, :, :L], dtype=np.float64, order="C")
-    targets = np.array(win[:, :, L:], dtype=np.float64, order="C")
-    return WindowBatch(inputs, targets)
+        np.asarray(values, dtype=np.float64), L + T, axis=1).transpose(1, 0, 2)
+    return WindowBatch(win[:, None, :, :L], win[:, :, L:])
+
+
+def make_windows(values: np.ndarray, L: int, T: int) -> WindowBatch:
+    """Lookback/target pairs at every offset of one split, each copied out
+    of ``window_view`` once."""
+    view = window_view(values, L, T)
+    return WindowBatch(np.ascontiguousarray(view.inputs),
+                       np.ascontiguousarray(view.targets))
 
 
 def synth_multiperiod(length: int, channels: int, components,

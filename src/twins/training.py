@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import SplitDataset, make_windows
-from .model import ModelConfig, TwinSModel
+from .data import SplitDataset, make_windows, window_view
+from .model import ModelConfig, TwinSModel, chunk_windows
 
 CLIP_NORM = 5.0
 
@@ -64,16 +64,18 @@ def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
     """Mean squared/absolute error over every window of a split, stride 1.
 
     Metrics are on the globally standardized scale, accumulated in window
-    order so the reduction is deterministic.
+    order so the reduction is deterministic. Each batch is copied out of a
+    view of the split, so no more than one batch of windows is ever built.
     """
-    wb = make_windows(split, L, T)
+    windows = window_view(split, L, T)
     se = 0.0
     ae = 0.0
     count = 0
     with ad.no_grad():
-        for i in range(0, wb.inputs.shape[0], batch_size):
-            pred = model.forward(wb.inputs[i:i + batch_size]).data
-            diff = pred - wb.targets[i:i + batch_size]
+        for i in range(0, windows.inputs.shape[0], batch_size):
+            pred = model.forward(
+                np.ascontiguousarray(windows.inputs[i:i + batch_size])).data
+            diff = pred - windows.targets[i:i + batch_size]
             se += float((diff * diff).sum())
             ae += float(np.abs(diff).sum())
             count += diff.size
@@ -89,6 +91,33 @@ def lookback_mean_baseline(split: np.ndarray, L: int, T: int) -> Metrics:
                    mae=float(np.abs(diff).mean()))
 
 
+def batch_gradients(model: TwinSModel, inputs: np.ndarray,
+                    targets: np.ndarray) -> float:
+    """Batch MSE of one training step; leaves its gradient on every parameter.
+
+    Windows never interact and the loss is a mean over windows, so the batch
+    runs in chunks of ``chunk_windows`` windows, like a no-grad pass: each
+    chunk's loss, scaled by the chunk's share of the batch, is recorded and
+    consumed by its own backward, and the gradients add up on the
+    parameters. A batch of one chunk runs the ops of one recorded pass. A
+    non-finite chunk loss is returned before its backward runs.
+    """
+    model.zero_grad()
+    n = inputs.shape[0]
+    rows = chunk_windows(model.config)
+    total = 0.0
+    for i in range(0, n, rows):
+        pred = model.forward(inputs[i:i + rows], training=True)
+        loss = ad.mse(pred, Tensor(targets[i:i + rows]))
+        lv = loss.item()
+        if not np.isfinite(lv):
+            return lv
+        share = pred.shape[0] / n
+        ad.backward(loss if share == 1.0 else ad.scale(loss, share))
+        total += share * lv
+    return total
+
+
 def train(cfg: ModelConfig, dataset: SplitDataset,
           log_fn: Optional[Callable[[dict], None]] = None,
           eval_test: bool = True) -> tuple:
@@ -99,8 +128,8 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     """
     cfg.validate()
     model = TwinSModel(cfg)
-    wb = make_windows(dataset.train, cfg.L, cfg.T)
-    n_windows = wb.inputs.shape[0]
+    windows = window_view(dataset.train, cfg.L, cfg.T)
+    n_windows = windows.inputs.shape[0]
     params = model.parameters()
     opt = ad.AdamState(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed + 1000)
@@ -115,13 +144,10 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
         loss_batches = 0
         for bi, i in enumerate(range(0, n_windows, cfg.batch_size)):
             idx = order[i:i + cfg.batch_size]
-            model.zero_grad()
-            pred = model.forward(wb.inputs[idx], training=True)
-            loss = ad.mse(pred, Tensor(wb.targets[idx]))
-            lv = loss.item()
+            lv = batch_gradients(model, windows.inputs[idx],
+                                 windows.targets[idx])
             if not np.isfinite(lv):
                 raise TrainAbort(epoch, bi)
-            ad.backward(loss)
             grads, _ = ad.clip_grad_norm([p.grad for p in params], CLIP_NORM)
             ad.adam_step(params, grads, opt)
             loss_sum += lv

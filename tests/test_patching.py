@@ -116,6 +116,22 @@ class TestRoll:
         back = pt.window_roll(pt.window_roll(pm, 2), -2)
         np.testing.assert_array_equal(back.data.data, pm.data.data)
 
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 3), C=st.integers(1, 3), L=st.integers(1, 24),
+           lead=st.sampled_from([(1,), (3,), (2, 2)]),
+           seed=st.integers(0, 10 ** 6))
+    def test_unfold_roll_unroll_fold_exact(self, d, C, L, lead, seed):
+        # what every shifted encoder layer does to its input, at every
+        # scale that divides L and every shift, with batch prefixes
+        x = Tensor(np.random.default_rng(seed).normal(size=lead + (d, C, L)))
+        for s in (s for s in range(1, L + 1) if L % s == 0):
+            P = L // s
+            for r in range(-P, P + 1):
+                pm = pt.window_roll(pt.window_unfold(x, s), r)
+                back = pt.window_fold(pt.window_roll(pm, -r))
+                np.testing.assert_array_equal(back.data, x.data,
+                                              err_msg=f"scale {s}, shift {r}")
+
     def test_metadata_carried(self):
         pm = pt.window_unfold(point_map(2, 1, 8), scale=4)
         rolled = pt.window_roll(pm, 1)

@@ -2,15 +2,24 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twins import autodiff as ad
 from twins import data as dt
+from twins import gradcheck as gc
 from twins import model as md
 from twins import training as tr
+
+# the paper's ETTh1 shape, where a batch of windows runs 12 at a time, and
+# the tier-1 learning gate's, where a batch of up to 85 is one chunk
+ETTH1 = dict(C=7, L=96, T=96, d=16, h=128)
+GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)
+ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
 
 
 def tiny_dataset(length=400, channels=1, period=8, noise=0.0, seed=0):
@@ -69,6 +78,137 @@ class TestEvaluate:
             assert m.mse == pytest.approx(got[0].mse, rel=1e-12, abs=0)
             assert m.mae == pytest.approx(got[0].mae, rel=1e-12, abs=0)
 
+    def test_peak_near_one_batch_forward(self):
+        # 2690 windows, the size of ETTh1's test split: as whole arrays they
+        # would take 28 MiB whatever the model, so a light model keeps the
+        # test quick without hiding them
+        cfg = md.ModelConfig(C=7, L=96, T=96, d=4, h=16, n_layers=1)
+        model = md.TwinSModel(cfg)
+        split = np.random.default_rng(0).normal(size=(cfg.C, 2881))
+        x = np.random.default_rng(1).normal(size=(64, 1, cfg.C, cfg.L))
+        peaks = []
+        for run in (lambda: model.forward(x),
+                    lambda: tr.evaluate(model, split, cfg.L, cfg.T, 64)):
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], [p / 2 ** 20 for p in peaks]
+
+
+def etth1_shaped_dataset(n_windows, seed):
+    """Random splits with ``n_windows`` training windows and 9 validation
+    windows at the ETTh1 shape."""
+    rng = np.random.default_rng(seed)
+    split = lambda n: rng.normal(size=(7, 96 + 96 - 1 + n))
+    return dt.SplitDataset(train=split(n_windows), val=split(9),
+                           test=split(9), mean=np.zeros((7, 1)),
+                           scale=np.ones((7, 1)))
+
+
+def one_pass_gradients(model, x, y):
+    """Loss and gradients of one recorded pass over the whole batch."""
+    model.zero_grad()
+    loss = ad.mse(model.forward(x, training=True), ad.Tensor(y))
+    ad.backward(loss)
+    return loss.item(), {k: np.array(t.grad) for k, t in model.params.items()}
+
+
+class TestBatchGradients:
+    """A training step runs in chunks of windows and accumulates what one
+    recorded pass over the batch gives."""
+
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           variant=st.sampled_from(md.VARIANTS))
+    @pytest.mark.parametrize("batch", [1, ROWS - 1, ROWS, ROWS + 1,
+                                       3 * ROWS + 2])
+    def test_chunked_matches_one_pass(self, batch, seed, variant):
+        model = md.TwinSModel(md.ModelConfig(**ETTH1, variant=variant,
+                                             seed=seed % 1000))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, 1, 7, 96))
+        y = rng.normal(size=(batch, 7, 96))
+        want_loss, want = one_pass_gradients(model, x, y)
+        loss = tr.batch_gradients(model, x, y)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        for name, t in model.params.items():
+            assert gc.rel_error(t.grad, want[name]) <= 1e-12, name
+
+    @pytest.mark.parametrize("variant", md.VARIANTS)
+    def test_one_chunk_is_one_pass(self, variant):
+        # a gate-shape batch of 32 is one chunk: the same ops, the same bits
+        model = md.TwinSModel(md.ModelConfig(**GATE, variant=variant))
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(32, 1, 2, 96))
+        y = rng.normal(size=(32, 2, 24))
+        want_loss, want = one_pass_gradients(model, x, y)
+        assert tr.batch_gradients(model, x, y) == want_loss
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.grad, want[name], err_msg=name)
+
+    def test_peak_independent_of_batch(self):
+        model = md.TwinSModel(md.ModelConfig(**ETTH1, variant="twins_plus"))
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(128, 1, 7, 96))
+        y = rng.normal(size=(128, 7, 96))
+        peaks = []
+        for n in (ROWS, 128):
+            tracemalloc.start()
+            try:
+                tr.batch_gradients(model, x[:n], y[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], [p / 2 ** 20 for p in peaks]
+
+    def test_nan_in_later_chunk_aborts_before_its_backward(self, monkeypatch):
+        # a NaN at the last step of the train split reaches only the last
+        # window's target; pick the seed whose first shuffle (train draws
+        # it from seed + 1000) puts that window in a batch's second chunk
+        n, batch = 5 * ROWS, 2 * ROWS
+
+        def place(seed):
+            pos = int(np.flatnonzero(np.random.default_rng(
+                seed + 1000).permutation(n) == n - 1)[0])
+            return pos // batch, pos % batch // ROWS
+
+        seed = next(s for s in range(100) if place(s)[1] == 1)
+        want_batch = place(seed)[0]
+        ds = etth1_shaped_dataset(n, seed=4)
+        ds.train[3, -1] = np.nan
+        calls = []
+        real_backward = ad.backward
+
+        def counting_backward(loss):
+            calls.append(loss)
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        cfg = md.ModelConfig(**ETTH1, batch_size=batch, epochs=2, seed=seed)
+        with pytest.raises(tr.TrainAbort) as err:
+            tr.train(cfg, ds, eval_test=False)
+        assert (err.value.epoch, err.value.batch) == (0, want_batch)
+        # every chunk before the poisoned one ran its backward; it did not
+        assert len(calls) == 2 * want_batch + 1
+
+    def test_dropout_repeats_per_seed(self):
+        # batches of 2 chunks draw their dropout masks chunk by chunk from
+        # the model's generator, so a seed still fixes every bit
+        ds = etth1_shaped_dataset(30, seed=5)
+        cfg = md.ModelConfig(**ETTH1, dropout=0.1, batch_size=2 * ROWS,
+                             epochs=1)
+        runs = [tr.train(cfg, ds, eval_test=False) for _ in range(2)]
+        (m1, h1), (m2, h2) = runs
+        assert [r.train_loss for r in h1.records] == \
+            [r.train_loss for r in h2.records]
+        assert h1.best_val_mse == h2.best_val_mse
+        for name, t in m1.params.items():
+            np.testing.assert_array_equal(t.data, m2.params[name].data)
+
 
 class TestTrain:
     def test_loss_halves_on_pure_sinusoid(self):
@@ -87,13 +227,13 @@ class TestTrain:
 
         def counting_windows(values, *args, **kwargs):
             windows.append(values)
-            return dt.make_windows(values, *args, **kwargs)
+            return dt.window_view(values, *args, **kwargs)
 
         def counting_evaluate(model, split, *args, **kwargs):
             evaluated.append(split)
             return real_evaluate(model, split, *args, **kwargs)
 
-        monkeypatch.setattr(tr, "make_windows", counting_windows)
+        monkeypatch.setattr(tr, "window_view", counting_windows)
         monkeypatch.setattr(tr, "evaluate", counting_evaluate)
         ds = tiny_dataset(seed=4)
         _, hist = tr.train(tiny_config(epochs=3, patience=10), ds,
