@@ -11,7 +11,9 @@ each the step ``training.train`` takes (the loss and gradients of
 the losses, every parameter gradient of each step and the final
 parameters. A tree without ``batch_gradients`` trains on one recorded pass
 per batch, as its ``train`` does. It then forecasts 100 fresh windows in
-one no-grad forward with the final parameters.
+one no-grad forward with the final parameters, and the first of them once
+more as a single ``(1, C, L)`` window with no batch prefix, the path of
+``twins forecast`` and of the benchmark's batch-1 forecasts.
 
 Both a training step and a no-grad pass run in chunks of windows sized
 from the config: 85 windows at the gate shape and 12 at the ETTh1 shape.
@@ -21,7 +23,8 @@ since a batch of 32 is one chunk there. At the ETTh1 shape a batch is
 three chunks whose matrix products see other shapes than one batch, and
 the 100-window no-grad forecast is several chunks at both shapes; these
 arrays need only agree within 1e-12 when compared with a tree that runs
-them as one batch.
+them as one batch. The single-window forecast is one chunk on every tree,
+so it is bit-identical whenever the arithmetic is.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
@@ -98,6 +101,7 @@ def run_tree(src: str, out_path: str) -> None:
         x = rng.standard_normal((NO_GRAD_WINDOWS, 1, cfg.C, cfg.L))
         with ad.no_grad():
             arrays[f"{name}/no_grad/forecast"] = model.forward(x).data
+            arrays[f"{name}/no_grad/single"] = model.forward(x[0]).data
     np.savez(out_path, **arrays)
 
 

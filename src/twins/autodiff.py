@@ -259,12 +259,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _check_binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(
-            f"{op}: shapes {a.shape} and {b.shape} do not align"
-        ) from None
+    """Raise unless numpy broadcasting aligns the two shapes (its rule,
+    checked in Python: trailing axes agree or one of them is 1)."""
+    sa, sb = a.shape, b.shape
+    if sa != sb and any(m != n and m != 1 and n != 1
+                        for m, n in zip(sa[::-1], sb[::-1])):
+        raise ValueError(f"{op}: shapes {sa} and {sb} do not align")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def sigmoid(a: Tensor) -> Tensor:
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    y = np.where(x >= 0, 1.0, e)  # 1 / (1 + e) for x >= 0, e / (1 + e) below
+    y = np.maximum(e, x >= 0)  # 1 / (1 + e) for x >= 0, e / (1 + e) below
     e += 1.0
     y /= e
 
@@ -407,14 +407,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, bwd, x, w, b)
 
 
+def _tap_slices(k: int, n: int):
+    """(tap, output rows, input rows) of an odd width-k zero-padded
+    correlation along an axis of length n; taps that miss it are skipped."""
+    pad = (k - 1) // 2
+    for j in range(k):
+        s = j - pad
+        if abs(s) < n:
+            yield (j, slice(max(0, -s), n - max(0, s)),
+                   slice(max(0, s), n + min(0, s)))
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(..., Cin, L) -> (..., Cin*k, L) zero-padded columns; row c*k + j
     holds channel c shifted by tap j."""
-    pad = (k - 1) // 2
     L = x.shape[-1]
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
-    win = np.lib.stride_tricks.sliding_window_view(xp, L, axis=-1)
-    return win.reshape(x.shape[:-2] + (x.shape[-2] * k, L))  # copies the view
+    cols = np.zeros(x.shape[:-1] + (k, L))
+    for j, dst, src in _tap_slices(k, L):
+        cols[..., j, dst] = x[..., src]
+    return cols.reshape(x.shape[:-2] + (x.shape[-2] * k, L))
 
 
 def _correlate(x: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -454,17 +465,6 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             rx.accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]))
 
     return _make(out, bwd, x, kernels)
-
-
-def _tap_slices(k: int, n: int):
-    """(tap, output rows, input rows) of an odd width-k zero-padded
-    correlation along an axis of length n; taps that miss it are skipped."""
-    pad = (k - 1) // 2
-    for j in range(k):
-        s = j - pad
-        if abs(s) < n:
-            yield (j, slice(max(0, -s), n - max(0, s)),
-                   slice(max(0, s), n + min(0, s)))
 
 
 def _dw_correlate(a: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -519,7 +519,7 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ValueError(f"reshape {a.shape} -> {shape} changes element count")
 
     def bwd(g, ra):
@@ -532,7 +532,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ValueError(f"transpose axes {axes} invalid for ndim {a.ndim}")
-    inv = np.argsort(axes)
+    inv = sorted(range(a.ndim), key=axes.__getitem__)
 
     def bwd(g, ra):
         ra.accum(g.transpose(inv))
@@ -561,13 +561,24 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(a.data[idx].copy(), bwd, a)
 
 
+def _roll(x: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """``np.roll(x, shift, axis)`` as two slice copies."""
+    n = x.shape[axis]
+    s = shift % (n or 1)
+    lead = (slice(None),) * axis
+    out = np.empty_like(x)
+    out[lead + (slice(s, None),)] = x[lead + (slice(None, n - s),)]
+    out[lead + (slice(None, s),)] = x[lead + (slice(n - s, None),)]
+    return out
+
+
 def roll(a: Tensor, shift: int, axis: int) -> Tensor:
     axis = axis % a.ndim
 
     def bwd(g, ra):
-        ra.accum(np.roll(g, -shift, axis=axis))
+        ra.accum(_roll(g, -shift, axis))
 
-    return _make(np.roll(a.data, shift, axis=axis), bwd, a)
+    return _make(_roll(a.data, shift, axis), bwd, a)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ patch axis and is undone by the opposite shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -72,4 +72,4 @@ def window_roll(pm: PatchedFeatureMap, r: int) -> PatchedFeatureMap:
     if r % pm.P == 0:
         return pm
     rolled = ad.roll(pm.data, r, axis=pm.data.ndim - 2)
-    return replace(pm, data=rolled)
+    return PatchedFeatureMap(rolled, pm.scale)

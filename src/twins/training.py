@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -257,7 +258,7 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                     f"{path}: array {name!r} has shape {shape}, "
                     f"config implies {t.shape}"
                 )
-            nbytes = int(np.prod(shape)) * 8 if shape else 8
+            nbytes = math.prod(shape) * 8
             blob = _read_exact(fh, nbytes, f"data of {name!r}")
             t.data[:] = np.frombuffer(blob, dtype="<f8").reshape(shape)
         trailing = fh.read(1)

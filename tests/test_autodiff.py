@@ -1,11 +1,14 @@
 """Gradient and value checks for the autodiff core."""
 
 import math
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from twins import autodiff as ad
@@ -66,6 +69,17 @@ class TestValues:
         assert y[0] == 0.0
         np.testing.assert_allclose(y[1], 0.8413447460685429, atol=1e-12)
         np.testing.assert_allclose(y[2], -0.15865525393145707, atol=1e-12)
+
+    def test_sigmoid_special_values_match_select_formula(self):
+        # the select np.where(x >= 0, 1.0, e) that np.maximum(e, x >= 0)
+        # replaced, bit for bit: signed zeros, infinities and NaN included
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+                            np.random.default_rng(3).normal(size=50) * 30])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        got = ad.sigmoid(t(x, rg=False)).data
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[4:6]).all()
 
     def test_sigmoid_extremes_stable(self):
         x = t([1000.0, -1000.0], rg=False)
@@ -596,9 +610,21 @@ class TestShapeErrors:
         with pytest.raises(ValueError):
             ad.add(t(np.ones((2, 3))), t(np.ones((2, 4))))
 
+    def test_mul_incompatible_message(self):
+        msg = "mul: shapes (2, 3) and (2, 4) do not align"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            ad.mul(t(np.ones((2, 3))), t(np.ones((2, 4))))
+
     def test_reshape_wrong_count(self):
-        with pytest.raises(ValueError):
+        msg = "reshape (2, 3) -> (7,) changes element count"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             ad.reshape(t(np.ones((2, 3))), (7,))
+
+    @pytest.mark.parametrize("axes", [(0, 0), (1,), (0, 2), (-1, 0)])
+    def test_transpose_bad_axes_message(self, axes):
+        msg = f"transpose axes {axes} invalid for ndim 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            ad.transpose(t(np.ones((2, 3))), axes)
 
     def test_narrow_out_of_range(self):
         with pytest.raises(ValueError):
@@ -607,6 +633,74 @@ class TestShapeErrors:
     def test_mse_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.mse(t(np.ones(3)), t(np.ones(4)))
+
+
+def old_im2col(x, k):
+    """The pad-plus-sliding-window columns ``_im2col`` used to build."""
+    L = x.shape[-1]
+    win = np.lib.stride_tricks.sliding_window_view(_pad_last(x, (k - 1) // 2),
+                                                   L, axis=-1)
+    return win.reshape(x.shape[:-2] + (x.shape[-2] * k, L))
+
+
+class TestHelpersMatchNumpy:
+    """The shape helpers written out in Python give exactly the arrays of the
+    numpy calls they replace, so every op keeps its output bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           transposed=st.booleans(), data=st.data())
+    def test_roll_matches_np_roll(self, shape, transposed, data):
+        axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+        n = shape[axis]
+        shift = data.draw(st.integers(-2 * n, 2 * n), label="shift")
+        rng = np.random.default_rng(len(shape) * 100 + n)
+        x = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
+        out = ad.roll(t(x), shift, axis)
+        want = np.roll(x, shift, axis=axis)
+        assert np.array_equal(out.data, want)
+        assert out.data.strides == want.strides
+        g = rng.normal(size=out.shape)
+        a = t(x)
+        run_node(ad.roll(a, shift, axis - len(shape)), g)
+        assert np.array_equal(a.grad, np.roll(g, -shift, axis=axis))
+
+    @pytest.mark.parametrize("shape, k", [
+        ((4, 10), 1), ((4, 10), 3), ((2, 3, 1, 12), 15), ((3, 2, 4, 10), 5),
+        ((1, 5), 15), ((2, 1, 3), 9),       # k > L: outer taps miss the axis
+        ((1, 1), 3),
+    ])
+    def test_im2col_matches_pad_and_sliding_window(self, shape, k):
+        x = np.random.default_rng(k).normal(size=shape)
+        got, want = ad._im2col(x, k), old_im2col(x, k)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sa=st.lists(st.integers(1, 3), max_size=4),
+           sb=st.lists(st.integers(1, 3), max_size=4))
+    def test_shape_check_accepts_what_numpy_broadcasts(self, sa, sb):
+        a, b = t(np.ones(sa)), t(np.ones(sb))
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            with pytest.raises(ValueError, match="^mul: shapes"):
+                ad.mul(a, b)
+        else:
+            assert ad.mul(a, b).shape == np.broadcast_shapes(a.shape, b.shape)
+
+    @pytest.mark.parametrize("ndim", range(1, 7))
+    def test_transpose_inverse_matches_argsort(self, ndim):
+        rng = np.random.default_rng(ndim)
+        for _ in range(10):
+            axes = tuple(int(i) for i in rng.permutation(ndim))
+            a = t(rng.normal(size=tuple(rng.integers(1, 4, size=ndim))))
+            out = ad.transpose(a, axes)
+            g = rng.normal(size=out.shape)
+            run_node(out, g)
+            want = g.transpose(np.argsort(axes))
+            assert np.array_equal(a.grad, want)
+            assert a.grad.strides == want.strides
 
 
 class TestGradcheckAllOps:

@@ -1,5 +1,6 @@
 """Model assembly contracts: shapes, residual identity, equivariance, grads."""
 
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -79,6 +80,18 @@ class TestInstanceNorm:
         xn, stats = md.instance_normalize(x)
         back = md.instance_denormalize(Tensor(xn.data[0]), stats)
         np.testing.assert_allclose(back.data, x[0], atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 7, 96), (5, 1, 3, 16), (1, 2, 1)])
+    def test_matches_numpy_mean_and_std(self, shape):
+        # bit for bit, with constant rows (std 0) among the random ones
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 3 + 1
+        x[..., 0, :] = 0.7
+        mean = x.mean(axis=-1, keepdims=True)
+        std = x.std(axis=-1, keepdims=True)
+        xn, stats = md.instance_normalize(x)
+        assert xn.data.tobytes() == ((x - mean) / (std + md.INSTANCE_EPS)).tobytes()
+        assert stats.mean.tobytes() == np.squeeze(mean, axis=-3).tobytes()
+        assert stats.std.tobytes() == np.squeeze(std, axis=-3).tobytes()
 
     def test_batched_stats_shape(self):
         x = np.random.default_rng(1).normal(size=(4, 1, 3, 8))
@@ -500,3 +513,35 @@ class TestChunkedInference:
                 finally:
                     tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], [p / 2 ** 20 for p in peaks]
+
+
+# general numpy helpers whose shape bookkeeping cost more than the
+# arithmetic of a batch-1 forecast
+SHAPE_HELPERS = {"numpy": {"prod", "argsort", "pad", "roll",
+                           "broadcast_shapes", "sliding_window_view"},
+                 "dataclasses": {"replace"}}
+
+
+def test_batch1_forecast_calls_no_shape_helpers():
+    model = md.TwinSModel(md.ModelConfig(**GATE))
+    x = np.random.default_rng(6).normal(size=(1, 2, 96))
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            seen.add((module.partition(".")[0], frame.f_code.co_name))
+        elif event == "c_call":  # a C function, or a method of a C type
+            module = getattr(arg, "__module__", None) or type(
+                getattr(arg, "__self__", None)).__module__
+            seen.add((module.partition(".")[0], arg.__name__))
+
+    with ad.no_grad():
+        sys.setprofile(record)
+        try:
+            model.forward(x)
+        finally:
+            sys.setprofile(None)
+    assert ("twins", "conv1d") in seen and ("twins", "roll") in seen
+    called = {(m, f) for m, f in seen if f in SHAPE_HELPERS.get(m, ())}
+    assert not called, sorted(called)
