@@ -16,21 +16,27 @@ more as a single ``(1, C, L)`` window with no batch prefix, the path of
 ``twins forecast`` and of the benchmark's batch-1 forecasts.
 
 Both a training step and a no-grad pass run in chunks of windows sized
-from the config: 85 windows at the gate shape and 12 at the ETTh1 shape.
+from the config: 42 windows at the gate shape and 6 at the ETTh1 shape.
 So a change that leaves the arithmetic alone keeps every recorded array
 (losses, gradients, parameters) of the gate-shape configs bit-identical,
 since a batch of 32 is one chunk there. At the ETTh1 shape a batch is
-three chunks whose matrix products see other shapes than one batch, and
+six chunks whose matrix products see other shapes than one batch, and
 the 100-window no-grad forecast is several chunks at both shapes; these
 arrays need only agree within 1e-12 when compared with a tree that runs
-them as one batch. The single-window forecast is one chunk on every tree,
-so it is bit-identical whenever the arithmetic is.
+them in chunks of another size. The single-window forecast is one chunk on
+every tree, so it is bit-identical whenever the arithmetic is.
+
+This tree runs twice, with its chunks on two worker threads and on the
+calling thread alone, and those two runs must agree bit for bit: the
+worker count may change when a chunk runs, never what it computes.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
-the bit-identical count of the recorded arrays alone. It exits 1 when an
-array is missing on one side or differs by more than 1e-12, and 2 on a bad
-argument.
+the bit-identical count of the recorded arrays alone, first for the two
+runs of this tree and then for this tree against PARENT_SRC. It exits 1
+when an array is missing on one side, when the runs of this tree differ in
+a bit, or when an array differs from PARENT_SRC by more than 1e-12, and 2
+on a bad argument.
 """
 
 import os
@@ -61,8 +67,9 @@ HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "src")
 
 
-def run_tree(src: str, out_path: str) -> None:
-    """Worker: train every config with the package under ``src``."""
+def run_tree(src: str, out_path: str, workers: int = 0) -> None:
+    """Worker: train every config with the package under ``src``, its
+    chunks on ``workers`` threads (0: as many as the tree chooses)."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -72,6 +79,8 @@ def run_tree(src: str, out_path: str) -> None:
     pkg = os.path.dirname(os.path.realpath(twins.__file__))
     if os.path.dirname(pkg) != os.path.realpath(src):
         raise SystemExit(f"imported twins from {pkg}, not from {src}")
+    if workers:
+        md._cpus = lambda: workers
 
     def one_pass(model, x, y):
         model.zero_grad()
@@ -113,10 +122,12 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return err / scale if scale > 0.0 else err
 
 
-def compare(mine: dict, theirs: dict) -> bool:
+def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
+    """Print how ``mine`` and ``theirs`` agree; True if every array is on
+    both sides and within ``tol`` (0: bit-identical)."""
     ok = True
     for key in sorted(set(mine) ^ set(theirs)):
-        print(f"only in {'this tree' if key in mine else 'PARENT_SRC'}: {key}")
+        print(f"only in {'this tree' if key in mine else other}: {key}")
         ok = False
     total_same = total = recorded_same = recorded = 0
     overall = 0.0
@@ -136,28 +147,39 @@ def compare(mine: dict, theirs: dict) -> bool:
           f"worst relative difference {overall:.3e}")
     print(f"{'recorded arrays':26s} {recorded_same:4d}/{recorded:<4d} "
           f"bit-identical")
-    return ok and overall <= TOL
+    if tol == 0.0:
+        return ok and total_same == total
+    return ok and overall <= tol
 
 
 def main(argv) -> int:
-    if len(argv) == 3 and argv[0] == "--worker":
-        run_tree(argv[1], argv[2])
+    if len(argv) == 4 and argv[0] == "--worker":
+        run_tree(argv[1], argv[2], int(argv[3]))
         return 0
     if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "twins")):
         print("usage: check_equivalence.py PARENT_SRC, a directory that "
               "holds a twins package", file=sys.stderr)
         return 2
+    runs = (("two workers", HERE_SRC, 2), ("one worker", HERE_SRC, 1),
+            ("PARENT_SRC", argv[0], 0))
     with tempfile.TemporaryDirectory() as tmp:
         results = []
-        for i, src in enumerate((HERE_SRC, argv[0])):
+        for i, (_, src, workers) in enumerate(runs):
             out = os.path.join(tmp, f"tree{i}.npz")
             subprocess.run([sys.executable, os.path.abspath(__file__),
-                            "--worker", os.path.abspath(src), out], check=True)
+                            "--worker", os.path.abspath(src), out,
+                            str(workers)], check=True)
             with np.load(out) as f:
                 results.append({k: f[k] for k in f.files})
-    same = compare(*results)
+    here, alone, parent = results
+    print("this tree, two workers against one worker:")
+    same_bits = compare(here, alone, "the one-worker run", 0.0)
+    print("this tree against PARENT_SRC:")
+    same = compare(here, parent, "PARENT_SRC", TOL)
+    print("worker counts " + ("bit-identical" if same_bits
+                              else "NOT bit-identical"))
     print("equivalent" if same else f"NOT equivalent (tolerance {TOL:g})")
-    return 0 if same else 1
+    return 0 if same and same_bits else 1
 
 
 if __name__ == "__main__":

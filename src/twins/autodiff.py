@@ -22,8 +22,10 @@ gradient or an array their backward still needs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -75,9 +77,11 @@ _creation = itertools.count()  # orders nodes: inputs before outputs
 # is not a leaf, so a new graph through it cannot get a correct gradient.
 _CONSUMED = object()
 
-# Multiply-accumulate counters for the complexity report.
+# Multiply-accumulate counters for the complexity report; the lock keeps
+# the increments of ops running on several threads.
 _counting_macs = False
 _mac_total = 0
+_mac_lock = threading.Lock()
 
 
 def enable_mac_counting(enabled: bool = True) -> None:
@@ -98,7 +102,8 @@ def mac_count() -> int:
 def _add_macs(n: int) -> None:
     global _mac_total
     if _counting_macs:
-        _mac_total += int(n)
+        with _mac_lock:
+            _mac_total += int(n)
 
 
 @contextmanager
@@ -600,6 +605,15 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, bwd, a)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_mean(D: int) -> np.ndarray:
+    """Read-only vector of 1/D, built once per width."""
+    v = np.empty(D)
+    v.fill(1.0 / D)
+    v.flags.writeable = False
+    return v
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each row of the last axis to zero mean / unit variance,
     then scale by ``gamma`` and shift by ``beta`` (both of that length).
@@ -613,7 +627,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"({D},) for input {x.shape}"
         )
     xd, gd = x.data, gamma.data
-    row_mean = np.full(D, 1.0 / D)
+    row_mean = _row_mean(D)
     xhat = xd - (xd @ row_mean)[..., None]
     var = np.einsum("...i,...i->...", xhat, xhat) / D
     inv = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[..., None]

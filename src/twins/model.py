@@ -12,12 +12,18 @@ optional batch prefix, predictions are (C, T).
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
+from . import _blas
 from . import autodiff as ad
 from . import attention as at
 from . import embedding as emb
@@ -25,12 +31,12 @@ from . import patching as pt
 from .autodiff import Tensor
 
 INSTANCE_EPS = 1e-5
-# A no-grad pass runs in chunks of windows whose residual map fits in this
-# many bytes (see chunk_windows), so a chunk's elementwise passes stay in a
-# 2 MiB per-core L2. Swept on the ETTh1-shape infer benchmark: 256 KiB to
-# 1 MiB reach the same resident-set floor, 2 and 4 MiB do not; 1 MiB is as
-# fast as 512 KiB and keeps a 64-window pass at the gate shape one chunk.
-CHUNK_BYTES = 2 ** 20
+# A pass runs in chunks of windows whose residual map fits in this many
+# bytes (see chunk_windows), one chunk per CPU at a time, so two chunks in
+# flight hold what one chunk of 1 MiB did. Swept with two workers on the
+# ETTh1-shape benchmarks (256 KiB, 512 KiB, 1 MiB; see CHANGES.md); 512 KiB
+# keeps every batch at the gate shape one chunk.
+CHUNK_BYTES = 2 ** 19
 
 VARIANTS = ("mhsa", "twins", "twins_plus")
 
@@ -226,12 +232,58 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def chunk_windows(cfg: ModelConfig) -> int:
-    """Windows per chunk of a no-grad pass, at least one.
+    """Windows per chunk of a pass, at least one.
 
     A window's residual map costs 8*C*L*d bytes at every layer, since
     P*D = L*d whatever the scale.
     """
     return max(1, CHUNK_BYTES // (8 * cfg.C * cfg.L * cfg.d))
+
+
+_pool = None  # the chunk workers, built by the first pass that needs them
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: one chunk worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def run_chunks(fn, args):
+    """Yield ``fn(a)`` for each of ``args``, in order.
+
+    The calling thread makes the calls itself, one after another, when
+    there is one CPU or one argument; otherwise they run on a shared pool
+    of one thread per CPU, since numpy's loops, BLAS and scipy's erf
+    release the GIL. BLAS runs on one thread meanwhile, either way, so the
+    worker count never changes a bit. Closing the iterator early cancels
+    the calls not yet started and waits for the running ones, so no call
+    outlives it.
+    """
+    global _pool
+    with _blas.one_thread():
+        workers = _cpus() if len(args) > 1 else 1
+        if workers < 2:
+            yield from map(fn, args)
+            return
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers,
+                                       thread_name_prefix="twins-chunk")
+        # one call per worker in flight: a call starts when the oldest one
+        # is taken, so results never pile up ahead of the consumer
+        todo = iter(args)
+        futures = deque(_pool.submit(fn, a) for a in islice(todo, workers))
+        try:
+            while futures:
+                oldest = futures.popleft()
+                futures.extend(_pool.submit(fn, a) for a in islice(todo, 1))
+                yield oldest.result()
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
 
 
 class TwinSModel:
@@ -294,6 +346,27 @@ class TwinSModel:
         for t in self.params.values():
             t.zero_grad()
 
+    def replicas(self, k: int) -> list:
+        """``k`` models on this model's parameter arrays, each with gradient
+        records of its own, so a recorded pass on one leaves this model's
+        gradients alone, and a dropout generator spawned from this model's
+        in order."""
+        out = []
+        for rng in self._dropout_rng.spawn(k):
+            twin = copy.copy(self)
+            twin.params = {name: Tensor(t.data, requires_grad=True)
+                           for name, t in self.params.items()}
+            twin._dropout_rng = rng
+            out.append(twin)
+        return out
+
+    def add_grads(self, twin: "TwinSModel") -> None:
+        """Move a replica's gradients onto this model's, parameter by
+        parameter: each is added to this model's and dropped by the replica."""
+        for t, u in zip(self.params.values(), twin.params.values()):
+            t._rec.accum(u.grad)
+            u.zero_grad()
+
     # ---- views over the flat store ----
 
     def attention_weights(self, l: int) -> at.AttentionWeights:
@@ -349,8 +422,9 @@ class TwinSModel:
         """(1, C, L) raw window (batch prefix allowed) -> (C, T) forecast.
 
         A pass that records no graph, takes no probe and is not training
-        runs in chunks of ``chunk_windows`` windows, so its working set
-        stays near ``CHUNK_BYTES`` whatever the batch.
+        runs in chunks of ``chunk_windows`` windows, one per CPU at a time
+        (``run_chunks``), so its working set stays near ``CHUNK_BYTES`` per
+        CPU whatever the batch.
         """
         cfg = self.config
         if not isinstance(x, Tensor):
@@ -366,9 +440,13 @@ class TwinSModel:
             return self._forward_chunk(x, probe, training)
         flat = x.data.reshape((n, 1, cfg.C, cfg.L))
         out = np.empty((n, cfg.C, cfg.T))
-        for i in range(0, n, rows):
+
+        def score(i):
             out[i:i + rows] = self._forward_chunk(
                 Tensor(flat[i:i + rows]), None, False).data
+
+        for _ in run_chunks(score, range(0, n, rows)):
+            pass
         return Tensor(out.reshape(lead + (cfg.C, cfg.T)))
 
     def _forward_chunk(self, x: Tensor, probe, training: bool) -> Tensor:

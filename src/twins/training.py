@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SplitDataset, make_windows, window_view
-from .model import ModelConfig, TwinSModel, chunk_windows
+from .model import ModelConfig, TwinSModel, chunk_windows, run_chunks
 
 CLIP_NORM = 5.0
 
@@ -92,30 +93,54 @@ def lookback_mean_baseline(split: np.ndarray, L: int, T: int) -> Metrics:
                    mae=float(np.abs(diff).mean()))
 
 
+def _chunk_gradients(model: TwinSModel, inputs: np.ndarray,
+                     targets: np.ndarray, share: float) -> float:
+    """MSE of one chunk; unless it is non-finite, runs the backward of the
+    loss scaled by ``share`` and leaves the gradient on ``model``."""
+    loss = ad.mse(model.forward(inputs, training=True), Tensor(targets))
+    lv = loss.item()
+    if np.isfinite(lv):
+        ad.backward(loss if share == 1.0 else ad.scale(loss, share))
+    return lv
+
+
 def batch_gradients(model: TwinSModel, inputs: np.ndarray,
                     targets: np.ndarray) -> float:
     """Batch MSE of one training step; leaves its gradient on every parameter.
 
     Windows never interact and the loss is a mean over windows, so the batch
-    runs in chunks of ``chunk_windows`` windows, like a no-grad pass: each
-    chunk's loss, scaled by the chunk's share of the batch, is recorded and
-    consumed by its own backward, and the gradients add up on the
-    parameters. A batch of one chunk runs the ops of one recorded pass. A
-    non-finite chunk loss is returned before its backward runs.
+    runs in chunks of ``chunk_windows`` windows, like a no-grad pass. A batch
+    of one chunk runs the ops of one recorded pass on the model. Otherwise
+    each chunk runs on its own replica of the model (``run_chunks``, one per
+    CPU at a time), with a dropout generator spawned from the model's in
+    chunk order: its loss, scaled by the chunk's share of the batch, is
+    recorded and consumed by its own backward, and the replicas' gradients
+    are added to the parameters in chunk order, so the worker count never
+    changes a bit. The first non-finite chunk loss is returned before its
+    backward runs, and no later chunk's gradient reaches the parameters.
     """
     model.zero_grad()
     n = inputs.shape[0]
     rows = chunk_windows(model.config)
+    if n <= rows:
+        return _chunk_gradients(model, inputs, targets, 1.0)
+    starts = range(0, n, rows)
+
+    def chunk(job):
+        i, twin = job
+        share = min(rows, n - i) / n
+        lv = _chunk_gradients(twin, inputs[i:i + rows], targets[i:i + rows],
+                              share)
+        return lv, share, twin
+
+    jobs = list(zip(starts, model.replicas(len(starts))))
     total = 0.0
-    for i in range(0, n, rows):
-        pred = model.forward(inputs[i:i + rows], training=True)
-        loss = ad.mse(pred, Tensor(targets[i:i + rows]))
-        lv = loss.item()
-        if not np.isfinite(lv):
-            return lv
-        share = pred.shape[0] / n
-        ad.backward(loss if share == 1.0 else ad.scale(loss, share))
-        total += share * lv
+    with closing(run_chunks(chunk, jobs)) as done:
+        for lv, share, twin in done:
+            if not np.isfinite(lv):
+                return lv
+            model.add_grads(twin)
+            total += share * lv
     return total
 
 

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -759,3 +761,28 @@ class TestMacCounting:
         with ad.no_grad():
             ad.matmul(t(np.ones((2, 2)), rg=False), t(np.ones((2, 2)), rg=False))
         assert ad.mac_count() == 0
+
+    def test_no_count_lost_across_threads(self):
+        # more threads than cores and a short switch interval, so that an
+        # increment that is not atomic loses counts
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        ad.enable_mac_counting(True)
+        ad.reset_mac_count()
+
+        def count():
+            for _ in range(20000):
+                ad._add_macs(1)
+
+        threads = [threading.Thread(target=count) for _ in range(4)]
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert ad.mac_count() == 4 * 20000
+        finally:
+            sys.setswitchinterval(interval)
+            ad.enable_mac_counting(False)
+            ad.reset_mac_count()

@@ -442,8 +442,8 @@ class TestChunkedInference:
     ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
 
     def test_chunk_size_from_config(self):
-        assert self.ROWS == 12
-        assert md.chunk_windows(md.ModelConfig(**GATE)) == 85
+        assert self.ROWS == 6
+        assert md.chunk_windows(md.ModelConfig(**GATE)) == 42
         huge = md.ModelConfig(C=64, L=512, T=8, d=64, patch_len=64, h=8)
         assert md.chunk_windows(huge) == 1
 
@@ -498,9 +498,12 @@ class TestChunkedInference:
         batches.clear()
         with ad.no_grad():
             model.forward(x)
-        assert batches == [self.ROWS, 1]
+        # chunks may run on workers, so they may start in any order
+        assert sorted(batches) == [1, self.ROWS]
 
     def test_peak_independent_of_batch(self):
+        # one chunk runs on each worker at once, so the reference is one
+        # chunk's peak per worker
         model = md.TwinSModel(md.ModelConfig(**ETTH1))
         x = np.random.default_rng(5).normal(size=(256, 1, 7, 96))
         peaks = []
@@ -512,12 +515,55 @@ class TestChunkedInference:
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0], [p / 2 ** 20 for p in peaks]
+        assert peaks[1] <= 1.5 * md._cpus() * peaks[0], [
+            p / 2 ** 20 for p in peaks]
+
+
+class TestParallelChunks:
+    """Chunks run on one worker per CPU and give the bits of one worker."""
+
+    ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
+
+    @pytest.mark.parametrize("variant", ["twins", "twins_plus"])
+    def test_no_grad_forward_same_bits_at_any_worker_count(
+            self, variant, chunk_workers):
+        model = md.TwinSModel(md.ModelConfig(**dict(ETTH1, variant=variant)))
+        x = np.random.default_rng(8).normal(size=(3 * self.ROWS + 2, 1, 7, 96))
+        got = []
+        for n in (2, 1):
+            chunk_workers(n)
+            with ad.no_grad():
+                got.append(model.forward(x).data)
+        np.testing.assert_array_equal(got[0], got[1])
+
+    def test_mac_count_exact_with_workers(self, chunk_workers):
+        # every op of every chunk is counted once while the chunks run on
+        # more workers than there are cores; TestMacCounting in
+        # test_autodiff.py races the counter itself
+        chunk_workers(4)
+        model = md.TwinSModel(md.ModelConfig(**ETTH1))
+        x = np.random.default_rng(9).normal(size=(3 * self.ROWS, 1, 7, 96))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        ad.enable_mac_counting(True)
+        try:
+            with ad.no_grad():
+                ad.reset_mac_count()
+                model.forward(x[:self.ROWS])
+                one = ad.mac_count()
+                for _ in range(20):
+                    ad.reset_mac_count()
+                    model.forward(x)
+                    assert ad.mac_count() == 3 * one
+        finally:
+            sys.setswitchinterval(interval)
+            ad.enable_mac_counting(False)
+            ad.reset_mac_count()
 
 
 # general numpy helpers whose shape bookkeeping cost more than the
 # arithmetic of a batch-1 forecast
-SHAPE_HELPERS = {"numpy": {"prod", "argsort", "pad", "roll",
+SHAPE_HELPERS = {"numpy": {"prod", "argsort", "pad", "roll", "full",
                            "broadcast_shapes", "sliding_window_view"},
                  "dataclasses": {"replace"}}
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twins import _blas
 from twins import autodiff as ad
 from twins import data as dt
 from twins import gradcheck as gc
 from twins import model as md
 from twins import training as tr
 
-# the paper's ETTh1 shape, where a batch of windows runs 12 at a time, and
-# the tier-1 learning gate's, where a batch of up to 85 is one chunk
+# the paper's ETTh1 shape, where a batch of windows runs 6 at a time, and
+# the tier-1 learning gate's, where a batch of up to 42 is one chunk
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128)
 GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)
 ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
@@ -151,6 +153,8 @@ class TestBatchGradients:
             np.testing.assert_array_equal(t.grad, want[name], err_msg=name)
 
     def test_peak_independent_of_batch(self):
+        # one chunk runs on each worker at once, so the reference is one
+        # chunk's peak per worker
         model = md.TwinSModel(md.ModelConfig(**ETTH1, variant="twins_plus"))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(128, 1, 7, 96))
@@ -163,7 +167,8 @@ class TestBatchGradients:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.2 * peaks[0], [p / 2 ** 20 for p in peaks]
+        assert peaks[1] <= 1.2 * md._cpus() * peaks[0], [
+            p / 2 ** 20 for p in peaks]
 
     def test_nan_in_later_chunk_aborts_before_its_backward(self, monkeypatch):
         # a NaN at the last step of the train split reaches only the last
@@ -195,19 +200,73 @@ class TestBatchGradients:
         # every chunk before the poisoned one ran its backward; it did not
         assert len(calls) == 2 * want_batch + 1
 
-    def test_dropout_repeats_per_seed(self):
-        # batches of 2 chunks draw their dropout masks chunk by chunk from
-        # the model's generator, so a seed still fixes every bit
+    def test_dropout_repeats_per_seed(self, chunk_workers):
+        # each chunk of a batch draws its dropout masks from a generator
+        # spawned from the model's in chunk order, so a seed still fixes
+        # every bit, at either worker count
         ds = etth1_shaped_dataset(30, seed=5)
         cfg = md.ModelConfig(**ETTH1, dropout=0.1, batch_size=2 * ROWS,
                              epochs=1)
-        runs = [tr.train(cfg, ds, eval_test=False) for _ in range(2)]
-        (m1, h1), (m2, h2) = runs
-        assert [r.train_loss for r in h1.records] == \
-            [r.train_loss for r in h2.records]
-        assert h1.best_val_mse == h2.best_val_mse
-        for name, t in m1.params.items():
-            np.testing.assert_array_equal(t.data, m2.params[name].data)
+        for workers in (1, 2):
+            chunk_workers(workers)
+            runs = [tr.train(cfg, ds, eval_test=False) for _ in range(2)]
+            (m1, h1), (m2, h2) = runs
+            assert [r.train_loss for r in h1.records] == \
+                [r.train_loss for r in h2.records]
+            assert h1.best_val_mse == h2.best_val_mse
+            for name, t in m1.params.items():
+                np.testing.assert_array_equal(t.data, m2.params[name].data)
+
+
+class TestParallelChunks:
+    """The chunks of a step run on replicas of the model, one per CPU at a
+    time, and give the bits of one worker."""
+
+    @pytest.mark.parametrize("variant,dropout", [
+        ("twins", 0.0), ("twins_plus", 0.0), ("twins_plus", 0.1)])
+    def test_same_bits_at_any_worker_count(self, variant, dropout,
+                                           chunk_workers):
+        x = np.random.default_rng(6).normal(size=(3 * ROWS + 2, 1, 7, 96))
+        y = np.random.default_rng(7).normal(size=(3 * ROWS + 2, 7, 96))
+        runs = []
+        for n in (2, 1):
+            chunk_workers(n)
+            model = md.TwinSModel(md.ModelConfig(**ETTH1, variant=variant,
+                                                 dropout=dropout))
+            losses = [tr.batch_gradients(model, x, y) for _ in range(2)]
+            runs.append((losses, {k: t.grad for k, t in model.params.items()}))
+        (losses2, grads2), (losses1, grads1) = runs
+        assert losses2 == losses1
+        for name, g in grads1.items():
+            np.testing.assert_array_equal(grads2[name], g, err_msg=name)
+
+    def test_nan_in_second_of_three_chunks(self, chunk_workers, monkeypatch):
+        chunk_workers(2)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3 * ROWS, 1, 7, 96))
+        y = rng.normal(size=(3 * ROWS, 7, 96))
+        y[ROWS + 1, 0, 0] = np.nan
+        want = md.TwinSModel(md.ModelConfig(**ETTH1))
+        with _blas.one_thread():  # as every chunk of a step runs
+            tr._chunk_gradients(want, x[:ROWS], y[:ROWS], 1 / 3)
+        running, finished = [], []
+        chunk_gradients = tr._chunk_gradients
+
+        def slow_chunk(model, xs, ys, share):
+            running.append(1)
+            lv = chunk_gradients(model, xs, ys, share)
+            time.sleep(0.2)  # the later chunks still run when the NaN is seen
+            running.pop()
+            finished.append(1)
+            return lv
+
+        monkeypatch.setattr(tr, "_chunk_gradients", slow_chunk)
+        model = md.TwinSModel(md.ModelConfig(**ETTH1))
+        assert np.isnan(tr.batch_gradients(model, x, y))
+        assert not running and len(finished) >= 2
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.grad, want.params[name].grad,
+                                          err_msg=name)
 
 
 class TestTrain:
