@@ -15,16 +15,21 @@ one no-grad forward with the final parameters, and the first of them once
 more as a single ``(1, C, L)`` window with no batch prefix, the path of
 ``twins forecast`` and of the benchmark's batch-1 forecasts.
 
-Both a training step and a no-grad pass run in chunks of windows sized
-from the config: 42 windows at the gate shape and 6 at the ETTh1 shape.
-So a change that leaves the arithmetic alone keeps every recorded array
-(losses, gradients, parameters) of the gate-shape configs bit-identical,
-since a batch of 32 is one chunk there. At the ETTh1 shape a batch is
-six chunks whose matrix products see other shapes than one batch, and
-the 100-window no-grad forecast is several chunks at both shapes; these
-arrays need only agree within 1e-12 when compared with a tree that runs
-them in chunks of another size. The single-window forecast is one chunk on
-every tree, so it is bit-identical whenever the arithmetic is.
+Both a training step and a no-grad pass run in the balanced chunks of
+``model.chunk_slices``: at most 42 windows at the gate shape and 6 at the
+ETTh1 shape, and at least two chunks for two windows or more. So a batch
+of 32 is two chunks of 16 at the gate shape and six chunks of 5 or 6 at
+the ETTh1 shape, and the 100-window no-grad forecast is several chunks at
+both shapes. Matrix products over fewer rows may round differently, so
+against a tree that cuts its batches otherwise these arrays need only
+agree within 1e-12. The single-window forecast is one chunk on every tree,
+so it is bit-identical whenever the arithmetic and the parameters are.
+
+A chunk draws its dropout masks from a generator spawned for it. Against
+a tree that ran a gate-shape batch of 32 as one pass on the model's own
+generator, as trees before balanced chunks did, the masks of
+``twins_plus_gate_dropout`` differ, so that config differs far beyond
+1e-12 and the script exits 1 on it; the other configs stay within 1e-12.
 
 This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
@@ -49,7 +54,7 @@ import numpy as np
 TOL = 1e-12
 STEPS = 2
 BATCH = 32
-NO_GRAD_WINDOWS = 100   # not a multiple of the chunk size at either shape
+NO_GRAD_WINDOWS = 100   # chunks of unequal size at either shape
 GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)      # the learning gate
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, lr=1e-4)   # the paper's ETTh1 runs
 CONFIGS = {

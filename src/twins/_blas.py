@@ -1,61 +1,50 @@
-"""Hold the OpenBLAS bundled with numpy to one thread while chunks run.
+"""Hold the OpenBLAS bundled with numpy to one thread for the whole process.
 
-The chunks of a pass already keep one worker thread busy per CPU. A matrix
-product that OpenBLAS also splits over every CPU oversubscribes them, and
-its idle threads spin while they wait for the next call: at the ETTh1 shape
-on two CPUs, two chunk workers with two BLAS threads took a training step
-in 424 ms against 339 ms for one worker, and 206-230 ms with one BLAS
-thread. Without numpy's bundled OpenBLAS (another BLAS, or a build that
-links a system library) the thread count is left alone.
+Every pass over more than one window runs in chunks, one worker thread per
+CPU. A matrix product that OpenBLAS also splits over every CPU
+oversubscribes them, and its idle threads spin while they wait for the next
+call: at the ETTh1 shape on two CPUs, two chunk workers with two BLAS
+threads took a training step in 424 ms against 339 ms for one worker, and
+206-230 ms with one BLAS thread. A batch-1 forecast at the ETTh1 shape is
+no slower on one thread (median 3.2-3.3 ms against 3.6-4.4 ms on two, in
+three alternating rounds). With one BLAS thread everywhere, a seed gives the
+same bits on any CPU count. ``OPENBLAS_NUM_THREADS`` in the environment takes
+precedence, and without numpy's bundled OpenBLAS (another BLAS, or a build
+that links a system library) the thread count is left alone.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import glob
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
-# (get, set) symbol pairs of the OpenBLAS builds numpy's wheels bundle
-_SYMBOLS = (("scipy_openblas_get_num_threads64_",
-             "scipy_openblas_set_num_threads64_"),
-            ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-            ("openblas_get_num_threads", "openblas_set_num_threads"))
+# thread-count setters of the OpenBLAS builds numpy's wheels bundle
+_SETTERS = ("scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-@functools.lru_cache(maxsize=None)
-def _thread_calls():
-    """(get, set) of numpy's bundled OpenBLAS, or None if there is none;
-    looked up on first use."""
+def hold_one_thread() -> str:
+    """Set numpy's bundled OpenBLAS to one thread; returns what was done.
+
+    ``"one thread"`` when set; otherwise ``"skipped: <reason>"``, with the
+    thread count left as it was: when ``OPENBLAS_NUM_THREADS`` is set, or
+    when numpy bundles no OpenBLAS.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return "skipped: OPENBLAS_NUM_THREADS in the environment"
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
+        for name in _SETTERS:
+            put = getattr(lib, name, None)
+            if put is not None:
                 put.argtypes, put.restype = (ctypes.c_int,), None
-                return get, put
-    return None
-
-
-@contextmanager
-def one_thread():
-    """Run the block with one BLAS thread, then restore the count."""
-    calls = _thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+                put(1)
+                return "one thread"
+    return "skipped: no OpenBLAS bundled with numpy"

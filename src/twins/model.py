@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _blas
 from . import autodiff as ad
 from . import attention as at
 from . import embedding as emb
@@ -34,8 +33,7 @@ INSTANCE_EPS = 1e-5
 # A pass runs in chunks of windows whose residual map fits in this many
 # bytes (see chunk_windows), one chunk per CPU at a time, so two chunks in
 # flight hold what one chunk of 1 MiB did. Swept with two workers on the
-# ETTh1-shape benchmarks (256 KiB, 512 KiB, 1 MiB; see CHANGES.md); 512 KiB
-# keeps every batch at the gate shape one chunk.
+# ETTh1-shape benchmarks (256 KiB, 512 KiB, 1 MiB; see CHANGES.md).
 CHUNK_BYTES = 2 ** 19
 
 VARIANTS = ("mhsa", "twins", "twins_plus")
@@ -232,12 +230,24 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def chunk_windows(cfg: ModelConfig) -> int:
-    """Windows per chunk of a pass, at least one.
+    """Most windows in a chunk of a pass, at least one.
 
     A window's residual map costs 8*C*L*d bytes at every layer, since
     P*D = L*d whatever the scale.
     """
     return max(1, CHUNK_BYTES // (8 * cfg.C * cfg.L * cfg.d))
+
+
+def chunk_slices(n: int, cfg: ModelConfig) -> list:
+    """The chunks a pass over ``n`` windows runs in, as slices in order.
+
+    The fewest chunks of at most ``chunk_windows`` windows, and at least
+    two once there are two windows, so two CPUs share every batch; their
+    sizes differ by at most one. They depend on ``n`` and the config
+    alone, never on the CPU count. No window, no chunk.
+    """
+    k = max(-(-n // chunk_windows(cfg)), min(n, 2))
+    return [slice(n * c // k, n * (c + 1) // k) for c in range(k)]
 
 
 _pool = None  # the chunk workers, built by the first pass that needs them
@@ -257,33 +267,31 @@ def run_chunks(fn, args):
     The calling thread makes the calls itself, one after another, when
     there is one CPU or one argument; otherwise they run on a shared pool
     of one thread per CPU, since numpy's loops, BLAS and scipy's erf
-    release the GIL. BLAS runs on one thread meanwhile, either way, so the
-    worker count never changes a bit. Closing the iterator early cancels
-    the calls not yet started and waits for the running ones, so no call
-    outlives it.
+    release the GIL. BLAS runs on one thread in every process that imports
+    the package (see ``_blas``), so the worker count never changes a bit.
+    Closing the iterator early cancels the calls not yet started and waits
+    for the running ones, so no call outlives it.
     """
     global _pool
-    with _blas.one_thread():
-        workers = _cpus() if len(args) > 1 else 1
-        if workers < 2:
-            yield from map(fn, args)
-            return
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers,
-                                       thread_name_prefix="twins-chunk")
-        # one call per worker in flight: a call starts when the oldest one
-        # is taken, so results never pile up ahead of the consumer
-        todo = iter(args)
-        futures = deque(_pool.submit(fn, a) for a in islice(todo, workers))
-        try:
-            while futures:
-                oldest = futures.popleft()
-                futures.extend(_pool.submit(fn, a) for a in islice(todo, 1))
-                yield oldest.result()
-        finally:
-            for f in futures:
-                f.cancel()
-            wait(futures)
+    workers = _cpus() if len(args) > 1 else 1
+    if workers < 2:
+        yield from map(fn, args)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="twins-chunk")
+    # one call per worker in flight: a call starts when the oldest one is
+    # taken, so results never pile up ahead of the consumer
+    todo = iter(args)
+    futures = deque(_pool.submit(fn, a) for a in islice(todo, workers))
+    try:
+        while futures:
+            oldest = futures.popleft()
+            futures.extend(_pool.submit(fn, a) for a in islice(todo, 1))
+            yield oldest.result()
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 class TwinSModel:
@@ -421,10 +429,10 @@ class TwinSModel:
     def forward(self, x, probe=None, training: bool = False) -> Tensor:
         """(1, C, L) raw window (batch prefix allowed) -> (C, T) forecast.
 
-        A pass that records no graph, takes no probe and is not training
-        runs in chunks of ``chunk_windows`` windows, one per CPU at a time
-        (``run_chunks``), so its working set stays near ``CHUNK_BYTES`` per
-        CPU whatever the batch.
+        A pass that records no graph, takes no probe and is not training,
+        a single window included, runs in the chunks of ``chunk_slices``,
+        one per CPU at a time (``run_chunks``), so its working set stays
+        near ``CHUNK_BYTES`` per CPU whatever the batch.
         """
         cfg = self.config
         if not isinstance(x, Tensor):
@@ -433,19 +441,17 @@ class TwinSModel:
             raise ValueError(
                 f"input {x.shape} does not match config (1, {cfg.C}, {cfg.L})"
             )
+        if probe is not None or training or ad.is_recording():
+            return self._forward_chunk(x, probe, training)
         lead = x.shape[:-3]
         n = math.prod(lead)
-        rows = chunk_windows(cfg)
-        if n <= rows or probe is not None or training or ad.is_recording():
-            return self._forward_chunk(x, probe, training)
         flat = x.data.reshape((n, 1, cfg.C, cfg.L))
         out = np.empty((n, cfg.C, cfg.T))
 
-        def score(i):
-            out[i:i + rows] = self._forward_chunk(
-                Tensor(flat[i:i + rows]), None, False).data
+        def score(s):
+            out[s] = self._forward_chunk(Tensor(flat[s]), None, False).data
 
-        for _ in run_chunks(score, range(0, n, rows)):
+        for _ in run_chunks(score, chunk_slices(n, cfg)):
             pass
         return Tensor(out.reshape(lead + (cfg.C, cfg.T)))
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SplitDataset, make_windows, window_view
-from .model import ModelConfig, TwinSModel, chunk_windows, run_chunks
+from .model import ModelConfig, TwinSModel, chunk_slices, run_chunks
 
 CLIP_NORM = 5.0
 
@@ -100,7 +100,7 @@ def _chunk_gradients(model: TwinSModel, inputs: np.ndarray,
     loss = ad.mse(model.forward(inputs, training=True), Tensor(targets))
     lv = loss.item()
     if np.isfinite(lv):
-        ad.backward(loss if share == 1.0 else ad.scale(loss, share))
+        ad.backward(ad.scale(loss, share))
     return lv
 
 
@@ -109,31 +109,28 @@ def batch_gradients(model: TwinSModel, inputs: np.ndarray,
     """Batch MSE of one training step; leaves its gradient on every parameter.
 
     Windows never interact and the loss is a mean over windows, so the batch
-    runs in chunks of ``chunk_windows`` windows, like a no-grad pass. A batch
-    of one chunk runs the ops of one recorded pass on the model. Otherwise
-    each chunk runs on its own replica of the model (``run_chunks``, one per
-    CPU at a time), with a dropout generator spawned from the model's in
-    chunk order: its loss, scaled by the chunk's share of the batch, is
-    recorded and consumed by its own backward, and the replicas' gradients
-    are added to the parameters in chunk order, so the worker count never
-    changes a bit. The first non-finite chunk loss is returned before its
-    backward runs, and no later chunk's gradient reaches the parameters.
+    runs in the chunks of ``chunk_slices``, like a no-grad pass. Each chunk
+    runs on its own replica of the model (``run_chunks``, one per CPU at a
+    time), with a dropout generator spawned from the model's in chunk
+    order: its loss, scaled by the chunk's share of the batch, is recorded
+    and consumed by its own backward, and the replicas' gradients are added
+    to the parameters in chunk order, so the worker count never changes a
+    bit. A gradient is stored as it is when a parameter has none yet, so a
+    batch of one chunk gives the bits of one recorded pass. The first
+    non-finite chunk loss is returned before its backward runs, and no later
+    chunk's gradient reaches the parameters.
     """
     model.zero_grad()
     n = inputs.shape[0]
-    rows = chunk_windows(model.config)
-    if n <= rows:
-        return _chunk_gradients(model, inputs, targets, 1.0)
-    starts = range(0, n, rows)
+    chunks = chunk_slices(n, model.config)
 
     def chunk(job):
-        i, twin = job
-        share = min(rows, n - i) / n
-        lv = _chunk_gradients(twin, inputs[i:i + rows], targets[i:i + rows],
-                              share)
+        s, twin = job
+        share = (s.stop - s.start) / n
+        lv = _chunk_gradients(twin, inputs[s], targets[s], share)
         return lv, share, twin
 
-    jobs = list(zip(starts, model.replicas(len(starts))))
+    jobs = list(zip(chunks, model.replicas(len(chunks))))
     total = 0.0
     with closing(run_chunks(chunk, jobs)) as done:
         for lv, share, twin in done:

@@ -1,4 +1,5 @@
-"""The heap tuning applied when the package is imported."""
+"""The heap tuning and the BLAS thread count applied when the package is
+imported."""
 
 import json
 import os
@@ -7,6 +8,7 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import twins
@@ -80,15 +82,66 @@ print(json.dumps({"status": twins.allocator_status, "faults": faults[4:]}))
 MAX_MEDIAN_THREADED_FAULTS_PER_STEP = 100
 
 
-def run_python(code, **env):
+# Prints the thread count of the OpenBLAS bundled with numpy, after
+# importing twins if the first argument says so, and what import did.
+BLAS_THREADS = """
+import ctypes, glob, json, os, sys
+import numpy as np
+status = None
+if sys.argv[1] == "twins":
+    import twins
+    status = twins.blas_status
+
+def threads():
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return get()
+    return None
+
+print(json.dumps({"status": status, "threads": threads()}))
+"""
+
+# Saves the gradients of a recorded pass and of a training step at the
+# ETTh1 shape to the file named by the second argument, first pinning the
+# process to one CPU if the first argument says so.
+PINNED_GRADIENTS = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from twins import autodiff as ad, model as md, training as tr
+
+cfg = md.ModelConfig(C=7, L=96, T=96, d=16, h=128, variant="twins_plus")
+rng = np.random.default_rng(0)
+x = rng.normal(size=(13, 1, 7, 96))
+y = rng.normal(size=(13, 7, 96))
+model = md.TwinSModel(cfg)
+ad.backward(ad.mse(model.forward(x), ad.Tensor(y)))
+out = {"pass/" + k: t.grad for k, t in model.params.items()}
+tr.batch_gradients(model, x, y)
+out.update(("step/" + k, t.grad) for k, t in model.params.items())
+np.savez(sys.argv[2], cpus=len(os.sched_getaffinity(0)), **out)
+print(sys.argv[2])
+"""
+
+
+def run_python(code, *args, **env):
     full = {**os.environ, **env,
             "PYTHONPATH": os.pathsep.join(
                 [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    for var in _alloc._ENV_SETTINGS + ("GLIBC_TUNABLES",):
+    for var in _alloc._ENV_SETTINGS + ("GLIBC_TUNABLES",
+                                       "OPENBLAS_NUM_THREADS"):
         if var not in env:
             full.pop(var, None)
-    out = subprocess.run([sys.executable, "-c", code], env=full, check=True,
-                         capture_output=True, text=True, timeout=300)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=full,
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -128,3 +181,35 @@ def test_other_libc_left_alone(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(_alloc.ctypes, "CDLL", lambda name: object())
     assert _alloc.tune_allocator() == "skipped: not glibc"
+
+
+def test_import_holds_blas_to_one_thread():
+    result = json.loads(run_python(BLAS_THREADS, "twins"))
+    if result["threads"] is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert result == {"status": "one thread", "threads": 1}
+
+
+def test_blas_threads_in_the_environment_win():
+    env = {"OPENBLAS_NUM_THREADS": "2"}
+    plain = json.loads(run_python(BLAS_THREADS, "numpy", **env))
+    result = json.loads(run_python(BLAS_THREADS, "twins", **env))
+    assert result == {"status": "skipped: OPENBLAS_NUM_THREADS in the "
+                                "environment", "threads": plain["threads"]}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare with one")
+def test_same_gradients_on_one_cpu_and_on_every_cpu(tmp_path):
+    runs = []
+    for how in ("pinned", "free"):
+        path = tmp_path / f"{how}.npz"
+        run_python(PINNED_GRADIENTS, how, str(path))
+        with np.load(path) as f:
+            runs.append({k: f[k] for k in f.files})
+    pinned, free = runs
+    assert pinned.pop("cpus") == 1 and free.pop("cpus") >= 2
+    assert sorted(pinned) == sorted(free)
+    for name, g in free.items():
+        np.testing.assert_array_equal(pinned[name], g, err_msg=name)

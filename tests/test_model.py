@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twins import autodiff as ad
@@ -436,8 +436,8 @@ ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, variant="twins")
 
 
 class TestChunkedInference:
-    """A no-grad forward runs in chunks of windows and gives what one
-    batch or single windows give."""
+    """A no-grad forward runs in balanced chunks of windows and gives what
+    one batch or single windows give."""
 
     ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
 
@@ -446,6 +446,33 @@ class TestChunkedInference:
         assert md.chunk_windows(md.ModelConfig(**GATE)) == 42
         huge = md.ModelConfig(C=64, L=512, T=8, d=64, patch_len=64, h=8)
         assert md.chunk_windows(huge) == 1
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 600), shape=st.sampled_from([GATE, ETTH1]))
+    def test_chunk_rule(self, n, shape, chunk_workers):
+        cfg = md.ModelConfig(**shape)
+        rows = md.chunk_windows(cfg)
+        chunks = md.chunk_slices(n, cfg)
+        # contiguous and covering range(n), in order
+        bounds = [0] + [s.stop for s in chunks]
+        assert [s.start for s in chunks] == bounds[:-1] and bounds[-1] == n
+        sizes = [s.stop - s.start for s in chunks]
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert all(1 <= k <= rows for k in sizes)
+        assert len(chunks) >= min(n, 2)
+        # no chunk more than needed: one fewer would overflow ``rows``
+        assert len(chunks) <= 2 or (len(chunks) - 1) * rows < n
+        for workers in (1, 2, 4):
+            chunk_workers(workers)
+            assert md.chunk_slices(n, cfg) == chunks
+
+    def test_empty_batch(self):
+        cfg = md.ModelConfig(**GATE)
+        model = md.TwinSModel(cfg)
+        with ad.no_grad():
+            got = model.forward(np.zeros((0, 1, cfg.C, cfg.L)))
+        assert got.shape == (0, cfg.C, cfg.T)
 
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -498,8 +525,9 @@ class TestChunkedInference:
         batches.clear()
         with ad.no_grad():
             model.forward(x)
-        # chunks may run on workers, so they may start in any order
-        assert sorted(batches) == [1, self.ROWS]
+        # two chunks as near equal as can be; they may run on workers, so
+        # they may start in any order
+        assert sorted(batches) == [self.ROWS // 2, self.ROWS // 2 + 1]
 
     def test_peak_independent_of_batch(self):
         # one chunk runs on each worker at once, so the reference is one

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twins import _blas
 from twins import autodiff as ad
 from twins import data as dt
 from twins import gradcheck as gc
 from twins import model as md
 from twins import training as tr
 
-# the paper's ETTh1 shape, where a batch of windows runs 6 at a time, and
-# the tier-1 learning gate's, where a batch of up to 42 is one chunk
+# the paper's ETTh1 shape, where a batch of windows runs at most 6 at a
+# time, and the tier-1 learning gate's, where it runs at most 42 at a time
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128)
 GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)
 ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
@@ -68,8 +67,8 @@ class TestEvaluate:
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_metrics_independent_of_batch_size(self, seed):
-        # the ETTh1 shape, where a no-grad pass runs 12 windows at a time;
-        # 70 windows make batch 64 two batches and chunk it unevenly
+        # the ETTh1 shape, where a no-grad pass runs at most 6 windows at a
+        # time; 70 windows make batch 64 two batches, chunked differently
         cfg = md.ModelConfig(C=7, L=96, T=96, d=16, h=128, seed=seed % 1000)
         model = md.TwinSModel(cfg)
         split = np.random.default_rng(seed).normal(
@@ -141,34 +140,34 @@ class TestBatchGradients:
             assert gc.rel_error(t.grad, want[name]) <= 1e-12, name
 
     @pytest.mark.parametrize("variant", md.VARIANTS)
-    def test_one_chunk_is_one_pass(self, variant):
-        # a gate-shape batch of 32 is one chunk: the same ops, the same bits
+    def test_one_window_replica_is_one_pass(self, variant):
+        # a batch of one window is one chunk on one replica, whose gradients
+        # the parameters store as they are: the bits of one recorded pass
         model = md.TwinSModel(md.ModelConfig(**GATE, variant=variant))
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(32, 1, 2, 96))
-        y = rng.normal(size=(32, 2, 24))
+        x = rng.normal(size=(1, 1, 2, 96))
+        y = rng.normal(size=(1, 2, 24))
         want_loss, want = one_pass_gradients(model, x, y)
         assert tr.batch_gradients(model, x, y) == want_loss
         for name, t in model.params.items():
             np.testing.assert_array_equal(t.grad, want[name], err_msg=name)
 
     def test_peak_independent_of_batch(self):
-        # one chunk runs on each worker at once, so the reference is one
-        # chunk's peak per worker
+        # one full chunk runs on each worker at once, so the reference is a
+        # batch of one full chunk per worker, and two on one CPU
         model = md.TwinSModel(md.ModelConfig(**ETTH1, variant="twins_plus"))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(128, 1, 7, 96))
         y = rng.normal(size=(128, 7, 96))
         peaks = []
-        for n in (ROWS, 128):
+        for n in (max(2, md._cpus()) * ROWS, 128):
             tracemalloc.start()
             try:
                 tr.batch_gradients(model, x[:n], y[:n])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.2 * md._cpus() * peaks[0], [
-            p / 2 ** 20 for p in peaks]
+        assert peaks[1] <= 1.2 * peaks[0], [p / 2 ** 20 for p in peaks]
 
     def test_nan_in_later_chunk_aborts_before_its_backward(self, monkeypatch):
         # a NaN at the last step of the train split reaches only the last
@@ -247,8 +246,7 @@ class TestParallelChunks:
         y = rng.normal(size=(3 * ROWS, 7, 96))
         y[ROWS + 1, 0, 0] = np.nan
         want = md.TwinSModel(md.ModelConfig(**ETTH1))
-        with _blas.one_thread():  # as every chunk of a step runs
-            tr._chunk_gradients(want, x[:ROWS], y[:ROWS], 1 / 3)
+        tr._chunk_gradients(want, x[:ROWS], y[:ROWS], 1 / 3)
         running, finished = [], []
         chunk_gradients = tr._chunk_gradients
 
