@@ -17,13 +17,15 @@ more as a single ``(1, C, L)`` window with no batch prefix, the path of
 
 Both a training step and a no-grad pass run in the balanced chunks of
 ``model.chunk_slices``: at most 42 windows at the gate shape and 6 at the
-ETTh1 shape, and at least two chunks for two windows or more. So a batch
-of 32 is two chunks of 16 at the gate shape and six chunks of 5 or 6 at
-the ETTh1 shape, and the 100-window no-grad forecast is several chunks at
-both shapes. Matrix products over fewer rows may round differently, so
-against a tree that cuts its batches otherwise these arrays need only
-agree within 1e-12. The single-window forecast is one chunk on every tree,
-so it is bit-identical whenever the arithmetic and the parameters are.
+ETTh1 shape, and at least two chunks once each half of the batch holds a
+quarter of ``model.CHUNK_BYTES`` (128 KiB) of residual map, 11 windows at
+the gate shape and 2 at the ETTh1 shape. So a batch of 32 is two chunks
+of 16 at the gate shape and six chunks of 5 or 6 at the ETTh1 shape, and
+the 100-window no-grad forecast is several chunks at both shapes. Matrix
+products over fewer rows may round differently, so against a tree that
+cuts its batches otherwise these arrays need only agree within 1e-12. The
+single-window forecast is one chunk on every tree, so it is bit-identical
+whenever the arithmetic and the parameters are.
 
 A chunk draws its dropout masks from a generator spawned for it. Against
 a tree that ran a gate-shape batch of 32 as one pass on the model's own

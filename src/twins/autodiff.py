@@ -328,10 +328,18 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form); a recorded
-    pass saves only its derivative Phi(x) + x * pdf(x)."""
+    pass saves only its derivative Phi(x) + x * pdf(x).
+
+    erf is odd, and scipy's is exactly so: it computes erf(x < 0) as
+    -erf(-x). On mixed-sign activations that branch mispredicts and costs
+    about as much as the arithmetic, so erf takes |x| / sqrt(2) and the
+    sign comes back by copysign, with the same bits for every non-NaN x.
+    """
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2)
+    cdf = np.abs(x)
+    cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     if _recording and a.requires_grad:  # else no node, so bwd never runs

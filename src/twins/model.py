@@ -229,24 +229,33 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
 
 
-def chunk_windows(cfg: ModelConfig) -> int:
-    """Most windows in a chunk of a pass, at least one.
+def _window_bytes(cfg: ModelConfig) -> int:
+    """Bytes of one window's residual map: 8*C*L*d at every layer, since
+    P*D = L*d whatever the scale."""
+    return 8 * cfg.C * cfg.L * cfg.d
 
-    A window's residual map costs 8*C*L*d bytes at every layer, since
-    P*D = L*d whatever the scale.
-    """
-    return max(1, CHUNK_BYTES // (8 * cfg.C * cfg.L * cfg.d))
+
+def chunk_windows(cfg: ModelConfig) -> int:
+    """Most windows in a chunk of a pass, at least one."""
+    return max(1, CHUNK_BYTES // _window_bytes(cfg))
 
 
 def chunk_slices(n: int, cfg: ModelConfig) -> list:
     """The chunks a pass over ``n`` windows runs in, as slices in order.
 
     The fewest chunks of at most ``chunk_windows`` windows, and at least
-    two once there are two windows, so two CPUs share every batch; their
-    sizes differ by at most one. They depend on ``n`` and the config
-    alone, never on the CPU count. No window, no chunk.
+    two once each half of the batch holds a quarter of ``CHUNK_BYTES``, so
+    two CPUs share every batch worth splitting; their sizes differ by at
+    most one. They depend on ``n`` and the config alone, never on the CPU
+    count. No window, no chunk.
+
+    Below that floor the second chunk's per-op cost outweighs the second
+    CPU: swept with two workers on a tiny config, the gate shape and the
+    ETTh1 shape (see README "Chunked passes").
     """
-    k = max(-(-n // chunk_windows(cfg)), min(n, 2))
+    k = -(-n // chunk_windows(cfg))
+    if k == 1 and n // 2 * _window_bytes(cfg) >= CHUNK_BYTES // 4:
+        k = 2
     return [slice(n * c // k, n * (c + 1) // k) for c in range(k)]
 
 

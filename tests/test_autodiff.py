@@ -350,14 +350,21 @@ def test_gelu_without_node_matches_recorded():
     assert np.array_equal(frozen.data, recorded.data)
 
 
-def old_gelu_backward(x, g):
-    """gelu's input gradient as its backward computed it when the node kept
-    x and Phi(x); the derivative the forward pass now saves must give the
-    same bits."""
+def old_gelu_cdf(x):
+    """Phi(x) as gelu computed it before erf took |x|: 0.5 * (1 + erf(x /
+    sqrt(2))), with the division done as a multiply by 1 / sqrt(2)."""
     cdf = np.multiply(x, 1.0 / math.sqrt(2.0))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    return cdf
+
+
+def old_gelu_backward(x, g):
+    """gelu's input gradient as its backward computed it when the node kept
+    x and Phi(x); the derivative the forward pass now saves must give the
+    same bits."""
+    cdf = old_gelu_cdf(x)
     d = np.multiply(x, x)  # becomes g * (cdf + x * pdf)
     d *= -0.5
     np.exp(d, out=d)
@@ -366,6 +373,57 @@ def old_gelu_backward(x, g):
     d += cdf
     d *= g
     return d
+
+
+def same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN: gelu now
+    gives Phi a NaN input's sign bit, where erf returned a positive NaN."""
+    nan = np.isnan(b)
+    return (np.array_equal(np.isnan(a), nan)
+            and np.array_equal(a[~nan].view(np.uint64),
+                               b[~nan].view(np.uint64)))
+
+
+# three draws in five sit in the body of the GELU or near |x / sqrt(2)| =
+# 1, where cephes' erf hands over to erfc; the rest range over every
+# float64 with either sign, zeros, subnormals, infinities and NaNs
+GELU_INPUTS = st.one_of(
+    st.floats(-6.0, 6.0), st.floats(1.40, 1.43).map(lambda v: -v),
+    st.floats(1.40, 1.43), st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf,
+                     -math.inf, math.nan, math.sqrt(2.0), -math.sqrt(2.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(GELU_INPUTS, min_size=1, max_size=40),
+       gs=st.lists(st.floats(-4.0, 4.0), min_size=40, max_size=40))
+def test_gelu_same_bits_as_signed_erf(xs, gs):
+    x = np.array(xs)
+    g = np.array(gs[:len(xs)])
+    with np.errstate(all="ignore"):
+        want = old_gelu_cdf(x) * x
+        want_grad = old_gelu_backward(x, g)
+        with ad.no_grad():
+            free = ad.gelu(t(x))
+        xt = t(x)
+        recorded = ad.gelu(xt)
+        run_node(recorded, g)
+    assert same_bits(free.data, want)
+    assert same_bits(recorded.data, want)
+    assert same_bits(xt.grad, want_grad)
+
+
+def test_scipy_erf_exactly_odd():
+    # gelu's folded sign gives the old bits only while erf(-z) = -erf(z)
+    # exactly; a scipy build that breaks this must fail here, not drift
+    rng = np.random.default_rng(17)
+    scales = np.logspace(-310, 300, 62)
+    z = np.concatenate([(rng.normal(size=(62, 4000)) * scales[:, None])
+                        .ravel(), [0.0, 5e-324, 1.0, math.sqrt(2.0),
+                                   math.inf]])
+    z = np.abs(z)
+    assert np.array_equal((-erf(z)).view(np.uint64),
+                          erf(-z).view(np.uint64))
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])

@@ -433,6 +433,9 @@ class TestGraphMemory:
 
 # the ETTh1 model of the infer benchmark
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, variant="twins")
+# the model of the tiny training tests: 1 KiB of residual map per window
+TINY = dict(C=1, L=32, T=8, d=4, num_scales=2, n_layers=1, patch_len=4,
+            heads=2, aware_heads=2, h=8, ffn_hidden=16, variant="twins")
 
 
 class TestChunkedInference:
@@ -447,9 +450,20 @@ class TestChunkedInference:
         huge = md.ModelConfig(C=64, L=512, T=8, d=64, patch_len=64, h=8)
         assert md.chunk_windows(huge) == 1
 
+    @pytest.mark.parametrize("shape, n, chunks", [
+        (ETTH1, 2, 1), (ETTH1, 3, 1), (ETTH1, 4, 2), (ETTH1, 32, 6),
+        (GATE, 21, 1), (GATE, 22, 2), (GATE, 25, 2), (GATE, 64, 2),
+        (TINY, 32, 1), (TINY, 255, 1), (TINY, 256, 2)])
+    def test_split_floor(self, shape, n, chunks):
+        # a batch that fits one chunk splits in two only when each half's
+        # residual map reaches CHUNK_BYTES / 4 (128 KiB): 84 KiB per window
+        # at the ETTh1 shape, 12 KiB at the gate shape and 1 KiB on TINY
+        assert len(md.chunk_slices(n, md.ModelConfig(**shape))) == chunks
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.integers(0, 600), shape=st.sampled_from([GATE, ETTH1]))
+    @given(n=st.integers(0, 600),
+           shape=st.sampled_from([GATE, ETTH1, TINY]))
     def test_chunk_rule(self, n, shape, chunk_workers):
         cfg = md.ModelConfig(**shape)
         rows = md.chunk_windows(cfg)
@@ -460,9 +474,12 @@ class TestChunkedInference:
         sizes = [s.stop - s.start for s in chunks]
         assert max(sizes, default=0) - min(sizes, default=0) <= 1
         assert all(1 <= k <= rows for k in sizes)
-        assert len(chunks) >= min(n, 2)
+        # two chunks at least once each half of the batch is worth a CPU
+        halves = n // 2 * md._window_bytes(cfg) >= md.CHUNK_BYTES // 4
+        least = 2 if halves else min(n, 1)
+        assert len(chunks) >= least
         # no chunk more than needed: one fewer would overflow ``rows``
-        assert len(chunks) <= 2 or (len(chunks) - 1) * rows < n
+        assert len(chunks) <= least or (len(chunks) - 1) * rows < n
         for workers in (1, 2, 4):
             chunk_workers(workers)
             assert md.chunk_slices(n, cfg) == chunks
@@ -530,20 +547,20 @@ class TestChunkedInference:
         assert sorted(batches) == [self.ROWS // 2, self.ROWS // 2 + 1]
 
     def test_peak_independent_of_batch(self):
-        # one chunk runs on each worker at once, so the reference is one
-        # chunk's peak per worker
+        # one full chunk runs on each worker at once, so the reference is a
+        # pass of one full chunk per worker, and two on one CPU
         model = md.TwinSModel(md.ModelConfig(**ETTH1))
         x = np.random.default_rng(5).normal(size=(256, 1, 7, 96))
         peaks = []
         with ad.no_grad():
-            for n in (self.ROWS, 256):
+            for n in (max(2, md._cpus()) * self.ROWS, 256):
                 tracemalloc.start()
                 try:
                     model.forward(x[:n])
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        assert peaks[1] <= 1.5 * md._cpus() * peaks[0], [
+        assert peaks[1] <= 1.5 * peaks[0], [
             p / 2 ** 20 for p in peaks]
 
 
