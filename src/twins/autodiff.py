@@ -23,13 +23,15 @@ gradient or an array their backward still needs.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -63,6 +65,38 @@ __all__ = [
     "reset_mac_count",
 ]
 
+
+def _load_erf():
+    """scipy's compiled erf, without importing scipy.special.
+
+    erf is the only scipy function the package calls, and importing
+    scipy.special for it costs about 0.3 s and 25 MB of RSS. So the ufunc
+    extension that defines it is loaded by path, under a name of our own:
+    a later ``import scipy.special`` loads its own copy as usual. The last
+    part of the name must stay ``_special_ufuncs``, from which Python finds
+    the extension's init function. A scipy without that file, or whose file
+    does not load or defines no erf, falls back to the import.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(
+                "twins._special_ufuncs", path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                return module.erf
+            except (ImportError, OSError, AttributeError):
+                break
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-5

@@ -4,6 +4,7 @@ and synthetic generators with non-stationary periodic structure."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class WindowBatch:
 def load_csv(path: str) -> RawSeries:
     """Header + numeric rows; a leading date column is detected and dropped.
 
-    Any unparseable or missing cell is a hard error naming its position.
+    Any unparseable, missing or non-finite cell (``nan``, ``inf``,
+    ``1e400``) is a hard error naming its position.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -73,17 +75,23 @@ def load_csv(path: str) -> RawSeries:
         line = i + 2
         for j, cell in enumerate(row[first_col:]):
             cell = cell.strip()
-            if cell == "" or cell.lower() == "nan":
+            if cell == "":
                 raise ValueError(
                     f"{path}: missing value at row {line}, column {j + first_col + 1}"
                 )
             try:
-                out[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {line}, "
                     f"column {j + first_col + 1}: {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: non-finite value at row {line}, "
+                    f"column {j + first_col + 1}: {cell!r}"
+                )
+            out[i, j] = value
     return RawSeries(names, out.T.copy())
 
 
@@ -146,11 +154,18 @@ def synth_multiperiod(length: int, channels: int, components,
         raise ValueError("components must be non-empty")
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
+    if not math.isfinite(noise_std):
+        raise ValueError(f"noise std must be finite, got {noise_std}")
     if noise_std < 0.0:
         raise ValueError(f"noise std must be >= 0, got {noise_std}")
-    for period, _, active in comps:
+    for period, amplitude, active in comps:
+        if not math.isfinite(period):
+            raise ValueError(f"component period must be finite, got {period}")
         if period < 2:
             raise ValueError(f"component period must be >= 2, got {period}")
+        if not math.isfinite(amplitude):
+            raise ValueError(
+                f"component amplitude must be finite, got {amplitude}")
         if active is not None and active[1] <= active[0]:
             raise ValueError(
                 f"active interval {active[0]}-{active[1]} is empty: "

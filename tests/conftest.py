@@ -2,9 +2,14 @@
 
 Every array a tensor's record stores through ``accum`` is marked read-only,
 so an op or a caller that writes into a stored gradient fails at that write.
-The ``chunk_workers`` fixture sets how many workers run chunked passes.
+The ``chunk_workers`` fixture sets how many workers run chunked passes, and
+``erf_inputs`` holds the values on which the erf that ``gelu`` calls is
+checked.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from twins import model
@@ -36,3 +41,16 @@ def chunk_workers(monkeypatch):
     yield use
     if model._pool is not None and model._pool is not shared:
         model._pool.shutdown()
+
+
+@pytest.fixture
+def erf_inputs():
+    """Non-negative values at 62 scales ten decades apart, from the
+    subnormals (1e-310) to 1e300, plus 0, the least subnormal, 1, sqrt(2)
+    and inf."""
+    rng = np.random.default_rng(17)
+    scales = np.logspace(-310, 300, 62)
+    z = np.concatenate([(rng.normal(size=(62, 4000)) * scales[:, None])
+                        .ravel(), [0.0, 5e-324, 1.0, math.sqrt(2.0),
+                                   math.inf]])
+    return np.abs(z)

@@ -1,6 +1,9 @@
-"""The heap tuning and the BLAS thread count applied when the package is
-imported."""
+"""The heap tuning, the BLAS thread count and the erf loading applied when
+the package is imported."""
 
+import glob
+import importlib.machinery
+import importlib.util
 import json
 import os
 import platform
@@ -10,9 +13,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 
 import twins
 from twins import _alloc
+from twins import autodiff as ad
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(twins.__file__)))
 
@@ -130,6 +135,30 @@ np.savez(sys.argv[2], cpus=len(os.sched_getaffinity(0)), **out)
 print(sys.argv[2])
 """
 
+# scipy's ufunc extension that autodiff loads erf from by path
+SCIPY_ERF_FILES = glob.glob(os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0],
+    "special", "_special_ufuncs*"))
+
+# Imports the package's entry points, then says whether scipy.special was
+# imported with them.
+SPECIAL_IMPORTED = """
+import json, sys
+import twins.training, twins.cli
+print(json.dumps("scipy.special" in sys.modules))
+"""
+
+# Imports twins, then scipy.special and scipy.stats, and uses them.
+SCIPY_AFTER_TWINS = """
+import json
+import twins.training
+import scipy.special, scipy.stats
+print(json.dumps([hasattr(scipy.special, "_special_ufuncs"),
+                  float(scipy.special.gamma(5.0)),
+                  float(scipy.special.erfc(0.0)),
+                  float(scipy.stats.norm.cdf(0.0))]))
+"""
+
 
 def run_python(code, *args, **env):
     full = {**os.environ, **env,
@@ -213,3 +242,33 @@ def test_same_gradients_on_one_cpu_and_on_every_cpu(tmp_path):
     assert sorted(pinned) == sorted(free)
     for name, g in free.items():
         np.testing.assert_array_equal(pinned[name], g, err_msg=name)
+
+
+@pytest.mark.skipif(not SCIPY_ERF_FILES,
+                    reason="this scipy has no special/_special_ufuncs file")
+def test_import_leaves_scipy_special_out():
+    assert json.loads(run_python(SPECIAL_IMPORTED)) is False
+
+
+def test_erf_same_bits_as_scipy_special(erf_inputs):
+    x = np.concatenate([erf_inputs, -erf_inputs, [-0.0, np.nan, -np.nan]])
+    assert np.array_equal(ad.erf(x).view(np.uint64),
+                          scipy.special.erf(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("content", [b"not a shared object", None],
+                         ids=["unloadable", "missing"])
+def test_erf_falls_back_to_scipy_special(monkeypatch, tmp_path, content):
+    special = tmp_path / "special"
+    special.mkdir()
+    if content is not None:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (special / f"_special_ufuncs{suffix}").write_bytes(content)
+    root = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    root.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: root)
+    assert ad._load_erf() is scipy.special.erf
+
+
+def test_scipy_special_works_after_import():
+    assert json.loads(run_python(SCIPY_AFTER_TWINS)) == [True, 24.0, 1.0, 0.5]

@@ -207,6 +207,11 @@ def test_synth_spec_errors(spec, capfd):
     ("noise=abc|period=8", "bad value for noise: 'abc'"),
     ("len=64", "needs at least one period= entry"),
     ("period=1", "component period must be >= 2, got 1.0"),
+    ("period=nan", "component period must be finite, got nan"),
+    ("period=8,amp=inf", "component amplitude must be finite, got inf"),
+    ("period=8,amp=nan", "component amplitude must be finite, got nan"),
+    ("noise=nan|period=8", "noise std must be finite, got nan"),
+    ("noise=-inf|period=8", "noise std must be finite, got -inf"),
 ])
 def test_synth_spec_messages(spec, message):
     with pytest.raises(ValueError) as err:

@@ -47,6 +47,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value at row 3"):
             dt.load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "-nan", "+nan", "inf",
+                                      "-Infinity", "1e400"])
+    def test_non_finite_value(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b\n1,2\n3, {cell}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-finite value at row 3, column 2: '{cell}'")):
+            dt.load_csv(p)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError):
             dt.load_csv(write(tmp_path, ""))
@@ -195,6 +203,18 @@ class TestSynth:
         ({"noise_std": -1.0}, "noise std must be >= 0, got -1.0"),
         ({"components": [(8, 1.0, (200, 100))]}, "active interval 200-100"),
         ({"components": [(8, 1.0, (50, 50))]}, "active interval 50-50"),
+        ({"noise_std": float("nan")}, "noise std must be finite, got nan"),
+        ({"noise_std": float("inf")}, "noise std must be finite, got inf"),
+        ({"components": [(float("nan"), 1.0, None)]},
+         "component period must be finite, got nan"),
+        ({"components": [(float("inf"), 1.0, None)]},
+         "component period must be finite, got inf"),
+        ({"components": [(8, float("inf"), None)]},
+         "component amplitude must be finite, got inf"),
+        ({"components": [(8, float("-inf"), None)]},
+         "component amplitude must be finite, got -inf"),
+        ({"components": [(8, float("nan"), None)]},
+         "component amplitude must be finite, got nan"),
     ])
     def test_bad_spec_named(self, kw, message):
         args = {"length": 300, "channels": 1,
