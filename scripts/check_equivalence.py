@@ -33,6 +33,13 @@ generator, as trees before balanced chunks did, the masks of
 ``twins_plus_gate_dropout`` differ, so that config differs far beyond
 1e-12 and the script exits 1 on it; the other configs stay within 1e-12.
 
+A tree that stores every layer's ``subnet.w_p`` at the config's widest P,
+as trees before per-layer widths did, holds columns past a narrower
+layer's P that no forward reads. Where PARENT_SRC's ``w_p`` is wider than
+this tree's, the arrays are compared on the columns both hold, PARENT_SRC's
+extra gradient columns must be exactly zero, and the script prints how
+many arrays were compared this way.
+
 This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
 worker count may change when a chunk runs, never what it computes.
@@ -42,7 +49,8 @@ bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC. It exits 1
 when an array is missing on one side, when the runs of this tree differ in
-a bit, or when an array differs from PARENT_SRC by more than 1e-12, and 2
+a bit, when an array differs from PARENT_SRC by more than 1e-12 or when an
+extra ``w_p`` gradient column of PARENT_SRC is not zero, and 2
 on a bad argument.
 """
 
@@ -129,6 +137,24 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     return err / scale if scale > 0.0 else err
 
 
+def live_columns(mine: dict, theirs: dict) -> tuple:
+    """``theirs`` with each ``subnet.w_p`` array that is wider than
+    ``mine``'s cut to the columns both hold, how many were cut, and whether
+    every cut gradient column is exactly zero."""
+    out, cut, zero = dict(theirs), 0, True
+    for key, a in theirs.items():
+        b = mine.get(key)
+        if (key.endswith(".subnet.w_p") and b is not None
+                and a.shape[:-1] == b.shape[:-1]
+                and a.shape[-1] > b.shape[-1]):
+            P = b.shape[-1]
+            if "/grad/" in key:
+                zero = zero and not a[..., P:].any()
+            out[key] = a[..., :P]
+            cut += 1
+    return out, cut, zero
+
+
 def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
     """Print how ``mine`` and ``theirs`` agree; True if every array is on
     both sides and within ``tol`` (0: bit-identical)."""
@@ -182,7 +208,11 @@ def main(argv) -> int:
     print("this tree, two workers against one worker:")
     same_bits = compare(here, alone, "the one-worker run", 0.0)
     print("this tree against PARENT_SRC:")
-    same = compare(here, parent, "PARENT_SRC", TOL)
+    parent, cut, dead_zero = live_columns(here, parent)
+    print(f"{cut} wider subnet.w_p arrays of PARENT_SRC compared on this "
+          f"tree's columns; their extra gradient columns "
+          + ("are zero" if dead_zero else "are NOT zero"))
+    same = compare(here, parent, "PARENT_SRC", TOL) and dead_zero
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("equivalent" if same else f"NOT equivalent (tolerance {TOL:g})")

@@ -36,11 +36,7 @@ class AttentionWeights:
 @dataclass
 class ScoreSubnet:
     dw_kernels: Tensor        # (S, D/S, k), k odd, one kernel per feature
-    w_p: Tensor               # (S, D/S, P_max) aggregation maps
-
-    @property
-    def P_max(self):
-        return self.w_p.shape[2]
+    w_p: Tensor               # (S, D/S, P) aggregation maps
 
 
 def init_attention(D: int, heads: int, rng: np.random.Generator,
@@ -56,7 +52,7 @@ def init_attention(D: int, heads: int, rng: np.random.Generator,
     return AttentionWeights(mk(), mk(), mk(), mk(), heads)
 
 
-def init_subnet(D: int, S: int, k: int, P_max: int,
+def init_subnet(D: int, S: int, k: int, P: int,
                 rng: np.random.Generator) -> ScoreSubnet:
     if D % S != 0:
         raise ValueError(f"D={D} not divisible by aware heads S={S}")
@@ -64,7 +60,7 @@ def init_subnet(D: int, S: int, k: int, P_max: int,
         raise ValueError(f"subnet kernel width must be odd, got {k}")
     ds = D // S
     dw = ad.uniform_init(rng, (S, ds, k), k)
-    return ScoreSubnet(dw, ad.uniform_init(rng, (S, ds, P_max), ds))
+    return ScoreSubnet(dw, ad.uniform_init(rng, (S, ds, P), ds))
 
 
 def _split_heads(x: Tensor, m: int) -> Tensor:
@@ -136,14 +132,14 @@ def paa_scores(x: Tensor, subnet: ScoreSubnet) -> Tensor:
     D = x.shape[-1]
     if D != S * ds:
         raise ValueError(f"D={D} does not split into {S} heads of width {ds}")
-    if P > subnet.P_max:
-        raise ValueError(f"P={P} exceeds subnet capacity P_max={subnet.P_max}")
+    if subnet.w_p.shape[2] != P:
+        raise ValueError(f"subnet w_p maps to {subnet.w_p.shape[2]} patch "
+                         f"columns, input has P={P}")
     flat_k = ad.reshape(subnet.dw_kernels, (S * ds, k))
     conv = ad.depthwise_conv1d(x, flat_k)                  # (..., C, P, D)
     rows = ad.reshape(ad.gelu(conv), (conv.size // D, S, ds))  # (N, S, ds)
     gh = ad.transpose(rows, (1, 0, 2))                     # (S, N, ds)
-    wp = ad.narrow(subnet.w_p, axis=2, start=0, length=P)  # (S, ds, P)
-    out = ad.reshape(ad.matmul(gh, wp), (S,) + x.shape[:-1] + (P,))
+    out = ad.reshape(ad.matmul(gh, subnet.w_p), (S,) + x.shape[:-1] + (P,))
     return ad.sigmoid(out)                                 # (S, ..., C, P, P)
 
 

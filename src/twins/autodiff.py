@@ -51,7 +51,6 @@ __all__ = [
     "depthwise_conv1d",
     "reshape",
     "transpose",
-    "narrow",
     "roll",
     "softmax",
     "layer_norm",
@@ -585,27 +584,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         ra.accum(g.transpose(inv))
 
     return _make(a.data.transpose(axes), bwd, a)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; backward scatters into the slice."""
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise ValueError(
-            f"narrow [{start}:{start + length}] out of range for axis {axis} "
-            f"of shape {a.shape}"
-        )
-    idx = tuple(
-        slice(start, start + length) if i == axis else slice(None)
-        for i in range(a.ndim)
-    )
-
-    def bwd(g, ra):
-        full = np.zeros(ra.shape)
-        full[idx] = g
-        ra.accum(full)
-
-    return _make(a.data[idx].copy(), bwd, a)
 
 
 def _roll(x: np.ndarray, shift: int, axis: int) -> np.ndarray:

@@ -37,7 +37,8 @@ class WindowBatch:
 
 
 def load_csv(path: str) -> RawSeries:
-    """Header + numeric rows; a leading date column is detected and dropped.
+    """Header + numeric rows; a first column with no numeric cell is taken
+    for a date column and dropped.
 
     Any unparseable, missing or non-finite cell (``nan``, ``inf``,
     ``1e400``) is a hard error naming its position.
@@ -67,7 +68,7 @@ def load_csv(path: str) -> RawSeries:
             raise ValueError(
                 f"{path}: ragged row {line}: {len(row)} cells, expected {width}"
             )
-    has_date = not numeric(rows[0][0])
+    has_date = not any(numeric(row[0]) for row in rows)
     first_col = 1 if has_date else 0
     names = [h.strip() for h in header[first_col:]]
     out = np.empty((len(rows), len(names)))

@@ -80,7 +80,6 @@ OP_CALLS = {
     "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
     "reshape": (lambda a: ad.reshape(a, (3, 4)), [(2, 6)]),
     "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),
-    "narrow": (lambda a: ad.narrow(a, 1, 2, 3), [(3, 6)]),
     "roll": (lambda a: ad.roll(a, 2, axis=1), [(3, 5)]),
     "softmax": (ad.softmax, [(2, 5)]),
     "layer_norm": (ad.layer_norm, [(2, 3, 6), (6,), (6,)]),

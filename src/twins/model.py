@@ -102,10 +102,6 @@ class ModelConfig:
     def ffn_at(self, l: int) -> int:
         return self.ffn_hidden if self.ffn_hidden else 2 * self.D_at(l)
 
-    @property
-    def P_max(self) -> int:
-        return max(self.P_at(l) for l in range(self.n_layers))
-
     def has_qk(self) -> bool:
         return self.variant in ("mhsa", "twins_plus")
 
@@ -331,6 +327,7 @@ class TwinSModel:
         else:
             self._linear("embed.patch.w", "embed.patch.b", cfg.patch_len,
                          cfg.D_at(0), rng)
+        P_wide = max(map(cfg.P_at, range(cfg.n_layers)))
         for l in range(cfg.n_layers):
             D, P, F = cfg.D_at(l), cfg.P_at(l), cfg.ffn_at(l)
             p = f"layers.{l}"
@@ -341,9 +338,11 @@ class TwinSModel:
                 if t is not None:
                     par[f"{p}.attn.{name}"] = t
             if cfg.has_subnet():
-                sub = at.init_subnet(D, cfg.aware_heads, cfg.k, cfg.P_max, rng)
+                # drawn at the widest P and cut, so later draws stay the same
+                sub = at.init_subnet(D, cfg.aware_heads, cfg.k, P_wide, rng)
                 par[f"{p}.subnet.dw"] = sub.dw_kernels
-                par[f"{p}.subnet.w_p"] = sub.w_p
+                par[f"{p}.subnet.w_p"] = Tensor(sub.w_p.data[..., :P].copy(),
+                                                requires_grad=True)
             self._norm(f"{p}.ln2", D)
             self._linear(f"{p}.ffn.w1", f"{p}.ffn.b1", D, F, rng)
             self._linear(f"{p}.ffn.w2", f"{p}.ffn.b2", F, D, rng)

@@ -260,6 +260,7 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                 f"{path}: checkpoint stores {n_params} arrays, "
                 f"config implies {len(model.params)}"
             )
+        p_wide = max(map(cfg.P_at, range(cfg.n_layers)))
         seen = set()
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -275,14 +276,19 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                 for _ in range(ndim)
             )
             t = model.params[name]
-            if shape != t.shape:
+            # a w_p of the widest P is the older layout; its columns past
+            # this layer's P never had a gradient
+            legacy = (name.endswith(".subnet.w_p")
+                      and shape == t.shape[:2] + (p_wide,))
+            if shape != t.shape and not legacy:
                 raise ValueError(
                     f"{path}: array {name!r} has shape {shape}, "
                     f"config implies {t.shape}"
                 )
             nbytes = math.prod(shape) * 8
             blob = _read_exact(fh, nbytes, f"data of {name!r}")
-            t.data[:] = np.frombuffer(blob, dtype="<f8").reshape(shape)
+            data = np.frombuffer(blob, dtype="<f8").reshape(shape)
+            t.data[:] = data[..., :t.shape[-1]] if legacy else data
         trailing = fh.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after last array")

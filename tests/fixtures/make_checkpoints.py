@@ -8,6 +8,11 @@ backward pass of the commit that wrote them, so run this with that commit's
 package first on the path, e.g.
 
     PYTHONPATH=<old checkout>/src python tests/fixtures/make_checkpoints.py
+
+The committed fixtures hold every layer's ``subnet.w_p`` at the config's
+widest P, the layout before each layer's was sized at its own P, so they
+are also the test that this layout still loads. Do not regenerate them
+with a newer package: that would drop the legacy-load test.
 """
 
 import os

@@ -1,6 +1,7 @@
 """Contracts of the attention variants and the scoring sub-network."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,42 +68,39 @@ class TestMhsa:
 
 
 class TestScores:
-    def make_subnet(self, D, S, k, P_max, seed=0):
-        return attn.init_subnet(D, S, k, P_max, np.random.default_rng(seed))
+    def make_subnet(self, D, S, k, P, seed=0):
+        return attn.init_subnet(D, S, k, P, np.random.default_rng(seed))
 
     def test_zero_input_gives_half(self):
-        sub = self.make_subnet(D=8, S=2, k=3, P_max=4)
+        sub = self.make_subnet(D=8, S=2, k=3, P=4)
         s = attn.paa_scores(Tensor(np.zeros((3, 4, 8))), sub)
         np.testing.assert_allclose(s.data, np.full((2, 3, 4, 4), 0.5))
 
     def test_shape_contract(self):
-        sub = self.make_subnet(D=16, S=4, k=3, P_max=12)
+        sub = self.make_subnet(D=16, S=4, k=3, P=12)
         s = attn.paa_scores(Tensor(rand((2, 12, 16), seed=1)), sub)
         assert s.shape == (4, 2, 12, 12)
 
     def test_open_interval_range(self):
-        sub = self.make_subnet(D=8, S=2, k=3, P_max=6, seed=2)
+        sub = self.make_subnet(D=8, S=2, k=3, P=6, seed=2)
         s = attn.paa_scores(Tensor(rand((2, 6, 8), seed=3) * 10), sub).data
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
-    def test_smaller_P_uses_leading_columns(self):
-        sub = self.make_subnet(D=4, S=1, k=3, P_max=8, seed=4)
-        x = rand((1, 4, 4), seed=5)
-        s_small = attn.paa_scores(Tensor(x), sub)
-        assert s_small.shape == (1, 1, 4, 4)
-
-    def test_P_exceeding_capacity(self):
-        sub = self.make_subnet(D=4, S=1, k=3, P_max=4)
-        with pytest.raises(ValueError):
-            attn.paa_scores(Tensor(np.zeros((1, 6, 4))), sub)
+    @pytest.mark.parametrize("width, P", [(8, 4), (4, 6)],
+                             ids=["narrower_input", "wider_input"])
+    def test_width_mismatch_rejected(self, width, P):
+        sub = self.make_subnet(D=4, S=1, k=3, P=width)
+        msg = f"subnet w_p maps to {width} patch columns, input has P={P}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            attn.paa_scores(Tensor(np.zeros((1, P, 4))), sub)
 
     def test_head_split_mismatch(self):
-        sub = self.make_subnet(D=8, S=2, k=3, P_max=4)
+        sub = self.make_subnet(D=8, S=2, k=3, P=4)
         with pytest.raises(ValueError):
             attn.paa_scores(Tensor(np.zeros((1, 4, 6))), sub)
 
     def test_channel_permutation_equivariance(self):
-        sub = self.make_subnet(D=8, S=2, k=3, P_max=5, seed=6)
+        sub = self.make_subnet(D=8, S=2, k=3, P=5, seed=6)
         x = rand((4, 5, 8), seed=7)
         perm = [3, 1, 0, 2]
         with ad.no_grad():
@@ -344,11 +342,10 @@ def ref_paa_scores(x, dw, w_p, up):
     conv = sum(xp[..., j:j + P, :] * kern[:, j] for j in range(k))
     cdf = 0.5 * (1.0 + erf(conv / math.sqrt(2.0)))
     gh = np.moveaxis((conv * cdf).reshape(x.shape[:-1] + (S, ds)), -2, 0)
-    wp = w_p[:, :, :P].reshape((S,) + (1,) * (x.ndim - 2) + (ds, P))
+    wp = w_p.reshape((S,) + (1,) * (x.ndim - 2) + (ds, P))
     scores = 1.0 / (1.0 + np.exp(-(gh @ wp)))
     dz = up * scores * (1.0 - scores)
-    g_wp = np.zeros_like(w_p)
-    g_wp[:, :, :P] = (gh.swapaxes(-1, -2) @ dz).reshape(S, -1, ds, P).sum(1)
+    g_wp = (gh.swapaxes(-1, -2) @ dz).reshape(S, -1, ds, P).sum(1)
     g_h = np.moveaxis(dz @ wp.swapaxes(-1, -2), 0, -2).reshape(x.shape)
     pdf = np.exp(-0.5 * conv * conv) / math.sqrt(2.0 * math.pi)
     g_conv = g_h * (cdf + conv * pdf)
@@ -365,7 +362,7 @@ def ref_paa_scores(x, dw, w_p, up):
 def test_paa_scores_match_broadcast_reference(shape, S):
     rng = np.random.default_rng(41)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
-    sub = attn.init_subnet(shape[-1], S, 3, shape[-2] + 2, rng)
+    sub = attn.init_subnet(shape[-1], S, 3, shape[-2], rng)
     scores = attn.paa_scores(x, sub)
     up = rng.normal(size=scores.shape)
     ad.backward(ad.sum_all(ad.mul(scores, Tensor(up))))

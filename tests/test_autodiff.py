@@ -437,7 +437,7 @@ def test_gelu_gradient_matches_old_backward(layout):
 # must not keep them alive
 INPUT_ARRAYS_FREED = {
     "add": (0, 1), "scale": (0,), "sigmoid": (0,), "gelu": (0,),
-    "narrow": (0,), "roll": (0,), "softmax": (0,), "layer_norm": (0,),
+    "roll": (0,), "softmax": (0,), "layer_norm": (0,),
     "sum_all": (0,), "mse": (0, 1), "dropout": (0,),
 }
 
@@ -680,10 +680,6 @@ class TestShapeErrors:
         msg = f"transpose axes {axes} invalid for ndim 2"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             ad.transpose(t(np.ones((2, 3))), axes)
-
-    def test_narrow_out_of_range(self):
-        with pytest.raises(ValueError):
-            ad.narrow(t(np.ones((2, 3))), 1, 2, 5)
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,13 @@ class TestLoadCsv:
         assert raw.names == ["x"]
         np.testing.assert_array_equal(raw.values, [[1.5, 2.5]])
 
+    def test_first_column_with_a_number_is_kept(self, tmp_path):
+        # one text cell at the top does not make a date column of the rest
+        p = write(tmp_path, "a,b\nx,1\n2,3\n4,5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "non-numeric cell at row 2, column 1: 'x'")):
+            dt.load_csv(p)
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         p = write(tmp_path, "a\n1\n2\n3\nbad\n")
         with pytest.raises(ValueError, match="row 5"):

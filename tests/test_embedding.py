@@ -15,7 +15,8 @@ def make_bank(d, num_scales, seed=0):
 
 def nested_reference(x, bank):
     """The embedding as the paper states it: one convolution per nested,
-    centered width 1, 3, ..., K of the shared store, summed."""
+    centered width 1, 3, ..., K of the shared store, summed. Each width is
+    the full bank times a 0/1 mask of its taps."""
     k_max = bank.shape[-1]
     n = x.ndim
     swap = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
@@ -23,9 +24,10 @@ def nested_reference(x, bank):
     out = None
     width = 1
     while width <= k_max:
-        kern = ad.narrow(bank, axis=2, start=(k_max - width) // 2,
-                         length=width)
-        y = ad.conv1d(xc, kern)
+        mask = np.zeros(k_max)
+        start = (k_max - width) // 2
+        mask[start:start + width] = 1.0
+        y = ad.conv1d(xc, ad.mul(bank, Tensor(mask)))
         out = y if out is None else ad.add(out, y)
         width = 2 * width + 1
     return ad.transpose(out, swap)

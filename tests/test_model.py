@@ -43,7 +43,7 @@ def expected_param_count(cfg):
         total += 2 * D                                  # ln1
         total += (4 if cfg.has_qk() else 2) * D * D     # attention projections
         if cfg.has_subnet():
-            total += D * cfg.k + D * cfg.P_max          # dw kernels + W_p
+            total += D * cfg.k + D * P                  # dw kernels + W_p
         total += 2 * D                                  # ln2
         total += D * F + F + F * D + D                  # ffn
         if cfg.use_ctmlp:
@@ -349,6 +349,23 @@ class TestModelGradients:
         for i, (n1, g1) in enumerate(grads):
             for n2, g2 in grads[i + 1:]:
                 assert not np.shares_memory(g1, g2), (n1, n2)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"scales": [4, 2]}, {"scales": [2, 4]},
+        {"use_ctmlp": False}, {"use_wconv": False},
+    ], ids=["uniform", "scales_4_2", "scales_2_4", "no_ctmlp", "no_wconv"])
+    @pytest.mark.parametrize("variant", md.VARIANTS)
+    def test_no_dead_gradient_column(self, variant, kw):
+        # a column that no forward reads would never train
+        cfg = micro_config(variant=variant, n_layers=2, L=16, patch_len=4,
+                           **kw)
+        model = md.TwinSModel(cfg)
+        rng = np.random.default_rng(14)
+        pred = model.forward(rng.normal(size=(3, 1, 2, 16)))
+        ad.backward(ad.mse(pred, Tensor(rng.normal(size=(3, 2, 4)))))
+        for name, t in model.params.items():
+            cols = t.grad.reshape(-1, t.shape[-1])
+            assert np.all(np.any(cols != 0.0, axis=0)), name
 
     def test_probe_captures_attention(self):
         model = md.TwinSModel(micro_config(n_layers=2, L=16, patch_len=4))

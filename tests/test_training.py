@@ -1,6 +1,7 @@
 """Training loop, evaluation, baselines, and the checkpoint container."""
 
 import json
+import re
 import struct
 import time
 import tracemalloc
@@ -372,6 +373,36 @@ class TestCheckpoint:
         with ad.no_grad():
             after = again.forward(x).data
         np.testing.assert_array_equal(before, after)
+
+    def test_per_layer_w_p_round_trip(self, tmp_path):
+        cfg = tiny_config(L=16, n_layers=2, scales=(4, 2))
+        model = md.TwinSModel(cfg)
+        p = str(tmp_path / "m.ckpt")
+        tr.save_checkpoint(model, p)
+        blob = open(p, "rb").read()
+        for name, dims in ((b"layers.0.subnet.w_p", (2, 8, 4)),
+                           (b"layers.1.subnet.w_p", (2, 4, 8))):
+            # the name is followed by the rank and the dims
+            at = blob.index(name) + len(name)
+            assert struct.unpack_from("<B3I", blob, at) == (3,) + dims
+        again = tr.load_checkpoint(p)
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, again.params[name].data)
+        x = np.random.default_rng(1).normal(size=(2, 1, 1, 16))
+        with ad.no_grad():
+            np.testing.assert_array_equal(model.forward(x).data,
+                                          again.forward(x).data)
+
+    @pytest.mark.parametrize("width", [6, 16])
+    def test_other_w_p_width_rejected(self, tmp_path, width):
+        model = md.TwinSModel(tiny_config(L=16, n_layers=2, scales=(4, 2)))
+        model.params["layers.0.subnet.w_p"] = ad.Tensor(np.zeros((2, 8, width)))
+        p = str(tmp_path / "m.ckpt")
+        tr.save_checkpoint(model, p)
+        with pytest.raises(ValueError, match=re.escape(
+                f"array 'layers.0.subnet.w_p' has shape (2, 8, {width}), "
+                f"config implies (2, 8, 4)")):
+            tr.load_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"
