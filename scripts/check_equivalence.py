@@ -40,6 +40,14 @@ this tree's, the arrays are compared on the columns both hold, PARENT_SRC's
 extra gradient columns must be exactly zero, and the script prints how
 many arrays were compared this way.
 
+Each tree also saves every config's final model with its own
+``training.save_checkpoint``. The files of this tree and PARENT_SRC must be
+byte-identical wherever the final parameters are, and this tree's
+``training.load_checkpoint`` must restore PARENT_SRC's final parameters
+from PARENT_SRC's file bit for bit. Where PARENT_SRC stores the older
+widest-P ``w_p``, the script prints that the layouts differ and skips the
+byte comparison, not the load; it restores the columns both trees hold.
+
 This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
 worker count may change when a chunk runs, never what it computes.
@@ -47,11 +55,12 @@ worker count may change when a chunk runs, never what it computes.
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
-runs of this tree and then for this tree against PARENT_SRC. It exits 1
-when an array is missing on one side, when the runs of this tree differ in
-a bit, when an array differs from PARENT_SRC by more than 1e-12 or when an
-extra ``w_p`` gradient column of PARENT_SRC is not zero, and 2
-on a bad argument.
+runs of this tree and then for this tree against PARENT_SRC, then one line
+per config on its checkpoint files. It exits 1 when an array is missing on
+one side, when the runs of this tree differ in a bit, when an array
+differs from PARENT_SRC by more than 1e-12, when an extra ``w_p`` gradient
+column of PARENT_SRC is not zero, or when a checkpoint file differs or
+does not restore its parameters, and 2 on a bad argument.
 """
 
 import os
@@ -82,9 +91,11 @@ HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "src")
 
 
-def run_tree(src: str, out_path: str, workers: int = 0) -> None:
+def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
-    chunks on ``workers`` threads (0: as many as the tree chooses)."""
+    chunks on ``workers`` threads (0: as many as the tree chooses); write
+    the arrays to ``out_dir/arrays.npz`` and each final model to
+    ``out_dir/<config>.ckpt``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -122,11 +133,12 @@ def run_tree(src: str, out_path: str, workers: int = 0) -> None:
             ad.adam_step(params, grads, opt)
         for pname, p in model.params.items():
             arrays[f"{name}/param/{pname}"] = p.data
+        tr.save_checkpoint(model, os.path.join(out_dir, f"{name}.ckpt"))
         x = rng.standard_normal((NO_GRAD_WINDOWS, 1, cfg.C, cfg.L))
         with ad.no_grad():
             arrays[f"{name}/no_grad/forecast"] = model.forward(x).data
             arrays[f"{name}/no_grad/single"] = model.forward(x[0]).data
-    np.savez(out_path, **arrays)
+    np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -139,9 +151,9 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def live_columns(mine: dict, theirs: dict) -> tuple:
     """``theirs`` with each ``subnet.w_p`` array that is wider than
-    ``mine``'s cut to the columns both hold, how many were cut, and whether
-    every cut gradient column is exactly zero."""
-    out, cut, zero = dict(theirs), 0, True
+    ``mine``'s cut to the columns both hold, how many were cut per config,
+    and whether every cut gradient column is exactly zero."""
+    out, cut, zero = dict(theirs), dict.fromkeys(CONFIGS, 0), True
     for key, a in theirs.items():
         b = mine.get(key)
         if (key.endswith(".subnet.w_p") and b is not None
@@ -151,7 +163,7 @@ def live_columns(mine: dict, theirs: dict) -> tuple:
             if "/grad/" in key:
                 zero = zero and not a[..., P:].any()
             out[key] = a[..., :P]
-            cut += 1
+            cut[key.split("/", 1)[0]] += 1
     return out, cut, zero
 
 
@@ -185,6 +197,39 @@ def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
     return ok and overall <= tol
 
 
+def compare_checkpoints(here_dir: str, parent_dir: str, here: dict,
+                        parent: dict, cut: dict) -> bool:
+    """Print, per config, whether the two trees' checkpoint files are
+    byte-identical and whether this tree restores PARENT_SRC's final
+    parameters (``parent``, wide ``w_p`` already cut) from its file; True
+    if nothing differs that should not."""
+    sys.path.insert(0, os.path.abspath(HERE_SRC))
+    import twins.training as tr
+
+    ok = True
+    for name in CONFIGS:
+        mine, theirs = (os.path.join(d, f"{name}.ckpt")
+                        for d in (here_dir, parent_dir))
+        final = [k for k in parent if k.startswith(f"{name}/param/")]
+        if cut[name]:
+            files = "layouts differ (widest-P w_p), bytes not compared"
+        elif not all(np.array_equal(here[k], parent[k]) for k in final):
+            files = "final parameters differ, bytes not compared"
+        else:
+            with open(mine, "rb") as a, open(theirs, "rb") as b:
+                same = a.read() == b.read()
+            files = "files byte-identical" if same else "files DIFFER"
+            ok = ok and same
+        loaded = tr.load_checkpoint(theirs).params
+        restored = all(np.array_equal(loaded[k.rsplit("/", 1)[1]].data,
+                                      parent[k]) for k in final)
+        ok = ok and restored and len(loaded) == len(final)
+        print(f"{name:26s} {files}; PARENT_SRC's file "
+              + ("restores" if restored else "does NOT restore")
+              + " its final parameters")
+    return ok
+
+
 def main(argv) -> int:
     if len(argv) == 4 and argv[0] == "--worker":
         run_tree(argv[1], argv[2], int(argv[3]))
@@ -196,27 +241,32 @@ def main(argv) -> int:
     runs = (("two workers", HERE_SRC, 2), ("one worker", HERE_SRC, 1),
             ("PARENT_SRC", argv[0], 0))
     with tempfile.TemporaryDirectory() as tmp:
-        results = []
+        results, dirs = [], []
         for i, (_, src, workers) in enumerate(runs):
-            out = os.path.join(tmp, f"tree{i}.npz")
+            out = os.path.join(tmp, f"tree{i}")
+            os.mkdir(out)
             subprocess.run([sys.executable, os.path.abspath(__file__),
                             "--worker", os.path.abspath(src), out,
                             str(workers)], check=True)
-            with np.load(out) as f:
+            with np.load(os.path.join(out, "arrays.npz")) as f:
                 results.append({k: f[k] for k in f.files})
-    here, alone, parent = results
-    print("this tree, two workers against one worker:")
-    same_bits = compare(here, alone, "the one-worker run", 0.0)
-    print("this tree against PARENT_SRC:")
-    parent, cut, dead_zero = live_columns(here, parent)
-    print(f"{cut} wider subnet.w_p arrays of PARENT_SRC compared on this "
-          f"tree's columns; their extra gradient columns "
-          + ("are zero" if dead_zero else "are NOT zero"))
-    same = compare(here, parent, "PARENT_SRC", TOL) and dead_zero
+            dirs.append(out)
+        here, alone, parent = results
+        print("this tree, two workers against one worker:")
+        same_bits = compare(here, alone, "the one-worker run", 0.0)
+        print("this tree against PARENT_SRC:")
+        parent, cut, dead_zero = live_columns(here, parent)
+        print(f"{sum(cut.values())} wider subnet.w_p arrays of PARENT_SRC "
+              f"compared on this tree's columns; their extra gradient "
+              f"columns " + ("are zero" if dead_zero else "are NOT zero"))
+        same = compare(here, parent, "PARENT_SRC", TOL) and dead_zero
+        print("checkpoints of this tree against PARENT_SRC's:")
+        files_ok = compare_checkpoints(dirs[0], dirs[2], here, parent, cut)
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
+    print("checkpoints " + ("agree" if files_ok else "DISAGREE"))
     print("equivalent" if same else f"NOT equivalent (tolerance {TOL:g})")
-    return 0 if same and same_bits else 1
+    return 0 if same and same_bits and files_ok else 1
 
 
 if __name__ == "__main__":

@@ -756,9 +756,10 @@ def adam_step(params, grads, state: AdamState):
 
 
 def clip_grad_norm(grads, max_norm: float):
-    """Scale the whole gradient list so its global L2 norm is <= max_norm."""
+    """Scale the whole gradient list so its global L2 norm is <= max_norm
+    (a non-finite norm leaves the list as it is)."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm > 0:
+    if 0 < max_norm < total < math.inf:
         f = max_norm / total
         grads = [g * f for g in grads]
     return grads, total

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import os
 import struct
 import time
 from contextlib import closing
@@ -24,11 +24,11 @@ CKPT_MAGIC = b"TWSFORE1\n"
 
 
 class TrainAbort(RuntimeError):
-    """Raised when the loss goes non-finite; carries the batch index."""
+    """Raised on a non-finite loss or gradient; carries the batch index."""
 
-    def __init__(self, epoch: int, batch: int):
+    def __init__(self, epoch: int, batch: int, what: str = "loss"):
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}; aborting"
+            f"non-finite {what} at epoch {epoch}, batch {batch}; aborting"
         )
         self.epoch = epoch
         self.batch = batch
@@ -171,7 +171,10 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
                                  windows.targets[idx])
             if not np.isfinite(lv):
                 raise TrainAbort(epoch, bi)
-            grads, _ = ad.clip_grad_norm([p.grad for p in params], CLIP_NORM)
+            grads, norm = ad.clip_grad_norm([p.grad for p in params],
+                                            CLIP_NORM)
+            if not math.isfinite(norm):
+                raise TrainAbort(epoch, bi, what="gradient")
             ad.adam_step(params, grads, opt)
             loss_sum += lv
             loss_batches += 1
@@ -207,22 +210,28 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
 # checkpoint container: magic, config JSON, named float64 arrays
 
 def save_checkpoint(model: TwinSModel, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    cfg_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(cfg_blob)))
-    buf.write(cfg_blob)
-    buf.write(struct.pack("<I", len(model.params)))
-    for name, t in model.params.items():
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", t.ndim))
-        for dim in t.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    """Write ``model`` to ``path``, each array straight from its memory.
+
+    The file is written beside ``path`` and replaces it once complete, so
+    a failed save leaves the previous file and no partial one.
+    """
+    path = os.path.realpath(path)   # replace a link's target, not the link
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+            fh.write(CKPT_MAGIC + struct.pack("<I", len(cfg)) + cfg
+                     + struct.pack("<I", len(model.params)))
+            for name, t in model.params.items():
+                nb = name.encode()
+                fh.write(struct.pack(f"<H{len(nb)}sB{t.ndim}I", len(nb), nb,
+                                     t.ndim, *t.shape))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -285,10 +294,14 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                     f"{path}: array {name!r} has shape {shape}, "
                     f"config implies {t.shape}"
                 )
-            nbytes = math.prod(shape) * 8
-            blob = _read_exact(fh, nbytes, f"data of {name!r}")
-            data = np.frombuffer(blob, dtype="<f8").reshape(shape)
-            t.data[:] = data[..., :t.shape[-1]] if legacy else data
+            data = np.empty(shape) if legacy else t.data
+            if fh.readinto(data) != data.nbytes:
+                raise ValueError("corrupt checkpoint: truncated while "
+                                 f"reading data of {name!r}")
+            if not np.little_endian:
+                data.byteswap(inplace=True)
+            if legacy:
+                t.data[:] = data[..., :t.shape[-1]]
         trailing = fh.read(1)
         if trailing:
             raise ValueError(f"{path}: trailing bytes after last array")

@@ -120,6 +120,10 @@ class TestValues:
         # already small: untouched
         same, total2 = ad.clip_grad_norm(grads, 100.0)
         assert same[0] is grads[0]
+        # a non-finite norm is reported, not spread over every gradient
+        grads = [np.array([np.inf]), np.array([1.0])]
+        same, total3 = ad.clip_grad_norm(grads, 1.0)
+        assert total3 == np.inf and same[1] is grads[1]
 
 
 class TestTapeSemantics:

@@ -1,6 +1,8 @@
 """Training loop, evaluation, baselines, and the checkpoint container."""
 
+import errno
 import json
+import os
 import re
 import struct
 import time
@@ -22,6 +24,28 @@ from twins import training as tr
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128)
 GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)
 ROWS = md.chunk_windows(md.ModelConfig(**ETTH1))
+
+
+def encode_checkpoint(model):
+    """The README's checkpoint layout, built field by field."""
+    cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+    out = [tr.CKPT_MAGIC, struct.pack("<I", len(cfg)), cfg,
+           struct.pack("<I", len(model.params))]
+    for name, t in model.params.items():
+        nb = name.encode()
+        out += [struct.pack("<H", len(nb)), nb, struct.pack("<B", t.ndim)]
+        out += [struct.pack("<I", dim) for dim in t.shape]
+        out.append(t.data.astype("<f8").tobytes())
+    return b"".join(out)
+
+
+def traced_peak(call):
+    """``call()`` and the most memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_dataset(length=400, channels=1, period=8, noise=0.0, seed=0):
@@ -154,21 +178,18 @@ class TestBatchGradients:
             np.testing.assert_array_equal(t.grad, want[name], err_msg=name)
 
     def test_peak_independent_of_batch(self):
-        # one full chunk runs on each worker at once, so the reference is a
-        # batch of one full chunk per worker, and two on one CPU
+        # one full chunk runs on each worker at once (two on one CPU), so the
+        # reference is that many times the peak of one full chunk, run on
+        # this thread alone, where no two peaks can meet or miss in time
         model = md.TwinSModel(md.ModelConfig(**ETTH1, variant="twins_plus"))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(128, 1, 7, 96))
         y = rng.normal(size=(128, 7, 96))
-        peaks = []
-        for n in (max(2, md._cpus()) * ROWS, 128):
-            tracemalloc.start()
-            try:
-                tr.batch_gradients(model, x[:n], y[:n])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.2 * peaks[0], [p / 2 ** 20 for p in peaks]
+        _, chunk = traced_peak(
+            lambda: tr._chunk_gradients(model, x[:ROWS], y[:ROWS], 1.0))
+        _, batch = traced_peak(lambda: tr.batch_gradients(model, x, y))
+        assert batch <= 1.2 * max(2, md._cpus()) * chunk, \
+            (chunk / 2 ** 20, batch / 2 ** 20)
 
     def test_nan_in_later_chunk_aborts_before_its_backward(self, monkeypatch):
         # a NaN at the last step of the train split reaches only the last
@@ -340,6 +361,31 @@ class TestTrain:
             tr.train(cfg, ds, eval_test=False)
         assert err.value.batch >= 0
 
+    def test_non_finite_gradient_aborts_before_adam(self, monkeypatch):
+        # an inf gradient would turn every parameter NaN through clipping
+        # and Adam, and only the next batch's loss would show it
+        seen = []
+
+        def inf_on_second_batch(model, inputs, targets):
+            lv = batch_gradients(model, inputs, targets)
+            seen.append(model)
+            if len(seen) == 2:
+                rec = next(iter(model.params.values()))._rec
+                rec.grad = rec.grad.copy()   # the gradient is read-only
+                rec.grad.flat[0] = np.inf
+            return lv
+
+        batch_gradients = tr.batch_gradients
+        monkeypatch.setattr(tr, "batch_gradients", inf_on_second_batch)
+        with pytest.raises(tr.TrainAbort,
+                           match="non-finite gradient at epoch 0, batch 1"
+                           ) as err:
+            tr.train(tiny_config(batch_size=8), tiny_dataset(seed=7),
+                     eval_test=False)
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+        assert all(np.isfinite(t.data).all()
+                   for t in seen[-1].params.values())
+
     def test_log_records(self):
         ds = tiny_dataset(seed=8)
         rows = []
@@ -470,3 +516,68 @@ class TestCheckpoint:
             fh.write(b"x")
         with pytest.raises(ValueError, match="trailing"):
             tr.load_checkpoint(p)
+
+    @pytest.mark.parametrize("cfg", [
+        *(tiny_config(variant=v) for v in md.VARIANTS),
+        tiny_config(L=16, n_layers=2, scales=(4, 2))])
+    def test_bytes_follow_readme_layout(self, tmp_path, cfg):
+        model = md.TwinSModel(cfg)
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(model, str(p))
+        assert p.read_bytes() == encode_checkpoint(model)
+
+    def test_streamed_save_and_in_place_load(self, tmp_path):
+        # neither side holds a copy of the file: the save allocates about
+        # nothing, the load about the model it builds
+        model = md.TwinSModel(md.ModelConfig(**ETTH1, variant="twins_plus"))
+        p = str(tmp_path / "m.ckpt")
+        tr.save_checkpoint(model, p)
+        _, save_peak = traced_peak(lambda: tr.save_checkpoint(model, p))
+        back, load_peak = traced_peak(lambda: tr.load_checkpoint(p))
+        param_bytes = sum(t.data.nbytes for t in model.params.values())
+        assert save_peak <= 64 * 2 ** 10
+        assert load_peak <= param_bytes + 64 * 2 ** 10
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, back.params[name].data)
+
+    def test_truncated_inside_array_names_it(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        blob = p.read_bytes()
+        name = b"layers.0.ln1.b"
+        at = blob.index(name) + len(name)
+        data = at + 1 + 4 * blob[at]   # past the rank and the dims
+        p.write_bytes(blob[:data + 8])
+        with pytest.raises(ValueError, match=re.escape(
+                "truncated while reading data of 'layers.0.ln1.b'")):
+            tr.load_checkpoint(str(p))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        before = p.read_bytes()
+
+        class DiskFills:
+            """A file whose fourth write fails, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(blob)
+
+        monkeypatch.setattr(tr, "open", lambda *a: DiskFills(open(*a)),
+                            raising=False)
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            tr.save_checkpoint(md.TwinSModel(tiny_config(seed=4)), str(p))
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
