@@ -1,52 +1,39 @@
 #!/usr/bin/env python3
-"""Check that this tree computes like another tree of the package.
+"""Check that this tree computes like its parent tree of the package.
 
     python3 scripts/check_equivalence.py PARENT_SRC
 
-PARENT_SRC is the directory that holds the other tree's ``twins`` package
-(its ``src``). Each tree runs in its own subprocess: for every config below
-it builds the model, then takes 2 training steps on fixed random batches,
-each the step ``training.train`` takes (the loss and gradients of
+PARENT_SRC is the directory that holds the parent tree's ``twins`` package
+(its ``src``), which must define ``training.batch_gradients``. Each tree
+runs in its own subprocess: for every config below it builds the model,
+then takes 2 training steps on fixed random batches, each the step
+``training.train`` takes (the loss and gradients of
 ``training.batch_gradients``, then gradient clipping and Adam), and saves
 the losses, every parameter gradient of each step and the final
-parameters. A tree without ``batch_gradients`` trains on one recorded pass
-per batch, as its ``train`` does. It then forecasts 100 fresh windows in
-one no-grad forward with the final parameters, and the first of them once
-more as a single ``(1, C, L)`` window with no batch prefix, the path of
-``twins forecast`` and of the benchmark's batch-1 forecasts.
+parameters. With the final parameters it then forecasts 100 fresh windows
+in one no-grad forward, and the first of them once more as a single
+``(1, C, L)`` window with no batch prefix, the path of ``twins forecast``
+and of the benchmark's batch-1 forecasts. Last, it scores a fixed split of
+70 windows with ``training.evaluate``, the path of the benchmark's ``mse``
+and ``windows_per_s``: batches of 64 copied out of a strided window view
+into the chunked forward.
 
 Both a training step and a no-grad pass run in the balanced chunks of
 ``model.chunk_slices``: at most 42 windows at the gate shape and 6 at the
 ETTh1 shape, and at least two chunks once each half of the batch holds a
-quarter of ``model.CHUNK_BYTES`` (128 KiB) of residual map, 11 windows at
-the gate shape and 2 at the ETTh1 shape. So a batch of 32 is two chunks
-of 16 at the gate shape and six chunks of 5 or 6 at the ETTh1 shape, and
-the 100-window no-grad forecast is several chunks at both shapes. Matrix
-products over fewer rows may round differently, so against a tree that
-cuts its batches otherwise these arrays need only agree within 1e-12. The
-single-window forecast is one chunk on every tree, so it is bit-identical
-whenever the arithmetic and the parameters are.
-
-A chunk draws its dropout masks from a generator spawned for it. Against
-a tree that ran a gate-shape batch of 32 as one pass on the model's own
-generator, as trees before balanced chunks did, the masks of
-``twins_plus_gate_dropout`` differ, so that config differs far beyond
-1e-12 and the script exits 1 on it; the other configs stay within 1e-12.
-
-A tree that stores every layer's ``subnet.w_p`` at the config's widest P,
-as trees before per-layer widths did, holds columns past a narrower
-layer's P that no forward reads. Where PARENT_SRC's ``w_p`` is wider than
-this tree's, the arrays are compared on the columns both hold, PARENT_SRC's
-extra gradient columns must be exactly zero, and the script prints how
-many arrays were compared this way.
+quarter of ``model.CHUNK_BYTES`` (128 KiB) of residual map. So, the
+single window aside, every batch above runs as several chunks at the
+ETTh1 shape, and all but the last scored batch of 6 at the gate shape.
+Matrix products over fewer rows may round differently, so against a tree
+that cuts its batches otherwise these arrays need only agree within 1e-12.
+The single-window forecast is one chunk on every tree, so it is
+bit-identical whenever the arithmetic and the parameters are.
 
 Each tree also saves every config's final model with its own
 ``training.save_checkpoint``. The files of this tree and PARENT_SRC must be
 byte-identical wherever the final parameters are, and this tree's
 ``training.load_checkpoint`` must restore PARENT_SRC's final parameters
-from PARENT_SRC's file bit for bit. Where PARENT_SRC stores the older
-widest-P ``w_p``, the script prints that the layouts differ and skips the
-byte comparison, not the load; it restores the columns both trees hold.
+from PARENT_SRC's file bit for bit.
 
 This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
@@ -58,9 +45,9 @@ the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
 per config on its checkpoint files. It exits 1 when an array is missing on
 one side, when the runs of this tree differ in a bit, when an array
-differs from PARENT_SRC by more than 1e-12, when an extra ``w_p`` gradient
-column of PARENT_SRC is not zero, or when a checkpoint file differs or
-does not restore its parameters, and 2 on a bad argument.
+differs from PARENT_SRC by more than 1e-12, or when a checkpoint file
+differs or does not restore its parameters, and 2 on a bad argument,
+a PARENT_SRC without ``training.batch_gradients`` included.
 """
 
 import os
@@ -74,6 +61,7 @@ TOL = 1e-12
 STEPS = 2
 BATCH = 32
 NO_GRAD_WINDOWS = 100   # chunks of unequal size at either shape
+SCORED = 70             # windows evaluate scores: batches of 64 and 6
 GATE = dict(C=2, L=96, T=24, d=8, h=64, lr=1e-3)      # the learning gate
 ETTH1 = dict(C=7, L=96, T=96, d=16, h=128, lr=1e-4)   # the paper's ETTh1 runs
 CONFIGS = {
@@ -107,14 +95,10 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         raise SystemExit(f"imported twins from {pkg}, not from {src}")
     if workers:
         md._cpus = lambda: workers
-
-    def one_pass(model, x, y):
-        model.zero_grad()
-        loss = ad.mse(model.forward(x, training=True), ad.Tensor(y))
-        ad.backward(loss)
-        return loss.item()
-
-    batch_gradients = getattr(tr, "batch_gradients", one_pass)
+    if not hasattr(tr, "batch_gradients"):
+        print(f"{src}: twins.training has no batch_gradients; this script "
+              "compares only with a tree that has it", file=sys.stderr)
+        raise SystemExit(2)
     arrays = {}
     for name, fields in CONFIGS.items():
         cfg = md.ModelConfig(**fields)
@@ -125,7 +109,7 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         for step in range(STEPS):
             x = rng.standard_normal((BATCH, 1, cfg.C, cfg.L))
             y = rng.standard_normal((BATCH, cfg.C, cfg.T))
-            arrays[f"{name}/{step}/loss"] = batch_gradients(model, x, y)
+            arrays[f"{name}/{step}/loss"] = tr.batch_gradients(model, x, y)
             for pname, p in model.params.items():
                 arrays[f"{name}/{step}/grad/{pname}"] = p.grad
             grads, _ = ad.clip_grad_norm([p.grad for p in params],
@@ -138,6 +122,9 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         with ad.no_grad():
             arrays[f"{name}/no_grad/forecast"] = model.forward(x).data
             arrays[f"{name}/no_grad/single"] = model.forward(x[0]).data
+        split = rng.standard_normal((cfg.C, cfg.L + cfg.T + SCORED - 1))
+        m = tr.evaluate(model, split, cfg.L, cfg.T)
+        arrays[f"{name}/no_grad/evaluate"] = np.array([m.mse, m.mae])
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
 
 
@@ -147,24 +134,6 @@ def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     scale = float(np.max(np.abs(b))) if b.size else 0.0
     err = float(np.max(np.abs(a - b))) if b.size else 0.0
     return err / scale if scale > 0.0 else err
-
-
-def live_columns(mine: dict, theirs: dict) -> tuple:
-    """``theirs`` with each ``subnet.w_p`` array that is wider than
-    ``mine``'s cut to the columns both hold, how many were cut per config,
-    and whether every cut gradient column is exactly zero."""
-    out, cut, zero = dict(theirs), dict.fromkeys(CONFIGS, 0), True
-    for key, a in theirs.items():
-        b = mine.get(key)
-        if (key.endswith(".subnet.w_p") and b is not None
-                and a.shape[:-1] == b.shape[:-1]
-                and a.shape[-1] > b.shape[-1]):
-            P = b.shape[-1]
-            if "/grad/" in key:
-                zero = zero and not a[..., P:].any()
-            out[key] = a[..., :P]
-            cut[key.split("/", 1)[0]] += 1
-    return out, cut, zero
 
 
 def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
@@ -198,11 +167,11 @@ def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
 
 
 def compare_checkpoints(here_dir: str, parent_dir: str, here: dict,
-                        parent: dict, cut: dict) -> bool:
+                        parent: dict) -> bool:
     """Print, per config, whether the two trees' checkpoint files are
     byte-identical and whether this tree restores PARENT_SRC's final
-    parameters (``parent``, wide ``w_p`` already cut) from its file; True
-    if nothing differs that should not."""
+    parameters (``parent``) from its file; True if nothing differs that
+    should not."""
     sys.path.insert(0, os.path.abspath(HERE_SRC))
     import twins.training as tr
 
@@ -211,9 +180,7 @@ def compare_checkpoints(here_dir: str, parent_dir: str, here: dict,
         mine, theirs = (os.path.join(d, f"{name}.ckpt")
                         for d in (here_dir, parent_dir))
         final = [k for k in parent if k.startswith(f"{name}/param/")]
-        if cut[name]:
-            files = "layouts differ (widest-P w_p), bytes not compared"
-        elif not all(np.array_equal(here[k], parent[k]) for k in final):
+        if not all(np.array_equal(here[k], parent[k]) for k in final):
             files = "final parameters differ, bytes not compared"
         else:
             with open(mine, "rb") as a, open(theirs, "rb") as b:
@@ -238,30 +205,28 @@ def main(argv) -> int:
         print("usage: check_equivalence.py PARENT_SRC, a directory that "
               "holds a twins package", file=sys.stderr)
         return 2
-    runs = (("two workers", HERE_SRC, 2), ("one worker", HERE_SRC, 1),
-            ("PARENT_SRC", argv[0], 0))
+    # PARENT_SRC first, so a tree this script cannot compare with fails fast
+    runs = ((argv[0], 0), (HERE_SRC, 2), (HERE_SRC, 1))
     with tempfile.TemporaryDirectory() as tmp:
         results, dirs = [], []
-        for i, (_, src, workers) in enumerate(runs):
+        for i, (src, workers) in enumerate(runs):
             out = os.path.join(tmp, f"tree{i}")
             os.mkdir(out)
-            subprocess.run([sys.executable, os.path.abspath(__file__),
-                            "--worker", os.path.abspath(src), out,
-                            str(workers)], check=True)
+            code = subprocess.run([sys.executable, os.path.abspath(__file__),
+                                   "--worker", os.path.abspath(src), out,
+                                   str(workers)]).returncode
+            if code:
+                return code
             with np.load(os.path.join(out, "arrays.npz")) as f:
                 results.append({k: f[k] for k in f.files})
             dirs.append(out)
-        here, alone, parent = results
+        parent, here, alone = results
         print("this tree, two workers against one worker:")
         same_bits = compare(here, alone, "the one-worker run", 0.0)
         print("this tree against PARENT_SRC:")
-        parent, cut, dead_zero = live_columns(here, parent)
-        print(f"{sum(cut.values())} wider subnet.w_p arrays of PARENT_SRC "
-              f"compared on this tree's columns; their extra gradient "
-              f"columns " + ("are zero" if dead_zero else "are NOT zero"))
-        same = compare(here, parent, "PARENT_SRC", TOL) and dead_zero
+        same = compare(here, parent, "PARENT_SRC", TOL)
         print("checkpoints of this tree against PARENT_SRC's:")
-        files_ok = compare_checkpoints(dirs[0], dirs[2], here, parent, cut)
+        files_ok = compare_checkpoints(dirs[1], dirs[0], here, parent)
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("checkpoints " + ("agree" if files_ok else "DISAGREE"))

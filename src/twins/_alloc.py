@@ -3,14 +3,14 @@
 glibc serves each allocation above its mmap threshold with a fresh ``mmap``
 and unmaps it on ``free``, and trims the heap top once more than its trim
 threshold is free. A training step frees and reallocates the same
-multi-megabyte temporaries every time, so with the defaults each step faults
-its working set in again. Raising both thresholds lets the next step reuse
-the freed blocks. Both are always set: setting either one switches off
-glibc's dynamic mmap threshold, and a raised trim threshold alone is slower
-than the defaults. The chunks of a pass run on worker threads, and glibc
-would give each of them an arena of its own, with its own freed blocks kept
-for reuse; one arena makes every thread reuse the main heap's. glibc's own
-settings in the environment take precedence.
+temporaries of up to about 1 MiB every time, so with the defaults each step
+faults its working set in again. Raising both thresholds lets the next step
+reuse the freed blocks. Both are always set: setting either one switches
+off glibc's dynamic mmap threshold, and a raised trim threshold alone is
+slower than the defaults. The chunks of a pass run on worker threads, and
+glibc would give each of them an arena of its own, with its own freed
+blocks kept for reuse; one arena makes every thread reuse the main heap's.
+glibc's own settings in the environment take precedence.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ _M_TRIM_THRESHOLD = -1  # mallopt(3) parameter numbers
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
-# Large enough to keep the 11 MB temporaries of batch-64 scoring at the ETTh1
-# shape in the heap; 8 MiB kept training fault-free but scored slower.
+# Above the largest block of every pass measured (5.25 MiB, an unchunked
+# recorded ETTh1-shape batch of 32), so all stay in the heap; the trim
+# threshold is above all that pass holds at once, so freeing its graph never
+# trims the heap (README "Memory allocator").
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
 # Without it two chunk workers raised the infer benchmark's peak resident

@@ -1,16 +1,12 @@
 """Hold the OpenBLAS bundled with numpy to one thread for the whole process.
 
 Every pass over more than one window runs in chunks, one worker thread per
-CPU. A matrix product that OpenBLAS also splits over every CPU
-oversubscribes them, and its idle threads spin while they wait for the next
-call: at the ETTh1 shape on two CPUs, two chunk workers with two BLAS
-threads took a training step in 424 ms against 339 ms for one worker, and
-206-230 ms with one BLAS thread. A batch-1 forecast at the ETTh1 shape is
-no slower on one thread (median 3.2-3.3 ms against 3.6-4.4 ms on two, in
-three alternating rounds). With one BLAS thread everywhere, a seed gives the
-same bits on any CPU count. ``OPENBLAS_NUM_THREADS`` in the environment takes
-precedence, and without numpy's bundled OpenBLAS (another BLAS, or a build
-that links a system library) the thread count is left alone.
+CPU, and a matrix product that OpenBLAS also splits over every CPU
+oversubscribes them (timings in README "Memory allocator"). With one BLAS
+thread everywhere, a seed gives the same bits on any CPU count.
+``OPENBLAS_NUM_THREADS`` in the environment takes precedence, and without
+numpy's bundled OpenBLAS (another BLAS, or a build that links a system
+library) the thread count is left alone.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ def flop_analytic(T: int, P: int, D: int, k: int) -> FlopReport:
 
 
 def flop_measured(variant: str, T: int, P: int, D: int, k: int,
-                  M: int = 4, S: int = 4, seed: int = 0) -> int:
+                  M: int = 4, S: int = 4) -> int:
     """Instrumented MAC count of one forward attention block.
 
     Counts projections, score computation, and value aggregation only,
@@ -152,7 +152,7 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int,
     """
     _check_sizes(T, P, D, k, heads=M, score_heads=S)
     N = T // P
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, N, D)))
     w = at.init_attention(D, M, rng, keyless=(variant == "twins"))
     sub = at.init_subnet(D, S, k, N, rng) if variant != "mhsa" else None

@@ -69,12 +69,12 @@ def _load_erf():
     """scipy's compiled erf, without importing scipy.special.
 
     erf is the only scipy function the package calls, and importing
-    scipy.special for it costs about 0.3 s and 25 MB of RSS. So the ufunc
-    extension that defines it is loaded by path, under a name of our own:
-    a later ``import scipy.special`` loads its own copy as usual. The last
-    part of the name must stay ``_special_ufuncs``, from which Python finds
-    the extension's init function. A scipy without that file, or whose file
-    does not load or defines no erf, falls back to the import.
+    scipy.special for it is slow and large (README "Memory allocator"). So
+    the ufunc extension that defines it is loaded by path, under a name of
+    our own: a later ``import scipy.special`` loads its own copy as usual.
+    The last part of the name must stay ``_special_ufuncs``, from which
+    Python finds the extension's init function. A scipy without that file,
+    or whose file does not load or defines no erf, falls back to the import.
     """
     spec = importlib.util.find_spec("scipy")
     for root in (spec and spec.submodule_search_locations) or ():

@@ -31,9 +31,8 @@ from .autodiff import Tensor
 
 INSTANCE_EPS = 1e-5
 # A pass runs in chunks of windows whose residual map fits in this many
-# bytes (see chunk_windows), one chunk per CPU at a time, so two chunks in
-# flight hold what one chunk of 1 MiB did. Swept with two workers on the
-# ETTh1-shape benchmarks (256 KiB, 512 KiB, 1 MiB; see CHANGES.md).
+# bytes (see chunk_windows), one chunk per CPU at a time; the size comes
+# from a sweep in README "Chunked passes".
 CHUNK_BYTES = 2 ** 19
 
 VARIANTS = ("mhsa", "twins", "twins_plus")
@@ -243,11 +242,8 @@ def chunk_slices(n: int, cfg: ModelConfig) -> list:
     two once each half of the batch holds a quarter of ``CHUNK_BYTES``, so
     two CPUs share every batch worth splitting; their sizes differ by at
     most one. They depend on ``n`` and the config alone, never on the CPU
-    count. No window, no chunk.
-
-    Below that floor the second chunk's per-op cost outweighs the second
-    CPU: swept with two workers on a tiny config, the gate shape and the
-    ETTh1 shape (see README "Chunked passes").
+    count. No window, no chunk. Below the floor a second chunk's per-op
+    cost outweighs the second CPU (README "Chunked passes").
     """
     k = -(-n // chunk_windows(cfg))
     if k == 1 and n // 2 * _window_bytes(cfg) >= CHUNK_BYTES // 4:
@@ -351,8 +347,7 @@ class TwinSModel:
                 self._norm(f"{p}.ln3", D)
                 self._linear(f"{p}.ct.w1", f"{p}.ct.b1", cp, cfg.h, rng)
                 self._linear(f"{p}.ct.w2", f"{p}.ct.b2", cfg.h, cp, rng)
-        head_in = cfg.d * cfg.L if cfg.use_wconv else cfg.P_at(0) * cfg.D_at(0)
-        self._linear("head.w", "head.b", head_in, cfg.T, rng)
+        self._linear("head.w", "head.b", cfg.d * cfg.L, cfg.T, rng)
         self._dropout_rng = np.random.default_rng(cfg.seed + 1)
 
     def parameters(self) -> list:
@@ -485,8 +480,7 @@ class TwinSModel:
                 del h
             pm = slot.pop()
             n = pm.ndim
-            z = ad.transpose(pm, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
-            flat = ad.reshape(z, lead + (cfg.C, cfg.d * cfg.L))
+            h = ad.transpose(pm, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
         else:
             slot = [emb.linear_patch_embed(xn, cfg.patch_len,
                                            self.params["embed.patch.w"],
@@ -495,6 +489,7 @@ class TwinSModel:
                 slot.append(self._residual_block(slot.pop(), l, probe=probe,
                                                  training=training))
             h = slot.pop()
-            flat = ad.reshape(h, lead + (cfg.C, cfg.P_at(0) * cfg.D_at(0)))
+        # d*L features per channel under either embedding: P*D = L*d
+        flat = ad.reshape(h, lead + (cfg.C, cfg.d * cfg.L))
         y = ad.linear(flat, self.params["head.w"], self.params["head.b"])
         return instance_denormalize(y, stats)

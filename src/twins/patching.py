@@ -20,14 +20,6 @@ class PatchedFeatureMap:
     data: Tensor              # (..., C, P, D)
     scale: int
 
-    @property
-    def P(self):
-        return self.data.shape[-2]
-
-    @property
-    def D(self):
-        return self.data.shape[-1]
-
 
 def window_unfold(x: Tensor, scale: int) -> PatchedFeatureMap:
     """(d, C, L) -> (C, P, D): merge `scale` consecutive steps per patch.
@@ -69,7 +61,7 @@ def window_fold(pm: PatchedFeatureMap) -> Tensor:
 
 def window_roll(pm: PatchedFeatureMap, r: int) -> PatchedFeatureMap:
     """Cyclic shift by r along the patch axis; undo with -r."""
-    if r % pm.P == 0:
+    if r % pm.data.shape[-2] == 0:
         return pm
     rolled = ad.roll(pm.data, r, axis=pm.data.ndim - 2)
     return PatchedFeatureMap(rolled, pm.scale)

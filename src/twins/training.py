@@ -149,7 +149,6 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     Returns (model, TrainHistory); best validation weights are restored
     before the final test evaluation.
     """
-    cfg.validate()
     model = TwinSModel(cfg)
     windows = window_view(dataset.train, cfg.L, cfg.T)
     n_windows = windows.inputs.shape[0]

@@ -18,8 +18,7 @@ def point_map(d, C, L, seed=0):
 class TestUnfold:
     def test_shape_small(self):
         pm = pt.window_unfold(point_map(2, 1, 6), scale=3)
-        assert pm.data.shape == (1, 2, 6)
-        assert pm.P == 2 and pm.D == 6
+        assert pm.data.shape == (1, 2, 6)   # C=1, P=2, D=6
 
     def test_shape_grid_point(self):
         pm = pt.window_unfold(point_map(16, 7, 96), scale=8)
@@ -108,7 +107,7 @@ class TestRoll:
 
     def test_full_cycle_identity(self):
         pm = pt.window_unfold(point_map(2, 2, 8, seed=4), scale=2)
-        same = pt.window_roll(pm, pm.P)
+        same = pt.window_roll(pm, pm.data.shape[-2])
         np.testing.assert_array_equal(same.data.data, pm.data.data)
 
     def test_inverse_pair(self):
