@@ -39,17 +39,25 @@ This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
 worker count may change when a chunk runs, never what it computes.
 
+For information, each tree also counts, per config, the graph nodes of
+one recorded chunk: the ops reachable from the loss of a training-mode
+forward over the first chunk of a batch, before any backward. This is the
+op count a change to the forward's op sequence can cite; it changes no
+exit code.
+
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
-per config on its checkpoint files. It exits 1 when an array is missing on
-one side, when the runs of this tree differ in a bit, when an array
-differs from PARENT_SRC by more than 1e-12, or when a checkpoint file
-differs or does not restore its parameters, and 2 on a bad argument,
-a PARENT_SRC without ``training.batch_gradients`` included.
+per config on its checkpoint files, then one per config on the graph nodes
+of both trees. It exits 1 when an array is missing on one side, when the
+runs of this tree differ in a bit, when an array differs from PARENT_SRC
+by more than 1e-12, or when a checkpoint file differs or does not restore
+its parameters, and 2 on a bad argument, a PARENT_SRC without
+``training.batch_gradients`` included.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -79,11 +87,24 @@ HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "src")
 
 
+def graph_nodes(loss) -> int:
+    """Op nodes reachable from ``loss``, which no backward has consumed."""
+    found, stack = set(), [loss._rec]
+    while stack:
+        r = stack.pop()
+        if r is None or r.node is None or id(r) in found:
+            continue
+        found.add(id(r))
+        stack.extend(r.node[2])
+    return len(found)
+
+
 def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
     chunks on ``workers`` threads (0: as many as the tree chooses); write
-    the arrays to ``out_dir/arrays.npz`` and each final model to
-    ``out_dir/<config>.ckpt``."""
+    the arrays to ``out_dir/arrays.npz``, each final model to
+    ``out_dir/<config>.ckpt`` and the graph nodes of one recorded chunk
+    per config to ``out_dir/nodes.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -99,7 +120,7 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         print(f"{src}: twins.training has no batch_gradients; this script "
               "compares only with a tree that has it", file=sys.stderr)
         raise SystemExit(2)
-    arrays = {}
+    arrays, nodes = {}, {}
     for name, fields in CONFIGS.items():
         cfg = md.ModelConfig(**fields)
         rng = np.random.default_rng(0)
@@ -125,7 +146,15 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         split = rng.standard_normal((cfg.C, cfg.L + cfg.T + SCORED - 1))
         m = tr.evaluate(model, split, cfg.L, cfg.T)
         arrays[f"{name}/no_grad/evaluate"] = np.array([m.mse, m.mae])
+        # last, so its draws and dropout masks change no array above
+        n = md.chunk_slices(BATCH, cfg)[0].stop
+        loss = ad.mse(model.forward(rng.standard_normal((n, 1, cfg.C, cfg.L)),
+                                    training=True),
+                      ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T))))
+        nodes[name] = graph_nodes(loss)
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
+    with open(os.path.join(out_dir, "nodes.json"), "w") as fh:
+        json.dump(nodes, fh)
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -227,6 +256,13 @@ def main(argv) -> int:
         same = compare(here, parent, "PARENT_SRC", TOL)
         print("checkpoints of this tree against PARENT_SRC's:")
         files_ok = compare_checkpoints(dirs[1], dirs[0], here, parent)
+        print("graph nodes of one recorded chunk, PARENT_SRC -> this tree:")
+        counts = []
+        for d in dirs[:2]:
+            with open(os.path.join(d, "nodes.json")) as fh:
+                counts.append(json.load(fh))
+        for name in CONFIGS:
+            print(f"{name:26s} {counts[0][name]:4d} -> {counts[1][name]:4d}")
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("checkpoints " + ("agree" if files_ok else "DISAGREE"))

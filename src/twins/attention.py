@@ -79,11 +79,6 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(xt, xt.shape[:-2] + (xt.shape[-2] * xt.shape[-1],))
 
 
-def _swap_last2(x: Tensor) -> Tensor:
-    n = x.ndim
-    return ad.transpose(x, tuple(range(n - 2)) + (n - 1, n - 2))
-
-
 def _attend(attn: Tensor, vh: Tensor, w_o: Tensor, m: int, probe) -> Tensor:
     """Shared tail: record one map per attention head in the probe, weight
     values, project out."""
@@ -101,7 +96,7 @@ def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
     qh = _split_heads(ad.matmul(x, w.w_q), m)
     kh = _split_heads(ad.matmul(x, w.w_k), m)
     vh = _split_heads(ad.matmul(x, w.w_v), m)
-    logits = ad.matmul(qh, _swap_last2(kh))
+    logits = ad.matmul(qh, ad.transpose(kh, (1, 0)))
     if scores is not None:
         s = align_heads(scores, m).shape[0]
         grouped = ad.reshape(logits, (s, m // s) + logits.shape[1:])

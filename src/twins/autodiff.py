@@ -574,16 +574,29 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), bwd, a)
 
 
+@functools.lru_cache(maxsize=None)
+def _permutation(ndim: int, axes: tuple) -> tuple:
+    """The permutation of all ``ndim`` axes that ``transpose`` applies for
+    ``axes``, and its inverse; worked out once per pair."""
+    k = len(axes)
+    if k > ndim or sorted(axes) != list(range(k)):
+        raise ValueError(f"transpose axes {axes} invalid for ndim {ndim}")
+    n = ndim - k
+    perm = tuple(range(n)) + tuple(n + i for i in axes)
+    return perm, tuple(sorted(range(ndim), key=perm.__getitem__))
+
+
 def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ValueError(f"transpose axes {axes} invalid for ndim {a.ndim}")
-    inv = sorted(range(a.ndim), key=axes.__getitem__)
+    """Permute the last ``len(axes)`` axes of ``a`` by ``axes``, numbered
+    from the first of them, and keep the axes before them: ``(1, 0)`` swaps
+    the last two axes of any array, a full-length ``axes`` permutes them all.
+    """
+    perm, inv = _permutation(a.ndim, tuple(axes))
 
     def bwd(g, ra):
         ra.accum(g.transpose(inv))
 
-    return _make(a.data.transpose(axes), bwd, a)
+    return _make(a.data.transpose(perm), bwd, a)
 
 
 def _roll(x: np.ndarray, shift: int, axis: int) -> np.ndarray:

@@ -113,14 +113,15 @@ def _load_series(args) -> tuple:
 
 
 def _run_dir(args, command: str) -> str:
+    """``--out`` as given, made if missing; otherwise a new directory
+    ``<command>-<time>-<suffix>`` that no other run shares."""
     if args.out:
-        path = args.out
-    else:
-        root = os.environ.get(OUT_ROOT_VAR, "runs")
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        path = os.path.join(root, f"{command}-{stamp}")
-    os.makedirs(path, exist_ok=True)
-    return path
+        os.makedirs(args.out, exist_ok=True)
+        return args.out
+    root = os.environ.get(OUT_ROOT_VAR, "runs")
+    os.makedirs(root, exist_ok=True)
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return tempfile.mkdtemp(prefix=f"{command}-{stamp}-", dir=root)
 
 
 def _write_json(path: str, doc) -> None:

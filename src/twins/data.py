@@ -37,8 +37,8 @@ class WindowBatch:
 
 
 def load_csv(path: str) -> RawSeries:
-    """Header + numeric rows; a first column with no numeric cell is taken
-    for a date column and dropped.
+    """Header + numeric rows; a first column with a filled cell but no
+    numeric one is taken for a date column and dropped.
 
     Any unparseable, missing or non-finite cell (``nan``, ``inf``,
     ``1e400``) is a hard error naming its position.
@@ -68,7 +68,8 @@ def load_csv(path: str) -> RawSeries:
             raise ValueError(
                 f"{path}: ragged row {line}: {len(row)} cells, expected {width}"
             )
-    has_date = not any(numeric(row[0]) for row in rows)
+    has_date = (any(row[0].strip() for row in rows)
+                and not any(numeric(row[0]) for row in rows))
     first_col = 1 if has_date else 0
     names = [h.strip() for h in header[first_col:]]
     out = np.empty((len(rows), len(names)))

@@ -5,8 +5,10 @@ slices of a single (d, 1, 2^n - 1) parameter array. Each input series is
 convolved with every width and the results are summed, so coarse trend and
 fine oscillation land in the same d-dimensional point feature.
 
-Point maps are (d, C, L); an arbitrary batch prefix in front of that is
-allowed everywhere (shapes below are written for the unbatched case).
+Point maps are (C, L, d), features innermost, so window patching regroups
+them with one reshape; an arbitrary batch prefix in front of that is
+allowed everywhere (shapes below are written for the unbatched case). The
+stored (d, L) position table keeps its layout and is added transposed.
 """
 
 from __future__ import annotations
@@ -41,15 +43,8 @@ def tap_multiplicity(k_max: int) -> np.ndarray:
                for i in range(num_scales))
 
 
-def _swap_last3_front2(x: Tensor) -> Tensor:
-    # (..., a, b, L) -> (..., b, a, L)
-    n = x.ndim
-    axes = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
-    return ad.transpose(x, axes)
-
-
 def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
-    """(1, C, L) raw series -> (d, C, L) point features, summed over scales.
+    """(1, C, L) raw series -> (C, L, d) point features, summed over scales.
 
     Channel independent: every series is convolved with the same bank.
     Convolution is linear in the kernel, so the sum over the nested widths
@@ -60,8 +55,9 @@ def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
             f"wconv_embed expects (..., 1, C, L), got {x.shape}"
         )
     kern = ad.mul(bank, Tensor(tap_multiplicity(bank.shape[-1])))
-    y = ad.conv1d(_swap_last3_front2(x), kern)    # (..., C, d, L)
-    return _swap_last3_front2(y)                  # (..., d, C, L)
+    C, L = x.shape[-2], x.shape[-1]
+    y = ad.conv1d(ad.reshape(x, x.shape[:-3] + (C, 1, L)), kern)
+    return ad.transpose(y, (1, 0))      # (..., C, d, L) -> (..., C, L, d)
 
 
 def init_position_table(d: int, L: int, rng: np.random.Generator) -> Tensor:
@@ -70,15 +66,15 @@ def init_position_table(d: int, L: int, rng: np.random.Generator) -> Tensor:
 
 
 def add_position(x: Tensor, pos: Tensor) -> Tensor:
-    """Add a (d, L) table to a (d, C, L) point map, broadcast over C."""
+    """Add a (d, L) table to a (C, L, d) point map, broadcast over C."""
     if pos.ndim != 2:
         raise ValueError(f"position table must be (d, L), got {pos.shape}")
     d, L = pos.shape
-    if x.shape[-3] != d or x.shape[-1] != L:
+    if x.shape[-2:] != (L, d):
         raise ValueError(
             f"position table {pos.shape} does not match point map {x.shape}"
         )
-    return ad.add(x, ad.reshape(pos, (d, 1, L)))
+    return ad.add(x, ad.transpose(pos, (1, 0)))
 
 
 def linear_patch_embed(x: Tensor, patch_len: int, w: Tensor,

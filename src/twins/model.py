@@ -209,19 +209,15 @@ def ct_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     This is the one block that couples channels, so it breaks channel
     permutation equivariance by design.
     """
-    n = x.ndim
     C, P, D = x.shape[-3], x.shape[-2], x.shape[-1]
     if w1.shape[0] != C * P:
         raise ValueError(
             f"mixer width {w1.shape[0]} does not match C*P = {C}*{P}"
         )
     lead = x.shape[:-3]
-    xt = ad.transpose(x, tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
-    rows = ad.reshape(xt, lead + (D, C * P))
+    rows = ad.reshape(ad.transpose(x, (2, 0, 1)), lead + (D, C * P))
     mixed = ad.linear(ad.gelu(ad.linear(rows, w1, b1)), w2, b2)
-    back = ad.reshape(mixed, lead + (D, C, P))
-    m = back.ndim
-    return ad.transpose(back, tuple(range(m - 3)) + (m - 2, m - 1, m - 3))
+    return ad.transpose(ad.reshape(mixed, lead + (D, C, P)), (1, 2, 0))
 
 
 def _window_bytes(cfg: ModelConfig) -> int:
@@ -478,9 +474,9 @@ class TwinSModel:
                 slot.append(pt.window_fold(
                     pt.window_roll(pt.PatchedFeatureMap(h, s), -r)))
                 del h
-            pm = slot.pop()
-            n = pm.ndim
-            h = ad.transpose(pm, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+            # the head reads each channel's features d-major, as (d, L),
+            # the layout head.w has in every checkpoint
+            h = ad.transpose(slot.pop(), (1, 0))
         else:
             slot = [emb.linear_patch_embed(xn, cfg.patch_len,
                                            self.params["embed.patch.w"],

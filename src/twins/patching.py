@@ -1,10 +1,11 @@
 """Reversible window patching and cyclic patch rotation.
 
-A point map (d, C, L) is regrouped into non-overlapping windows of `scale`
-steps: each window's time steps are concatenated along the feature axis,
-giving a patch map (C, P, D) with P = L/scale and D = d*scale. The move is
-pure data movement, so folding back is exact. Rotation cyclically shifts the
-patch axis and is undone by the opposite shift.
+A point map (C, L, d), features innermost, is regrouped into
+non-overlapping windows of `scale` steps: each window's time steps are
+concatenated along the feature axis, giving a patch map (C, P, D) with
+P = L/scale and D = scale*d. Consecutive steps are contiguous, so both
+directions are one reshape and folding back is exact. Rotation cyclically
+shifts the patch axis and is undone by the opposite shift.
 """
 
 from __future__ import annotations
@@ -22,41 +23,30 @@ class PatchedFeatureMap:
 
 
 def window_unfold(x: Tensor, scale: int) -> PatchedFeatureMap:
-    """(d, C, L) -> (C, P, D): merge `scale` consecutive steps per patch.
+    """(C, L, d) -> (C, P, D): merge `scale` consecutive steps per patch.
 
     Feature order within a patch is time-major: entry k*d + j is feature j
     of the k-th step in the window.
     """
     if x.ndim < 3:
-        raise ValueError(f"point map must be (..., d, C, L), got {x.shape}")
-    d, C, L = x.shape[-3], x.shape[-2], x.shape[-1]
+        raise ValueError(f"point map must be (..., C, L, d), got {x.shape}")
+    L, d = x.shape[-2], x.shape[-1]
     if scale < 1 or L % scale != 0:
         raise ValueError(f"L={L} not divisible by scale={scale}")
-    P = L // scale
-    n = x.ndim
-    lead = x.shape[:-3]
-    # (..., d, C, L) -> (..., C, L, d) -> (..., C, P, scale*d)
-    xt = ad.transpose(x, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
-    data = ad.reshape(xt, lead + (C, P, scale * d))
+    data = ad.reshape(x, x.shape[:-2] + (L // scale, scale * d))
     return PatchedFeatureMap(data, scale)
 
 
 def window_fold(pm: PatchedFeatureMap) -> Tensor:
-    """Exact inverse of window_unfold: (C, P, D) -> (d, C, L)."""
+    """Exact inverse of window_unfold: (C, P, D) -> (C, L, d)."""
     x = pm.data
     if x.ndim < 3:
         raise ValueError(f"patch map must be (..., C, P, D), got {x.shape}")
-    C, P, D = x.shape[-3], x.shape[-2], x.shape[-1]
+    P, D = x.shape[-2], x.shape[-1]
     scale = pm.scale
     if scale < 1 or D % scale != 0:
         raise ValueError(f"corrupt metadata: D={D} not divisible by scale={scale}")
-    d = D // scale
-    L = P * scale
-    lead = x.shape[:-3]
-    xt = ad.reshape(x, lead + (C, L, d))
-    n = xt.ndim
-    # (..., C, L, d) -> (..., d, C, L)
-    return ad.transpose(xt, tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
+    return ad.reshape(x, x.shape[:-2] + (P * scale, D // scale))
 
 
 def window_roll(pm: PatchedFeatureMap, r: int) -> PatchedFeatureMap:

@@ -291,7 +291,7 @@ def ref_attention(variant, x, w, scores, probe):
     else:
         qh = attn._split_heads(ad.matmul(x, w.w_q), m)
         kh = attn._split_heads(ad.matmul(x, w.w_k), m)
-        logits = ad.mul(aligned, ad.matmul(qh, attn._swap_last2(kh)))
+        logits = ad.mul(aligned, ad.matmul(qh, ad.transpose(kh, (1, 0))))
         a = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(x.shape[-1] // m)))
     probe["attn"] = a.data.copy()
     return ad.matmul(attn._merge_heads(ad.matmul(a, vh)), w.w_o)

@@ -679,7 +679,8 @@ class TestShapeErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             ad.reshape(t(np.ones((2, 3))), (7,))
 
-    @pytest.mark.parametrize("axes", [(0, 0), (1,), (0, 2), (-1, 0)])
+    @pytest.mark.parametrize("axes", [(0, 0), (1,), (0, 2), (-1, 0), (1, 2),
+                                      (0, 1, 2), (2, 0, 1)])
     def test_transpose_bad_axes_message(self, axes):
         msg = f"transpose axes {axes} invalid for ndim 2"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
@@ -746,16 +747,20 @@ class TestHelpersMatchNumpy:
 
     @pytest.mark.parametrize("ndim", range(1, 7))
     def test_transpose_inverse_matches_argsort(self, ndim):
+        # axes of length k permute the last k axes and keep those before
         rng = np.random.default_rng(ndim)
-        for _ in range(10):
-            axes = tuple(int(i) for i in rng.permutation(ndim))
-            a = t(rng.normal(size=tuple(rng.integers(1, 4, size=ndim))))
-            out = ad.transpose(a, axes)
-            g = rng.normal(size=out.shape)
-            run_node(out, g)
-            want = g.transpose(np.argsort(axes))
-            assert np.array_equal(a.grad, want)
-            assert a.grad.strides == want.strides
+        for k in range(1, ndim + 1):
+            for _ in range(10):
+                axes = tuple(int(i) for i in rng.permutation(k))
+                full = (*range(ndim - k), *(ndim - k + i for i in axes))
+                a = t(rng.normal(size=tuple(rng.integers(1, 4, size=ndim))))
+                out = ad.transpose(a, axes)
+                assert np.array_equal(out.data, a.data.transpose(full))
+                g = rng.normal(size=out.shape)
+                run_node(out, g)
+                want = g.transpose(np.argsort(full))
+                assert np.array_equal(a.grad, want)
+                assert a.grad.strides == want.strides
 
 
 class TestGradcheckAllOps:

@@ -318,3 +318,19 @@ def test_out_root_env_var(tmp_path, monkeypatch, capfd):
     assert rc == 0
     made = os.listdir(tmp_path)
     assert len(made) == 1 and made[0].startswith("scalogram-")
+
+
+def test_runs_in_one_second_get_their_own_dirs(tmp_path, monkeypatch, capfd):
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(tmp_path))
+    monkeypatch.setattr(cli.time, "strftime", lambda *a: "20260101-000000")
+    for _ in range(2):
+        assert cli.main(["train", "--synthetic", SPEC, *MODEL_FLAGS]) == 0
+    made = os.listdir(tmp_path)
+    assert len(made) == 2
+    for name in made:
+        assert name.startswith("train-20260101-000000-")
+        assert (tmp_path / name / "model.ckpt").exists()
+    # --out names one directory, reused as it is
+    out = str(tmp_path / "fixed")
+    args = cli.build_parser().parse_args(["train", "--out", out])
+    assert cli._run_dir(args, "train") == cli._run_dir(args, "train") == out

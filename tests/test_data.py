@@ -53,6 +53,11 @@ class TestLoadCsv:
         p = write(tmp_path, "a,b\n1,2\n3,\n")
         with pytest.raises(ValueError, match="missing value at row 3"):
             dt.load_csv(p)
+        # a first column with no cell filled is no date column
+        p = write(tmp_path, "a,b\n,1\n,2\n,3\n")
+        with pytest.raises(ValueError,
+                           match="missing value at row 2, column 1$"):
+            dt.load_csv(p)
 
     @pytest.mark.parametrize("cell", ["nan", "-nan", "+nan", "inf",
                                       "-Infinity", "1e400"])

@@ -18,9 +18,7 @@ def nested_reference(x, bank):
     centered width 1, 3, ..., K of the shared store, summed. Each width is
     the full bank times a 0/1 mask of its taps."""
     k_max = bank.shape[-1]
-    n = x.ndim
-    swap = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
-    xc = ad.transpose(x, swap)
+    xc = ad.transpose(x, (1, 0, 2))       # (..., C, 1, L)
     out = None
     width = 1
     while width <= k_max:
@@ -30,7 +28,7 @@ def nested_reference(x, bank):
         y = ad.conv1d(xc, ad.mul(bank, Tensor(mask)))
         out = y if out is None else ad.add(out, y)
         width = 2 * width + 1
-    return ad.transpose(out, swap)
+    return ad.transpose(out, (1, 0))      # (..., C, L, d)
 
 
 def rel(a, b):
@@ -89,7 +87,7 @@ class TestKernelBank:
             after = emb.wconv_embed(x, bank).data
         want = np.zeros(9)
         want[3:] = 5.0 * x.data[0, 0, :6]
-        np.testing.assert_allclose(after[0, 0] - before[0, 0], want,
+        np.testing.assert_allclose(after[0, :, 0] - before[0, :, 0], want,
                                    rtol=0, atol=1e-12)
 
 
@@ -99,7 +97,7 @@ class TestWconvEmbed:
         rng = np.random.default_rng(40 + n)
         bank = make_bank(d=3, num_scales=n, seed=n)
         x = Tensor(rng.normal(size=(2, 1, 3, 40)), requires_grad=True)
-        probe = rng.normal(size=(2, 3, 3, 40))
+        probe = rng.normal(size=(2, 3, 40, 3))
         got, want = [], []
         for fn, out in ((emb.wconv_embed, got), (nested_reference, want)):
             bank.zero_grad()
@@ -115,9 +113,9 @@ class TestWconvEmbed:
         bank.data[:] = 1.0
         x = Tensor(np.ones((1, 1, 5)))
         out = emb.wconv_embed(x, bank)
-        assert out.shape == (3, 1, 5)
+        assert out.shape == (1, 5, 3)
         for j in range(3):
-            np.testing.assert_allclose(out.data[j, 0], [3, 4, 4, 4, 3])
+            np.testing.assert_allclose(out.data[0, :, j], [3, 4, 4, 4, 3])
 
     def test_single_scale_pointwise(self):
         bank = make_bank(d=2, num_scales=1)
@@ -125,25 +123,25 @@ class TestWconvEmbed:
         bank.data[1, 0, 0] = -1.0
         x = Tensor(np.arange(6, dtype=float).reshape(1, 2, 3))
         out = emb.wconv_embed(x, bank)
-        np.testing.assert_allclose(out.data[0], 2.5 * x.data[0])
-        np.testing.assert_allclose(out.data[1], -1.0 * x.data[0])
+        np.testing.assert_allclose(out.data[..., 0], 2.5 * x.data[0])
+        np.testing.assert_allclose(out.data[..., 1], -1.0 * x.data[0])
 
     def test_output_shape_contract(self):
         bank = make_bank(d=4, num_scales=3)
         out = emb.wconv_embed(Tensor(np.zeros((1, 7, 24))), bank)
-        assert out.shape == (4, 7, 24)
+        assert out.shape == (7, 24, 4)
 
     def test_batched_leading_axis(self):
         bank = make_bank(d=2, num_scales=2)
         out = emb.wconv_embed(Tensor(np.zeros((5, 1, 3, 12))), bank)
-        assert out.shape == (5, 2, 3, 12)
+        assert out.shape == (5, 3, 12, 2)
 
     def test_channel_permutation_equivariance(self):
         bank = make_bank(d=3, num_scales=3, seed=2)
         x = np.random.default_rng(1).normal(size=(1, 4, 16))
         perm = [2, 0, 3, 1]
         with ad.no_grad():
-            a = emb.wconv_embed(Tensor(x), bank).data[:, perm, :]
+            a = emb.wconv_embed(Tensor(x), bank).data[perm]
             b = emb.wconv_embed(Tensor(x[:, perm, :]), bank).data
         np.testing.assert_array_equal(a, b)
 
@@ -166,27 +164,27 @@ class TestWconvEmbed:
 
 class TestPosition:
     def test_zero_table_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 4, 2)))
         pos = Tensor(np.zeros((2, 4)))
         np.testing.assert_array_equal(emb.add_position(x, pos).data, x.data)
 
     def test_shape_and_broadcast(self):
-        x = Tensor(np.zeros((2, 3, 4)))
+        x = Tensor(np.zeros((3, 4, 2)))
         pos = Tensor(np.arange(8, dtype=float).reshape(2, 4))
         out = emb.add_position(x, pos)
-        assert out.shape == (2, 3, 4)
+        assert out.shape == (3, 4, 2)
         for c in range(3):
-            np.testing.assert_array_equal(out.data[:, c, :], pos.data)
+            np.testing.assert_array_equal(out.data[c], pos.data.T)
 
     def test_gradient_summed_over_channels(self):
-        x = Tensor(np.zeros((2, 3, 4)))
+        x = Tensor(np.zeros((3, 4, 2)))
         pos = Tensor(np.zeros((2, 4)), requires_grad=True)
         ad.backward(ad.sum_all(emb.add_position(x, pos)))
         np.testing.assert_allclose(pos.grad, np.full((2, 4), 3.0))
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            emb.add_position(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5))))
+            emb.add_position(Tensor(np.zeros((3, 4, 2))), Tensor(np.zeros((2, 5))))
 
 
 class TestLinearPatch:

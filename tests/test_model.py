@@ -258,7 +258,7 @@ class TestForward:
     def test_zero_sublayers_make_layer_identity(self):
         model = md.TwinSModel(micro_config())
         zero_weights(model)
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 2, 8)))
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 2)))
         h = pt.window_unfold(x, model.config.patch_len).data
         with ad.no_grad():
             out = model._residual_block(h, 0)
@@ -307,7 +307,7 @@ class TestComposition:
         cfg = micro_config(variant="mhsa", use_ctmlp=False)
         model = md.TwinSModel(cfg)
         par = model.params
-        x = Tensor(np.random.default_rng(8).normal(size=(2, 2, 8)))
+        x = Tensor(np.random.default_rng(8).normal(size=(2, 8, 2)))
         with ad.no_grad():
             pm = pt.window_unfold(x, cfg.patch_len)
             got = pt.window_fold(replace(pm, data=model._residual_block(
