@@ -41,20 +41,21 @@ worker count may change when a chunk runs, never what it computes.
 
 For information, each tree also counts, per config, the graph nodes of
 one recorded chunk: the ops reachable from the loss of a training-mode
-forward over the first chunk of a batch, before any backward. This is the
-op count a change to the forward's op sequence can cite; it changes no
-exit code.
+forward over the first chunk of a batch, before any backward; and the ops
+of one batch-1 no-grad forecast, the single window above, as calls to
+``autodiff._make``. These are the op counts a change to the forward's op
+sequence can cite; they change no exit code.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
 per config on its checkpoint files, then one per config on the graph nodes
-of both trees. It exits 1 when an array is missing on one side, when the
-runs of this tree differ in a bit, when an array differs from PARENT_SRC
-by more than 1e-12, or when a checkpoint file differs or does not restore
-its parameters, and 2 on a bad argument, a PARENT_SRC without
-``training.batch_gradients`` included.
+and batch-1 forecast ops of both trees. It exits 1 when an array is
+missing on one side, when the runs of this tree differ in a bit, when an
+array differs from PARENT_SRC by more than 1e-12, or when a checkpoint
+file differs or does not restore its parameters, and 2 on a bad argument,
+a PARENT_SRC without ``training.batch_gradients`` included.
 """
 
 import json
@@ -99,12 +100,29 @@ def graph_nodes(loss) -> int:
     return len(found)
 
 
+def make_calls(ad, call) -> int:
+    """Calls to ``ad._make``, one per op, while ``call()`` runs."""
+    real, calls = ad._make, []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    ad._make = counting
+    try:
+        call()
+    finally:
+        ad._make = real
+    return len(calls)
+
+
 def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
     chunks on ``workers`` threads (0: as many as the tree chooses); write
     the arrays to ``out_dir/arrays.npz``, each final model to
-    ``out_dir/<config>.ckpt`` and the graph nodes of one recorded chunk
-    per config to ``out_dir/nodes.json``."""
+    ``out_dir/<config>.ckpt`` and, per config, the graph nodes of one
+    recorded chunk and the ops of one batch-1 forecast to
+    ``out_dir/counts.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -120,7 +138,7 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         print(f"{src}: twins.training has no batch_gradients; this script "
               "compares only with a tree that has it", file=sys.stderr)
         raise SystemExit(2)
-    arrays, nodes = {}, {}
+    arrays, counts = {}, {}
     for name, fields in CONFIGS.items():
         cfg = md.ModelConfig(**fields)
         rng = np.random.default_rng(0)
@@ -143,6 +161,7 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         with ad.no_grad():
             arrays[f"{name}/no_grad/forecast"] = model.forward(x).data
             arrays[f"{name}/no_grad/single"] = model.forward(x[0]).data
+            ops = make_calls(ad, lambda: model.forward(x[0]))
         split = rng.standard_normal((cfg.C, cfg.L + cfg.T + SCORED - 1))
         m = tr.evaluate(model, split, cfg.L, cfg.T)
         arrays[f"{name}/no_grad/evaluate"] = np.array([m.mse, m.mae])
@@ -151,10 +170,10 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         loss = ad.mse(model.forward(rng.standard_normal((n, 1, cfg.C, cfg.L)),
                                     training=True),
                       ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T))))
-        nodes[name] = graph_nodes(loss)
+        counts[name] = [graph_nodes(loss), ops]
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
-    with open(os.path.join(out_dir, "nodes.json"), "w") as fh:
-        json.dump(nodes, fh)
+    with open(os.path.join(out_dir, "counts.json"), "w") as fh:
+        json.dump(counts, fh)
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -256,13 +275,16 @@ def main(argv) -> int:
         same = compare(here, parent, "PARENT_SRC", TOL)
         print("checkpoints of this tree against PARENT_SRC's:")
         files_ok = compare_checkpoints(dirs[1], dirs[0], here, parent)
-        print("graph nodes of one recorded chunk, PARENT_SRC -> this tree:")
+        print("graph nodes of one recorded chunk and ops of one batch-1 "
+              "forecast, PARENT_SRC -> this tree:")
         counts = []
         for d in dirs[:2]:
-            with open(os.path.join(d, "nodes.json")) as fh:
+            with open(os.path.join(d, "counts.json")) as fh:
                 counts.append(json.load(fh))
         for name in CONFIGS:
-            print(f"{name:26s} {counts[0][name]:4d} -> {counts[1][name]:4d}")
+            (n0, o0), (n1, o1) = counts[0][name], counts[1][name]
+            print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
+                  f"forecast ops {o0:4d} -> {o1:4d}")
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("checkpoints " + ("agree" if files_ok else "DISAGREE"))

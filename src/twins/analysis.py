@@ -121,8 +121,8 @@ def export_attention(model: TwinSModel, window: np.ndarray, layer: int,
     return mat
 
 
-def _check_sizes(T: int, P: int, D: int, k: int, **heads) -> None:
-    for name, value in dict(T=T, P=P, D=D, k=k, **heads).items():
+def _check_sizes(T: int, P: int, D: int, k: int) -> None:
+    for name, value in dict(T=T, P=P, D=D, k=k).items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if T % P != 0:
@@ -143,19 +143,19 @@ def flop_analytic(T: int, P: int, D: int, k: int) -> FlopReport:
     return FlopReport(T, P, D, k, mhsa, paa, paa_cheaper=k < 2 * D)
 
 
-def flop_measured(variant: str, T: int, P: int, D: int, k: int,
-                  M: int = 4, S: int = 4) -> int:
+def flop_measured(variant: str, T: int, P: int, D: int, k: int) -> int:
     """Instrumented MAC count of one forward attention block.
 
     Counts projections, score computation, and value aggregation only,
-    on a single channel of N = T/P tokens.
+    on a single channel of N = T/P tokens, with one head and one score map:
+    the count does not depend on how D is split, and every D allows it.
     """
-    _check_sizes(T, P, D, k, heads=M, score_heads=S)
+    _check_sizes(T, P, D, k)
     N = T // P
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, N, D)))
-    w = at.init_attention(D, M, rng, keyless=(variant == "twins"))
-    sub = at.init_subnet(D, S, k, N, rng) if variant != "mhsa" else None
+    w = at.init_attention(D, 1, rng, keyless=(variant == "twins"))
+    sub = at.init_subnet(D, 1, k, N, rng) if variant != "mhsa" else None
     ad.reset_mac_count()
     ad.enable_mac_counting(True)
     try:
@@ -166,13 +166,12 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int,
     return ad.mac_count()
 
 
-def complexity_report(T: int, P: int, D: int, k: int,
-                      M: int = 4, S: int = 4) -> FlopReport:
+def complexity_report(T: int, P: int, D: int, k: int) -> FlopReport:
     """Analytic ledger plus measured counts from the instrumented ops."""
     rep = flop_analytic(T, P, D, k)
     return replace(rep,
-                   measured_mhsa=flop_measured("mhsa", T, P, D, k, M, S),
-                   measured_paa=flop_measured("twins", T, P, D, k, M, S))
+                   measured_mhsa=flop_measured("mhsa", T, P, D, k),
+                   measured_paa=flop_measured("twins", T, P, D, k))
 
 
 ABLATION_VARIANTS = (

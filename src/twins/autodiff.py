@@ -474,17 +474,12 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(x.shape[:-2] + (x.shape[-2] * k, L))
 
 
-def _correlate(x: np.ndarray, kd: np.ndarray) -> np.ndarray:
-    """(..., Cin, L) correlated with (Cout, Cin, K) -> (..., Cout, L)."""
-    cout, cin, k = kd.shape
-    return kd.reshape(cout, cin * k) @ _im2col(x, k)
-
-
 def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Length-preserving correlation, stride 1, symmetric zero padding.
 
-    x: (..., Cin, L); kernels: (Cout, Cin, K) with K odd -> (..., Cout, L).
-    Computed as one GEMM over sliding-window columns (im2col).
+    x: (..., Cin, L), data that needs no gradient; kernels: (Cout, Cin, K)
+    with K odd -> (..., L, Cout), features innermost. One GEMM over
+    sliding-window columns (im2col); only the kernels are differentiated.
     """
     if kernels.ndim != 3:
         raise ValueError(f"conv1d kernels must be (Cout, Cin, K), got {kernels.shape}")
@@ -495,22 +490,20 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         raise ValueError(
             f"conv1d: input {x.shape} does not match kernels {kernels.shape}"
         )
+    if x.requires_grad:
+        raise ValueError(f"conv1d: input {x.shape} requires a gradient; "
+                         "conv1d differentiates only its kernels")
     xd, kd = x.data, kernels.data
-    out = _correlate(xd, kd)
-    L = xd.shape[-1]
-    _add_macs(out.size // (cout * L) * cout * L * cin * k)
+    out = (kd.reshape(cout, cin * k) @ _im2col(xd, k)).swapaxes(-1, -2)
+    _add_macs(out.size * cin * k)
 
-    def bwd(g, rx, rk):
-        if rk:
-            # columns rebuilt here rather than kept alive through the pass
-            cols = _im2col(xd, k)
-            gk = (g @ cols.swapaxes(-1, -2)).reshape(-1, cout, cin * k)
-            rk.accum(gk.sum(axis=0).reshape(kd.shape))
-        if rx:
-            # the adjoint: correlate with the kernels flipped and transposed
-            rx.accum(_correlate(g, kd.transpose(1, 0, 2)[:, :, ::-1]))
+    def bwd(g, rk):
+        # columns rebuilt here rather than kept alive through the pass
+        cols_t = _im2col(xd, k).swapaxes(-1, -2)
+        gk = (g.swapaxes(-1, -2) @ cols_t).reshape(-1, cout, cin * k)
+        rk.accum(gk.sum(axis=0).reshape(kd.shape))
 
-    return _make(out, bwd, x, kernels)
+    return _make(out, bwd, kernels)
 
 
 def _dw_correlate(a: np.ndarray, kd: np.ndarray) -> np.ndarray:

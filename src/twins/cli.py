@@ -344,11 +344,8 @@ def cmd_attn(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    if args.no_measure:
-        rep = ana.flop_analytic(args.T, args.P, args.D, args.k)
-    else:
-        rep = ana.complexity_report(args.T, args.P, args.D, args.k,
-                                    M=args.heads, S=args.score_heads)
+    report = ana.flop_analytic if args.no_measure else ana.complexity_report
+    rep = report(args.T, args.P, args.D, args.k)
     N = args.T // args.P
     print(f"T={rep.T} P={rep.P} D={rep.D} k={rep.k} ({N} tokens)")
     print(f"analytic dot-product attention: {rep.analytic_mhsa} MACs")
@@ -497,8 +494,6 @@ def build_parser() -> _Parser:
     p.add_argument("--P", type=int, default=8, help="patch length")
     p.add_argument("--D", type=int, default=128, help="token width")
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--score-heads", type=int, default=4)
     p.add_argument("--no-measure", action="store_true",
                    help="skip the instrumented forward pass")
     p.set_defaults(func=cmd_flops)

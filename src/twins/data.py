@@ -121,14 +121,17 @@ def split_standardize(raw: RawSeries, ratios=(0.6, 0.2, 0.2)) -> SplitDataset:
     )
 
 
+def check_window_fit(values: np.ndarray, L: int, T: int, what="split"):
+    """Raise unless ``values``, named ``what``, holds one L + T window."""
+    if values.shape[1] < L + T:
+        raise ValueError(f"{what} of length {values.shape[1]} too short "
+                         f"for L={L}, T={T}")
+
+
 def window_view(values: np.ndarray, L: int, T: int) -> WindowBatch:
     """Lookback/target pairs at every offset of one split, as read-only
     views of it: nothing is copied until a batch is taken."""
-    n = values.shape[1]
-    if n < L + T:
-        raise ValueError(
-            f"split of length {n} too short for L={L}, T={T}"
-        )
+    check_window_fit(values, L, T)
     # (n - L - T + 1, C, L + T)
     win = np.lib.stride_tricks.sliding_window_view(
         np.asarray(values, dtype=np.float64), L + T, axis=1).transpose(1, 0, 2)

@@ -5,10 +5,10 @@ slices of a single (d, 1, 2^n - 1) parameter array. Each input series is
 convolved with every width and the results are summed, so coarse trend and
 fine oscillation land in the same d-dimensional point feature.
 
-Point maps are (C, L, d), features innermost, so window patching regroups
-them with one reshape; an arbitrary batch prefix in front of that is
-allowed everywhere (shapes below are written for the unbatched case). The
-stored (d, L) position table keeps its layout and is added transposed.
+Point maps are (C, L, d), features innermost, as ``ad.conv1d`` writes
+them, so window patching regroups them with one reshape; an arbitrary
+batch prefix in front of that is allowed everywhere (shapes below are for
+the unbatched case). The stored (d, L) position table is added transposed.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
     Channel independent: every series is convolved with the same bank.
     Convolution is linear in the kernel, so the sum over the nested widths
     is one convolution with the store scaled by each tap's multiplicity.
+    The series is data: ``ad.conv1d`` differentiates only the bank.
     """
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ValueError(
@@ -56,8 +57,7 @@ def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
         )
     kern = ad.mul(bank, Tensor(tap_multiplicity(bank.shape[-1])))
     C, L = x.shape[-2], x.shape[-1]
-    y = ad.conv1d(ad.reshape(x, x.shape[:-3] + (C, 1, L)), kern)
-    return ad.transpose(y, (1, 0))      # (..., C, d, L) -> (..., C, L, d)
+    return ad.conv1d(ad.reshape(x, x.shape[:-3] + (C, 1, L)), kern)
 
 
 def init_position_table(d: int, L: int, rng: np.random.Generator) -> Tensor:

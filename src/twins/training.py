@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import SplitDataset, make_windows, window_view
+from .data import SplitDataset, check_window_fit, make_windows, window_view
 from .model import ModelConfig, TwinSModel, chunk_slices, run_chunks
 
 CLIP_NORM = 5.0
@@ -147,8 +147,12 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     """Adam on MSE with shuffled mini-batches and early stopping.
 
     Returns (model, TrainHistory); best validation weights are restored
-    before the final test evaluation.
+    before the final test evaluation. A short split fails before training.
     """
+    check_window_fit(dataset.train, cfg.L, cfg.T, "training split")
+    check_window_fit(dataset.val, cfg.L, cfg.T, "validation split")
+    if eval_test:
+        check_window_fit(dataset.test, cfg.L, cfg.T, "test split")
     model = TwinSModel(cfg)
     windows = window_view(dataset.train, cfg.L, cfg.T)
     n_windows = windows.inputs.shape[0]
@@ -286,7 +290,7 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
             t = model.params[name]
             # a w_p of the widest P is the older layout; its columns past
             # this layer's P never had a gradient
-            legacy = (name.endswith(".subnet.w_p")
+            legacy = (shape != t.shape and name.endswith(".subnet.w_p")
                       and shape == t.shape[:2] + (p_wide,))
             if shape != t.shape and not legacy:
                 raise ValueError(

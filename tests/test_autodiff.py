@@ -34,7 +34,8 @@ class TestValues:
         x = t(np.ones((1, 1, 5)), rg=False)
         k = t(np.ones((1, 1, 3)), rg=False)
         out = ad.conv1d(x, k)
-        np.testing.assert_allclose(out.data[0, 0], [2, 3, 3, 3, 2])
+        assert out.shape == (1, 5, 1)       # (..., L, Cout)
+        np.testing.assert_allclose(out.data[0, :, 0], [2, 3, 3, 3, 2])
 
     def test_depthwise_known_answer(self):
         x = t([[1.0], [2.0], [3.0], [4.0]], rg=False)  # (P, Ch) = (4, 1)
@@ -557,17 +558,16 @@ def ref_depthwise(x, kern, g):
 
 
 def ref_conv1d(x, kern, g):
+    """(..., Cin, L) data -> (..., L, Cout); the kernel gradient only."""
     k = kern.shape[-1]
-    pad = (k - 1) // 2
-    xw = _windows(_pad_last(x, pad), k)
-    out = np.einsum("...ctk,ock->...ot", xw, kern, optimize=True)
-    gk = np.einsum("...ot,...ctk->ock", g, xw, optimize=True)
-    gw = _windows(_pad_last(g, k - 1), k)
-    gx = np.einsum("...otk,ock->...ct", gw, kern[:, :, ::-1], optimize=True)
-    return out, [gx[..., pad:pad + x.shape[-1]], gk]
+    xw = _windows(_pad_last(x, (k - 1) // 2), k)
+    out = np.einsum("...ctk,ock->...to", xw, kern, optimize=True)
+    gk = np.einsum("...to,...ctk->ock", g, xw, optimize=True)
+    return out, [gk]
 
 
-# name -> (op, reference, input shapes)
+# name -> (op, reference, input shapes); the reference returns the gradient
+# of every input that needs one
 REFERENCE_CASES = {
     "sigmoid": (ad.sigmoid, ref_sigmoid, [(3, 2, 5, 8)]),
     "gelu": (ad.gelu, ref_gelu, [(3, 2, 5, 8)]),
@@ -582,11 +582,13 @@ REFERENCE_CASES = {
     # the wavelet embedding's shape: one input channel, a wide kernel
     "conv1d_embedding": (ad.conv1d, ref_conv1d, [(3, 2, 1, 12), (6, 1, 15)]),
 }
+# cases whose first input is data, which needs no gradient
+DATA_FIRST = {"conv1d", "conv1d_embedding"}
 
 
 class TestKernelsMatchReference:
-    """Forward values and every input gradient within 1e-12 relative of the
-    reference formulas, on contiguous batched inputs and on transposed
+    """Forward values and the gradient of every input that needs one within
+    1e-12 relative of the reference formulas, on contiguous batched inputs and on transposed
     (non-contiguous) inputs and upstream gradients."""
 
     @pytest.mark.parametrize("layout", ["batched", "transposed"])
@@ -604,14 +606,17 @@ class TestKernelsMatchReference:
 
         # wide spread so sigmoid and softmax see both tails
         arrays = [draw(shapes[0], 6.0)] + [draw(s) for s in shapes[1:]]
-        ts = [t(a) for a in arrays]
+        ts = [t(a, rg=i > 0 or name not in DATA_FIRST)
+              for i, a in enumerate(arrays)]
         out = op(*ts)
         g = draw(out.shape)
         run_node(out, g)
         want, want_grads = ref(*arrays, g)
         assert out.shape == want.shape
         assert gc.rel_error(out.data, want) <= 1e-12
-        for x, gw in zip(ts, want_grads):
+        differentiated = [x for x in ts if x.requires_grad]
+        assert len(differentiated) == len(want_grads)
+        for x, gw in zip(differentiated, want_grads):
             assert x.grad.shape == gw.shape
             assert gc.rel_error(x.grad, gw) <= 1e-12
 
@@ -660,10 +665,22 @@ class TestShapeErrors:
             ad.matmul(t(np.ones(a_shape)), t(np.ones(b_shape)))
 
     def test_conv_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            ad.conv1d(t(np.ones((1, 1, 5))), t(np.ones((1, 1, 4))))
+        with pytest.raises(ValueError, match="odd"):
+            ad.conv1d(t(np.ones((1, 1, 5)), rg=False), t(np.ones((1, 1, 4))))
         with pytest.raises(ValueError):
             ad.depthwise_conv1d(t(np.ones((1, 4))), t(np.ones((1, 2))))
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_conv1d_input_needing_gradient_rejected(self, recording):
+        # the input is data: it never gets a silent zero gradient
+        msg = ("conv1d: input (2, 1, 5) requires a gradient; conv1d "
+               "differentiates only its kernels")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            if recording:
+                ad.conv1d(t(np.ones((2, 1, 5))), t(np.ones((3, 1, 3))))
+            else:
+                with ad.no_grad():
+                    ad.conv1d(t(np.ones((2, 1, 5))), t(np.ones((3, 1, 3))))
 
     def test_add_incompatible(self):
         with pytest.raises(ValueError):

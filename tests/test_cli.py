@@ -127,6 +127,15 @@ def test_flops_reference_values(capfd):
     assert "yes" in out
 
 
+def test_flops_any_width(capfd):
+    # one head and one score map measure every D, not only multiples of 4
+    rc = cli.main(["analyze", "flops", "--D", "6"])
+    assert rc == 0
+    out = capfd.readouterr().out
+    assert "measured dot-product attention: 3456 MACs" in out
+    assert "measured keyless attention:     2808 MACs" in out
+
+
 def test_flops_bad_grid(capfd):
     rc = cli.main(["analyze", "flops", "--T", "96", "--P", "7"])
     assert rc == 1
@@ -134,9 +143,9 @@ def test_flops_bad_grid(capfd):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--T", "0"], ["--D", "0"], ["--heads", "0"], ["--score-heads", "0"],
+    ["--T", "0"], ["--D", "0"],
     ["--no-measure", "--D", "0"], ["--no-measure", "--k", "-1"],
-], ids=["T", "D", "heads", "score_heads", "D_no_measure", "k_no_measure"])
+], ids=["T", "D", "D_no_measure", "k_no_measure"])
 def test_flops_non_positive_rejected(flags, capfd):
     rc = cli.main(["analyze", "flops", *flags])
     assert rc == 1

@@ -18,7 +18,7 @@ def nested_reference(x, bank):
     centered width 1, 3, ..., K of the shared store, summed. Each width is
     the full bank times a 0/1 mask of its taps."""
     k_max = bank.shape[-1]
-    xc = ad.transpose(x, (1, 0, 2))       # (..., C, 1, L)
+    xc = ad.transpose(x, (1, 0, 2))       # (..., C, 1, L), data
     out = None
     width = 1
     while width <= k_max:
@@ -28,7 +28,7 @@ def nested_reference(x, bank):
         y = ad.conv1d(xc, ad.mul(bank, Tensor(mask)))
         out = y if out is None else ad.add(out, y)
         width = 2 * width + 1
-    return ad.transpose(out, (1, 0))      # (..., C, L, d)
+    return out                            # (..., C, L, d)
 
 
 def rel(a, b):
@@ -96,15 +96,15 @@ class TestWconvEmbed:
     def test_matches_nested_reference(self, n):
         rng = np.random.default_rng(40 + n)
         bank = make_bank(d=3, num_scales=n, seed=n)
-        x = Tensor(rng.normal(size=(2, 1, 3, 40)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 1, 3, 40)))
         probe = rng.normal(size=(2, 3, 40, 3))
         got, want = [], []
         for fn, out in ((emb.wconv_embed, got), (nested_reference, want)):
             bank.zero_grad()
-            x.zero_grad()
             y = fn(x, bank)
+            assert y.shape == (2, 3, 40, 3)
             ad.backward(ad.sum_all(ad.mul(y, Tensor(probe))))
-            out += [y.data, bank.grad.copy(), x.grad.copy()]
+            out += [y.data, bank.grad.copy()]
         for g, w in zip(got, want):
             assert rel(g, w) <= 1e-12
 
@@ -149,6 +149,13 @@ class TestWconvEmbed:
         bank = make_bank(d=2, num_scales=2)
         with pytest.raises(ValueError):
             emb.wconv_embed(Tensor(np.zeros((2, 3, 8))), bank)
+
+    def test_input_needing_gradient_rejected(self):
+        # the series is data; it never gets a silent zero gradient
+        bank = make_bank(d=2, num_scales=2)
+        x = Tensor(np.zeros((1, 3, 8)), requires_grad=True)
+        with pytest.raises(ValueError, match="requires a gradient"):
+            emb.wconv_embed(x, bank)
 
     def test_bank_gradient_vs_fd(self):
         bank = make_bank(d=2, num_scales=3, seed=3)

@@ -7,6 +7,7 @@ import re
 import struct
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,6 +398,28 @@ class TestTrain:
         assert rows[0]["epoch"] == 0 and rows[0]["test_mse"] is None
         assert rows[-1]["epoch"] is None and rows[-1]["test_mse"] is not None
 
+    @pytest.mark.parametrize("split, name, eval_test", [
+        ("train", "training", False), ("val", "validation", False),
+        ("test", "test", True)])
+    def test_short_split_fails_before_the_first_batch(self, split, name,
+                                                      eval_test, monkeypatch):
+        # L + T = 40: a split of 39 steps holds no window
+        ds = tiny_dataset()
+        ds = replace(ds, **{split: getattr(ds, split)[:, :39]})
+        steps = []
+        monkeypatch.setattr(tr, "batch_gradients",
+                            lambda *args: steps.append(args))
+        msg = f"{name} split of length 39 too short for L=32, T=8"
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            tr.train(tiny_config(), ds, eval_test=eval_test)
+        assert steps == []
+
+    def test_short_test_split_unused_without_eval_test(self):
+        ds = tiny_dataset()
+        ds = replace(ds, test=ds.test[:, :39])
+        _, hist = tr.train(tiny_config(epochs=1), ds, eval_test=False)
+        assert len(hist.records) == 1 and hist.test is None
+
     def test_returns_test_metrics(self):
         ds = tiny_dataset(seed=9)
         _, hist = tr.train(tiny_config(epochs=1), ds)
@@ -438,6 +461,24 @@ class TestCheckpoint:
         with ad.no_grad():
             np.testing.assert_array_equal(model.forward(x).data,
                                           again.forward(x).data)
+
+    def test_uniform_scale_w_p_read_in_place(self, tmp_path, monkeypatch):
+        # every layer's w_p has the widest P: no scratch array for any of
+        # them beyond what building the model allocates itself
+        cfg = md.ModelConfig(**GATE, variant="twins", n_layers=2)
+        p = str(tmp_path / "m.ckpt")
+        tr.save_checkpoint(md.TwinSModel(cfg), p)
+        calls, real_empty = [], np.empty
+
+        def spy(shape, *args, **kwargs):
+            calls.append(shape)
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", spy)
+        md.TwinSModel(cfg)
+        own = len(calls)
+        tr.load_checkpoint(p)
+        assert calls[own:] == calls[:own]
 
     @pytest.mark.parametrize("width", [6, 16])
     def test_other_w_p_width_rejected(self, tmp_path, width):
