@@ -55,7 +55,9 @@ and batch-1 forecast ops of both trees. It exits 1 when an array is
 missing on one side, when the runs of this tree differ in a bit, when an
 array differs from PARENT_SRC by more than 1e-12, or when a checkpoint
 file differs or does not restore its parameters, and 2 on a bad argument,
-a PARENT_SRC without ``training.batch_gradients`` included.
+a PARENT_SRC without ``training.batch_gradients`` included. Last, it
+prints each tree's package size: the lines of its ``twins/*.py``, in
+total and without blank and comment-only lines.
 """
 
 import json
@@ -114,6 +116,20 @@ def make_calls(ad, call) -> int:
     finally:
         ad._make = real
     return len(calls)
+
+
+def package_lines(src: str) -> tuple:
+    """(all lines, lines neither blank nor comment-only) of the ``.py``
+    files of ``src/twins``."""
+    total = code = 0
+    pkg = os.path.join(src, "twins")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                lines = [s.strip() for s in fh]
+            total += len(lines)
+            code += sum(bool(s) and not s.startswith("#") for s in lines)
+    return total, code
 
 
 def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
@@ -285,6 +301,10 @@ def main(argv) -> int:
             (n0, o0), (n1, o1) = counts[0][name], counts[1][name]
             print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
                   f"forecast ops {o0:4d} -> {o1:4d}")
+    for label, src in (("PARENT_SRC", argv[0]), ("this tree", HERE_SRC)):
+        total, code = package_lines(src)
+        print(f"{label:10s} twins package: {total} lines, {code} neither "
+              "blank nor comment-only")
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("checkpoints " + ("agree" if files_ok else "DISAGREE"))

@@ -4,7 +4,9 @@ All ops act on patch maps (..., C, P, D) where every axis before P is batch
 (channel independence: C never mixes here). Heads are carried as a leading
 axis internally, so score tensors are (S, ..., C, P, P). Each of the S score
 maps guides a group of M/S consecutive attention heads; the groups share the
-map by broadcasting, never by copying it.
+map by broadcasting, never by copying it. Every projection (q, k, v, o)
+is a bias-free ``linear``, and the products over heads are batched
+``matmul`` calls.
 
 The scoring sub-network convolves each feature along the patch axis, so it
 reacts to where in time a periodic pattern is present; its sigmoid output
@@ -84,7 +86,7 @@ def _attend(attn: Tensor, vh: Tensor, w_o: Tensor, m: int, probe) -> Tensor:
     values, project out."""
     if probe is not None:
         probe["attn"] = np.repeat(attn.data, m // attn.shape[0], axis=0)
-    return ad.matmul(_merge_heads(ad.matmul(attn, vh)), w_o)
+    return ad.linear(_merge_heads(ad.matmul(attn, vh)), w_o)
 
 
 def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
@@ -93,16 +95,16 @@ def _dot_product(x: Tensor, w: AttentionWeights, scores, probe) -> Tensor:
     if w.w_v.shape[0] != D:
         raise ValueError(f"weights sized {w.w_v.shape} vs input D={D}")
     m = w.heads
-    qh = _split_heads(ad.matmul(x, w.w_q), m)
-    kh = _split_heads(ad.matmul(x, w.w_k), m)
-    vh = _split_heads(ad.matmul(x, w.w_v), m)
+    qh = _split_heads(ad.linear(x, w.w_q), m)
+    kh = _split_heads(ad.linear(x, w.w_k), m)
+    vh = _split_heads(ad.linear(x, w.w_v), m)
     logits = ad.matmul(qh, ad.transpose(kh, (1, 0)))
     if scores is not None:
         s = align_heads(scores, m).shape[0]
         grouped = ad.reshape(logits, (s, m // s) + logits.shape[1:])
         shared = ad.reshape(scores, (s, 1) + scores.shape[1:])
         logits = ad.reshape(ad.mul(shared, grouped), logits.shape)
-    attn = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(D // m)))
+    attn = ad.softmax(ad.mul(logits, Tensor(1.0 / math.sqrt(D // m))))
     return _attend(attn, vh, w.w_o, m, probe)
 
 
@@ -169,7 +171,7 @@ def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
     m = scores.shape[0] if heads is None else heads
     s = align_heads(scores, m).shape[0]
     attn = ad.softmax(scores)  # (S, ..., C, P, P)
-    vh = _split_heads(ad.matmul(x, w_v), s)
+    vh = _split_heads(ad.linear(x, w_v), s)
     return _attend(attn, vh, w_o, m, probe)
 
 

@@ -11,13 +11,15 @@ every reachable leaf, and consumes them; a pass that never reaches
 ``backward`` is freed with its tensors. Under ``no_grad()`` ops record
 nothing.
 
-A weight shared by every leading row of a ``matmul`` or ``linear`` gets its
-gradient from one flattened GEMM. Gradients are read-only: the first one a
-record receives is stored as it is, later ones are added out of place, and a
-stored array may share memory with another record's gradient (``reshape``
-and ``transpose`` hand views straight through). Ops compute in place only on
-arrays they have allocated themselves, never on their inputs, their upstream
-gradient or an array their backward still needs.
+One op computes each product: ``linear`` every one with a weight shared
+by every leading row, its gradients one flattened GEMM each; ``matmul``
+only operands with the same batch axes; ``mul`` by a 0-d constant every
+scaling. Gradients are read-only: the first one a record receives is
+stored as it is, later ones are added out of place, and a stored array may
+share memory with another record's gradient (``reshape`` and ``transpose``
+hand views straight through). Ops compute in place only on arrays they
+have allocated themselves, never on their inputs, their upstream gradient
+or an array their backward still needs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "uniform_init",
     "add",
     "mul",
-    "scale",
     "sigmoid",
     "gelu",
     "matmul",
@@ -320,25 +321,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; the node keeps a factor only for the other's
+    gradient, so a product with a constant keeps only the constant."""
     _check_binary_shapes("mul", a, b)
-    ad, bd = a.data, b.data
+    out = a.data * b.data
+    da = b.data if a.requires_grad else None
+    db = a.data if b.requires_grad else None
 
     def bwd(g, ra, rb):
         if ra:
-            ra.accum(_unbroadcast(g * bd, ra.shape))
+            ra.accum(_unbroadcast(g * da, ra.shape))
         if rb:
-            rb.accum(_unbroadcast(g * ad, rb.shape))
+            rb.accum(_unbroadcast(g * db, rb.shape))
 
-    return _make(ad * bd, bwd, a, b)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bwd(g, ra):
-        ra.accum(g * c)
-
-    return _make(a.data * c, bwd, a)
+    return _make(out, bwd, a, b)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -394,25 +390,17 @@ def gelu(a: Tensor) -> Tensor:
 # contractions and convolutions
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the trailing two axes.
-
-    ``b`` is either 2-D, one weight shared by every leading row of ``a``
-    whose backward flattens those rows so that each gradient is a single
-    GEMM, or has exactly ``a``'s batch axes.
-    """
+    """Matrix product over the trailing two axes of operands with the same
+    batch axes; a weight shared by every leading row goes to ``linear``."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul needs tensors with at least 2 dims")
-    batch_differs = b.ndim > 2 and a.shape[:-2] != b.shape[:-2]
-    if a.shape[-1] != b.shape[-2] or batch_differs:
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"matmul: shapes disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
-    _add_macs(out.size // out.shape[-1] * ad.shape[-1] * out.shape[-1])
+    _add_macs(out.size * ad.shape[-1])
 
     def bwd(g, ra, rb):
-        if bd.ndim == 2:
-            _shared_weight_grads(ra, rb, ad, bd, g.reshape(-1, bd.shape[1]))
-            return
         if ra:
             ra.accum(g @ bd.swapaxes(-1, -2))
         if rb:
@@ -421,36 +409,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, bwd, a, b)
 
 
-def _shared_weight_grads(ra, rw, ad, wd, g2: np.ndarray) -> None:
-    """Gradients of ``ad @ wd`` for a 2-D ``wd`` into the records ``ra`` and
-    ``rw``, upstream ``g2`` flattened to (rows, N): one GEMM each."""
-    if ra:
-        ra.accum((g2 @ wd.T).reshape(ra.shape))
-    if rw:
-        rw.accum(ad.reshape(-1, wd.shape[0]).T @ g2)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b``: a (K, N) weight shared by every leading row of x and
-    an (N,) bias, added in place on the fresh product."""
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-        raise ValueError(
-            f"linear: needs (..., K) input, (K, N) weight and (N,) bias, "
-            f"got {x.shape}, {w.shape}, {b.shape}"
-        )
+def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
+    """``x @ w``, plus ``b`` if given: a (K, N) weight shared by every
+    leading row of x and an optional (N,) bias, added in place on the fresh
+    product. Each gradient is one GEMM over the flattened rows."""
+    inputs = (x, w) if b is None else (x, w, b)
+    if (w.ndim != 2 or x.shape[-1:] != w.shape[:1]
+            or b is not None and b.shape != w.shape[1:]):
+        raise ValueError("linear: needs (..., K) input, (K, N) weight and "
+                         "optionally an (N,) bias, got "
+                         + ", ".join(str(t.shape) for t in inputs))
     k, n = w.shape
     xd, wd = x.data, w.data
     out = xd @ wd
-    out += b.data
+    if b is not None:
+        out += b.data
     _add_macs(out.size * k)
 
-    def bwd(g, rx, rw, rb):
+    def bwd(g, rx, rw, rb=None):
         g2 = g.reshape(-1, n)
-        _shared_weight_grads(rx, rw, xd, wd, g2)
+        if rx:
+            rx.accum((g2 @ wd.T).reshape(rx.shape))
+        if rw:
+            rw.accum(xd.reshape(-1, k).T @ g2)
         if rb:
             rb.accum(np.ones(g2.shape[0]) @ g2)
 
-    return _make(out, bwd, x, w, b)
+    return _make(out, bwd, *inputs)
 
 
 def _tap_slices(k: int, n: int):

@@ -26,7 +26,7 @@ from .gradcheck import OP_CALLS, run_op_checks
 from .model import VARIANTS, ModelConfig, TwinSModel, \
     instance_denormalize, instance_normalize
 from .patching import window_fold, window_unfold
-from .training import TrainAbort, evaluate, load_checkpoint, \
+from .training import TrainAbort, check_splits, evaluate, load_checkpoint, \
     lookback_mean_baseline, save_checkpoint, train
 
 EXIT_USAGE = 1
@@ -180,6 +180,7 @@ def cmd_train(args) -> int:
     raw, source = _load_series(args)
     ds = dt.split_standardize(raw)
     cfg = _config_from_args(args, C=raw.values.shape[0])
+    check_splits(cfg, ds)  # before any file is written
     run_dir = _run_dir(args, "train")
     _snapshot(run_dir, "train", source, cfg)
 
@@ -214,6 +215,7 @@ def cmd_eval(args) -> int:
     raw, source = _series_for(model, args)
     ds = dt.split_standardize(raw)
     cfg = model.config
+    dt.check_window_fit(ds.test, cfg.L, cfg.T, "test split")
     m = evaluate(model, ds.test, cfg.L, cfg.T)
     print(f"test mse={m.mse:.6f} mae={m.mae:.6f}")
     if args.out:

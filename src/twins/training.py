@@ -100,7 +100,7 @@ def _chunk_gradients(model: TwinSModel, inputs: np.ndarray,
     loss = ad.mse(model.forward(inputs, training=True), Tensor(targets))
     lv = loss.item()
     if np.isfinite(lv):
-        ad.backward(ad.scale(loss, share))
+        ad.backward(ad.mul(loss, Tensor(share)))
     return lv
 
 
@@ -141,6 +141,16 @@ def batch_gradients(model: TwinSModel, inputs: np.ndarray,
     return total
 
 
+def check_splits(cfg: ModelConfig, dataset: SplitDataset,
+                 eval_test: bool = True) -> None:
+    """Raise unless every split ``train`` reads holds one L + T window,
+    naming the first that does not."""
+    check_window_fit(dataset.train, cfg.L, cfg.T, "training split")
+    check_window_fit(dataset.val, cfg.L, cfg.T, "validation split")
+    if eval_test:
+        check_window_fit(dataset.test, cfg.L, cfg.T, "test split")
+
+
 def train(cfg: ModelConfig, dataset: SplitDataset,
           log_fn: Optional[Callable[[dict], None]] = None,
           eval_test: bool = True) -> tuple:
@@ -149,10 +159,7 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
     Returns (model, TrainHistory); best validation weights are restored
     before the final test evaluation. A short split fails before training.
     """
-    check_window_fit(dataset.train, cfg.L, cfg.T, "training split")
-    check_window_fit(dataset.val, cfg.L, cfg.T, "validation split")
-    if eval_test:
-        check_window_fit(dataset.test, cfg.L, cfg.T, "test split")
+    check_splits(cfg, dataset, eval_test)
     model = TwinSModel(cfg)
     windows = window_view(dataset.train, cfg.L, cfg.T)
     n_windows = windows.inputs.shape[0]

@@ -285,16 +285,17 @@ def ref_attention(variant, x, w, scores, probe):
     one softmax per head, as before the heads shared maps by grouping."""
     m = w.heads
     aligned = repeat_heads(scores, m // scores.shape[0])
-    vh = attn._split_heads(ad.matmul(x, w.w_v), m)
+    vh = attn._split_heads(ad.linear(x, w.w_v), m)
     if variant == "twins":
         a = ad.softmax(aligned)
     else:
-        qh = attn._split_heads(ad.matmul(x, w.w_q), m)
-        kh = attn._split_heads(ad.matmul(x, w.w_k), m)
+        qh = attn._split_heads(ad.linear(x, w.w_q), m)
+        kh = attn._split_heads(ad.linear(x, w.w_k), m)
         logits = ad.mul(aligned, ad.matmul(qh, ad.transpose(kh, (1, 0))))
-        a = ad.softmax(ad.scale(logits, 1.0 / math.sqrt(x.shape[-1] // m)))
+        a = ad.softmax(ad.mul(
+            logits, ad.Tensor(1.0 / math.sqrt(x.shape[-1] // m))))
     probe["attn"] = a.data.copy()
-    return ad.matmul(attn._merge_heads(ad.matmul(a, vh)), w.w_o)
+    return ad.linear(attn._merge_heads(ad.matmul(a, vh)), w.w_o)
 
 
 class TestGroupedHeadsMatchRepeated:

@@ -170,13 +170,13 @@ class TestTapeSemantics:
         ad.backward(ad.sum_all(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [4.0])
         x.zero_grad()
-        ad.backward(ad.sum_all(ad.scale(x, 3.0)))
+        ad.backward(ad.sum_all(ad.mul(x, t(3.0, rg=False))))
         np.testing.assert_allclose(x.grad, [3.0])
 
     def test_graphs_recorded_together_backward_separately(self):
         x = t([1.0, 2.0])
         l1 = ad.sum_all(ad.mul(x, x))
-        l2 = ad.sum_all(ad.scale(x, 3.0))
+        l2 = ad.sum_all(ad.mul(x, t(3.0, rg=False)))
         ad.backward(l1)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
         x.zero_grad()
@@ -187,7 +187,7 @@ class TestTapeSemantics:
         x = t([1.0, 2.0])
         m = ad.mul(x, x)
         l1 = ad.sum_all(m)
-        l2 = ad.sum_all(ad.scale(m, 3.0))
+        l2 = ad.sum_all(ad.mul(m, t(3.0, rg=False)))
         ad.backward(l1)
         x.zero_grad()
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
@@ -207,7 +207,7 @@ class TestTapeSemantics:
     @pytest.mark.parametrize("op", [
         lambda w: ad.mul(ad.sum_all(t([1.0, 2.0])), w),
         lambda w: ad.add(w, w),  # the second path is added to the first
-        lambda w: ad.scale(w, 2.0),
+        lambda w: ad.mul(w, t(2.0, rg=False)),  # scaling by a constant
     ], ids=["mul", "add", "scale"])
     def test_zero_d_leaf_gradient_is_read_only_ndarray(self, op):
         # arithmetic on 0-d arrays yields numpy scalars, not arrays
@@ -253,17 +253,19 @@ class TestTapeSemantics:
         assert ref() is None
 
 
-def matmul_grads(a, b, g):
-    """Gradients of ``a @ b`` for upstream gradient ``g``."""
+def linear_grads(a, b, g):
+    """Gradients of ``linear(a, b)``, no bias, for upstream gradient ``g``."""
     ta, tb = t(a), t(b)
-    out = ad.matmul(ta, tb)
+    out = ad.linear(ta, tb)
+    assert np.array_equal(out.data, a @ b)
     run_node(out, g)
     return ta.grad, tb.grad
 
 
 class TestMatmulSharedWeight:
-    """A 2-D ``b`` takes the flattened backward; compare it with the batched
-    product reduced by ``_unbroadcast``."""
+    """The product with a 2-D ``b`` shared by every leading row, which
+    ``linear`` takes without a bias: its flattened backward against the
+    batched product reduced by ``_unbroadcast``."""
 
     @pytest.mark.parametrize("case", ["2d", "3d", "4d", "5d",
                                       "a_transposed", "g_transposed"])
@@ -280,7 +282,7 @@ class TestMatmulSharedWeight:
             g = np.ascontiguousarray(g.swapaxes(0, 1)).swapaxes(0, 1)
         assert a.flags.c_contiguous == (case != "a_transposed")
         assert g.flags.c_contiguous == (case != "g_transposed")
-        ga, gb = matmul_grads(a, b, g)
+        ga, gb = linear_grads(a, b, g)
         ref_b = ad._unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
         ref_a = g @ b.T
         assert ga.shape == a.shape and gb.shape == b.shape
@@ -294,7 +296,7 @@ class TestMatmulSharedWeight:
         g = rng.normal(size=(64, 7, 12, 256))
         batched_bytes = 64 * 7 * 128 * 256 * 8  # (..., 128, 256) float64
         ta, tb = t(a), t(b)
-        out = ad.matmul(ta, tb)
+        out = ad.linear(ta, tb)
         tracemalloc.start()
         try:
             run_node(out, g)
@@ -306,7 +308,7 @@ class TestMatmulSharedWeight:
 
 
 class TestLinear:
-    """``linear`` against the ``add(matmul(x, w), b)`` it replaced."""
+    """``linear`` with a bias against ``add`` of the product without one."""
 
     @pytest.mark.parametrize("x_shape, w_shape", [
         ((32, 2, 12, 64), (64, 128)),     # train-gate FFN
@@ -318,7 +320,7 @@ class TestLinear:
                   rng.normal(size=w_shape[1])]
         new, old = [t(a) for a in arrays], [t(a) for a in arrays]
         y = ad.linear(*new)
-        ref = ad.add(ad.matmul(old[0], old[1]), old[2])
+        ref = ad.add(ad.linear(old[0], old[1]), old[2])
         assert np.array_equal(y.data, ref.data)
         w = t(rng.normal(size=y.shape), rg=False)
         ad.backward(ad.sum_all(ad.mul(y, w)))
@@ -441,7 +443,7 @@ def test_gelu_gradient_matches_old_backward(layout):
 # ops whose backward reads none of the listed input arrays, so the graph
 # must not keep them alive
 INPUT_ARRAYS_FREED = {
-    "add": (0, 1), "scale": (0,), "sigmoid": (0,), "gelu": (0,),
+    "add": (0, 1), "sigmoid": (0,), "gelu": (0,),
     "roll": (0,), "softmax": (0,), "layer_norm": (0,),
     "sum_all": (0,), "mse": (0, 1), "dropout": (0,),
 }
@@ -464,6 +466,17 @@ def test_node_holds_input_records_not_inputs(name):
     run_node(out, rng.normal(size=out.shape))
     for r, shape in zip(records, shapes):
         assert r.grad.shape == shape
+
+
+def test_mul_by_constant_keeps_no_input_array():
+    x = t(np.arange(6.0).reshape(2, 3))
+    rec, ref = x._rec, weakref.ref(x.data)
+    out = ad.mul(x, t(2.0, rg=False))
+    del x
+    assert ref() is None  # only the constant's gradient would read x
+    g = np.random.default_rng(8).normal(size=out.shape)
+    run_node(out, g)
+    assert np.array_equal(rec.grad, g * 2.0)
 
 
 def ref_adam_step(params, grads, state):
@@ -663,6 +676,13 @@ class TestShapeErrors:
     def test_matmul_batch_axes_differ(self, a_shape, b_shape):
         with pytest.raises(ValueError, match="^matmul: "):
             ad.matmul(t(np.ones(a_shape)), t(np.ones(b_shape)))
+
+    @pytest.mark.parametrize("a_shape", [(2, 3, 4), (2, 2, 3, 4)])
+    def test_matmul_rejects_a_shared_weight(self, a_shape):
+        # a (K, N) weight shared by every leading row goes to linear
+        want = re.escape(f"matmul: shapes disagree, {a_shape} x (4, 5)")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            ad.matmul(t(np.ones(a_shape)), t(np.ones((4, 5))))
 
     def test_conv_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):

@@ -61,6 +61,18 @@ def test_eval_channel_mismatch(trained, capfd):
     assert "channels" in capfd.readouterr().err
 
 
+def test_eval_names_the_short_test_split(trained, tmp_path, capfd):
+    # len=55 leaves a test split of 11 steps, one short of L + T = 12
+    out = tmp_path / "eval"
+    rc = cli.main(["eval", "--ckpt", str(trained / "model.ckpt"),
+                   "--synthetic", "len=55,channels=2|period=8",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capfd.readouterr().err == (
+        "error: test split of length 11 too short for L=8, T=4\n")
+    assert not out.exists()
+
+
 def test_missing_checkpoint(tmp_path, capfd):
     missing = str(tmp_path / "ghost.ckpt")
     rc = cli.main(["eval", "--ckpt", missing, "--synthetic", SPEC])
@@ -343,3 +355,19 @@ def test_runs_in_one_second_get_their_own_dirs(tmp_path, monkeypatch, capfd):
     out = str(tmp_path / "fixed")
     args = cli.build_parser().parse_args(["train", "--out", out])
     assert cli._run_dir(args, "train") == cli._run_dir(args, "train") == out
+
+
+@pytest.mark.parametrize("where", ["env", "out"])
+def test_short_split_train_writes_nothing(where, tmp_path, monkeypatch,
+                                          capfd):
+    # len=15 leaves a training split of 9 steps, short of L + T = 12
+    root = tmp_path / "root"
+    root.mkdir()
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(root))
+    out = ["--out", str(root / "run")] if where == "out" else []
+    rc = cli.main(["train", "--synthetic", "len=15,channels=2|period=8",
+                   *MODEL_FLAGS, *out])
+    assert rc == 1
+    assert capfd.readouterr().err == (
+        "error: training split of length 9 too short for L=8, T=4\n")
+    assert os.listdir(root) == []
