@@ -72,7 +72,8 @@ OP_CALLS = {
     "mul": (ad.mul, [(2, 5), (2, 5)]),
     "sigmoid": (ad.sigmoid, [(3, 3)]),
     "gelu": (ad.gelu, [(3, 3)]),
-    "matmul": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 5)]),
+    "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "linear_no_bias": (ad.linear, [(2, 3, 4), (4, 5)]),
     # conv1d differentiates only its kernels: its input is fixed data
