@@ -56,8 +56,9 @@ missing on one side, when the runs of this tree differ in a bit, when an
 array differs from PARENT_SRC by more than 1e-12, or when a checkpoint
 file differs or does not restore its parameters, and 2 on a bad argument,
 a PARENT_SRC without ``training.batch_gradients`` included. Last, it
-prints each tree's package size: the lines of its ``twins/*.py``, in
-total and without blank and comment-only lines.
+prints each tree's package size: the lines of each ``twins/<name>.py``
+module side by side, then the lines of all of them, in total and without
+blank and comment-only lines.
 """
 
 import json
@@ -118,18 +119,18 @@ def make_calls(ad, call) -> int:
     return len(calls)
 
 
-def package_lines(src: str) -> tuple:
-    """(all lines, lines neither blank nor comment-only) of the ``.py``
-    files of ``src/twins``."""
-    total = code = 0
+def module_lines(src: str) -> dict:
+    """``twins/<name>.py`` -> (all lines, lines neither blank nor
+    comment-only), for each module of ``src/twins``."""
+    out = {}
     pkg = os.path.join(src, "twins")
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 lines = [s.strip() for s in fh]
-            total += len(lines)
-            code += sum(bool(s) and not s.startswith("#") for s in lines)
-    return total, code
+            out[f"twins/{name}"] = (len(lines), sum(
+                bool(s) and not s.startswith("#") for s in lines))
+    return out
 
 
 def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
@@ -301,8 +302,14 @@ def main(argv) -> int:
             (n0, o0), (n1, o1) = counts[0][name], counts[1][name]
             print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
                   f"forecast ops {o0:4d} -> {o1:4d}")
-    for label, src in (("PARENT_SRC", argv[0]), ("this tree", HERE_SRC)):
-        total, code = package_lines(src)
+    sizes = [module_lines(src) for src in (argv[0], HERE_SRC)]
+    print("lines per module, all and neither blank nor comment-only, "
+          "PARENT_SRC -> this tree:")
+    for name in sorted(set(sizes[0]) | set(sizes[1])):
+        (t0, c0), (t1, c1) = (s.get(name, (0, 0)) for s in sizes)
+        print(f"{name:26s} {t0:4d} -> {t1:4d}, {c0:4d} -> {c1:4d}")
+    for label, size in zip(("PARENT_SRC", "this tree"), sizes):
+        total, code = map(sum, zip(*size.values()))
         print(f"{label:10s} twins package: {total} lines, {code} neither "
               "blank nor comment-only")
     print("worker counts " + ("bit-identical" if same_bits

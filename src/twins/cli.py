@@ -112,31 +112,33 @@ def _load_series(args) -> tuple:
     raise CliError(EXIT_USAGE, "no input: pass --data CSV or --synthetic SPEC")
 
 
-def _run_dir(args, command: str) -> str:
-    """``--out`` as given, made if missing; otherwise a new directory
-    ``<command>-<time>-<suffix>`` that no other run shares."""
+def _run_dir(args, source: str, cfg: ModelConfig | None) -> str:
+    """The run's directory, with ``run.json`` and, given a config,
+    ``config.json`` written: ``--out`` as given, made if missing; otherwise
+    a new ``<subcommand>-<time>-<suffix>`` that no other run shares."""
+    words = [args.command]
+    if args.command == "analyze":
+        words.append(args.analysis)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        return args.out
-    root = os.environ.get(OUT_ROOT_VAR, "runs")
-    os.makedirs(root, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return tempfile.mkdtemp(prefix=f"{command}-{stamp}-", dir=root)
+        run_dir = args.out
+    else:
+        root = os.environ.get(OUT_ROOT_VAR, "runs")
+        os.makedirs(root, exist_ok=True)
+        stamp = time.strftime("%Y%m%d-%H%M%S")
+        run_dir = tempfile.mkdtemp(prefix=f"{words[-1]}-{stamp}-", dir=root)
+    config = cfg.to_dict() if cfg else None
+    _write_json(os.path.join(run_dir, "run.json"), {
+        "command": " ".join(words), "data": source, "config": config})
+    if config is not None:
+        _write_json(os.path.join(run_dir, "config.json"), config)
+    return run_dir
 
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _snapshot(run_dir: str, command: str, source: str,
-              cfg: ModelConfig | None) -> None:
-    _write_json(os.path.join(run_dir, "run.json"),
-                {"command": command, "data": source,
-                 "config": cfg.to_dict() if cfg else None})
-    if cfg is not None:
-        _write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
 
 
 def _config_from_args(args, C: int) -> ModelConfig:
@@ -147,20 +149,18 @@ def _config_from_args(args, C: int) -> ModelConfig:
     return cfg
 
 
-def _load_model(args) -> TwinSModel:
+def _checkpoint_and_series(args) -> tuple:
+    """The ``--ckpt`` model and the series checked against its channel
+    count, as (model, raw, source, split)."""
     if not os.path.exists(args.ckpt):
         raise CliError(EXIT_USAGE, f"checkpoint not found: {args.ckpt}")
-    return load_checkpoint(args.ckpt)
-
-
-def _series_for(model: TwinSModel, args) -> tuple:
-    """``_load_series``, checked against the checkpoint's channel count."""
+    model = load_checkpoint(args.ckpt)
     raw, source = _load_series(args)
     if raw.values.shape[0] != model.config.C:
         raise CliError(EXIT_USAGE,
                        f"series has {raw.values.shape[0]} channels, "
                        f"checkpoint expects {model.config.C}")
-    return raw, source
+    return model, raw, source, dt.split_standardize(raw)
 
 
 def _last_window(model: TwinSModel, ds: dt.SplitDataset,
@@ -181,8 +181,7 @@ def cmd_train(args) -> int:
     ds = dt.split_standardize(raw)
     cfg = _config_from_args(args, C=raw.values.shape[0])
     check_splits(cfg, ds)  # before any file is written
-    run_dir = _run_dir(args, "train")
-    _snapshot(run_dir, "train", source, cfg)
+    run_dir = _run_dir(args, source, cfg)
 
     log_path = os.path.join(run_dir, "train_log.jsonl")
     with open(log_path, "w") as log_fh:
@@ -211,31 +210,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args)
-    raw, source = _series_for(model, args)
-    ds = dt.split_standardize(raw)
+    model, _, source, ds = _checkpoint_and_series(args)
     cfg = model.config
     dt.check_window_fit(ds.test, cfg.L, cfg.T, "test split")
     m = evaluate(model, ds.test, cfg.L, cfg.T)
     print(f"test mse={m.mse:.6f} mae={m.mae:.6f}")
     if args.out:
-        run_dir = _run_dir(args, "eval")
-        _snapshot(run_dir, "eval", source, cfg)
-        _write_json(os.path.join(run_dir, "metrics.json"),
+        _write_json(os.path.join(_run_dir(args, source, cfg), "metrics.json"),
                     {"test_mse": m.mse, "test_mae": m.mae})
     return 0
 
 
 def cmd_forecast(args) -> int:
-    model = _load_model(args)
-    raw, source = _series_for(model, args)
-    ds = dt.split_standardize(raw)
+    model, raw, source, ds = _checkpoint_and_series(args)
     window = _last_window(model, ds, raw)
     with ad.no_grad():
         pred = model.forward(window)
     values = ds.destandardize(pred.data)          # (C, T) raw units
-    run_dir = _run_dir(args, "forecast")
-    _snapshot(run_dir, "forecast", source, model.config)
+    run_dir = _run_dir(args, source, model.config)
     path = os.path.join(run_dir, "forecast.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -318,8 +310,7 @@ def cmd_scalogram(args) -> int:
                        f"channel {args.channel} out of range 0..{C - 1}")
     series = raw.values[args.channel]
     sg = ana.morlet_cwt(series, args.scales)
-    run_dir = _run_dir(args, "scalogram")
-    _snapshot(run_dir, "analyze scalogram", source, None)
+    run_dir = _run_dir(args, source, None)
     path = os.path.join(run_dir, "scalogram.csv")
     ana.scalogram_to_csv(sg, path)
     L = series.size
@@ -332,12 +323,9 @@ def cmd_scalogram(args) -> int:
 
 
 def cmd_attn(args) -> int:
-    model = _load_model(args)
-    raw, source = _series_for(model, args)
-    ds = dt.split_standardize(raw)
+    model, raw, source, ds = _checkpoint_and_series(args)
     window = _last_window(model, ds, raw)
-    run_dir = _run_dir(args, "attn")
-    _snapshot(run_dir, "analyze attn", source, model.config)
+    run_dir = _run_dir(args, source, model.config)
     path = os.path.join(run_dir, "attention.csv")
     ana.export_attention(model, window, args.layer, args.head, path,
                          channel=args.channel)
@@ -363,8 +351,7 @@ def cmd_ablate(args) -> int:
     raw, source = _load_series(args)
     ds = dt.split_standardize(raw)
     base = _config_from_args(args, C=raw.values.shape[0])
-    run_dir = _run_dir(args, "ablate")
-    _snapshot(run_dir, "analyze ablate", source, base)
+    run_dir = _run_dir(args, source, base)
     rows = ana.ablation_run(base, ds, log=print)
     path = os.path.join(run_dir, "ablation.csv")
     ana.ablation_to_csv(rows, path)

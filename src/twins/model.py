@@ -1,10 +1,10 @@
 """Model assembly: config, instance normalization, encoder layers, head.
 
-The forward pipeline: per-channel instance normalization, multi-scale
-convolution embedding plus position table (or the linear-patch baseline in
-ablation mode), a stack of pre-norm residual encoder layers operating on
-patch maps, then a flatten + shared linear head per channel, de-normalized
-back to the input scale.
+The forward pipeline: per-channel instance normalization, a point map from
+the multi-scale convolution embedding plus position table (or the linear
+patch map in ablation mode), a stack of pre-norm residual encoder layers
+each on the patch map of its scale, then a flatten + shared linear head per
+channel, de-normalized back to the input scale.
 
 Shapes follow the rest of the package: raw windows are (1, C, L) with an
 optional batch prefix, predictions are (C, T).
@@ -17,7 +17,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, dataclass, asdict
 from itertools import islice
 from typing import Optional
 
@@ -95,8 +95,8 @@ class ModelConfig:
         return self.d * self.scale_at(l)
 
     def roll_at(self, l: int) -> int:
-        # alternate shifted windows: odd layers shift by half a period
-        return self.P_at(l) // 2 if l % 2 == 1 else 0
+        # odd layers shift by half a period; the linear patch map never does
+        return self.P_at(l) // 2 if self.use_wconv and l % 2 == 1 else 0
 
     def ffn_at(self, l: int) -> int:
         return self.ffn_hidden if self.ffn_hidden else 2 * self.D_at(l)
@@ -149,6 +149,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config: must be an object, got {type(data).__name__}")
         data = dict(data)
         # legacy key: use_paa=false meant plain dot-product attention
         if not data.pop("use_paa", True):
@@ -157,6 +160,10 @@ class ModelConfig:
         unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        missing = [name for name, f in fields.items()
+                   if f.default is MISSING and name not in data]
+        if missing:
+            raise ValueError(f"config: missing keys {missing}")
         for name, value in data.items():
             accepts, what = _FIELD_TYPES[fields[name].type]
             if not accepts(value):
@@ -459,33 +466,31 @@ class TwinSModel:
         cfg = self.config
         xn, stats = instance_normalize(x)
         lead = x.shape[:-3]
-        # each layer pops its input from a one-slot list and hands the block
-        # its only reference, so the input goes at the first residual add
+        par = self.params
+        # both embeddings hand the layers a point map (..., C, L, d); each
+        # layer pops its input from a one-slot list and hands the block its
+        # only reference, so the input goes at the first residual add
         if cfg.use_wconv:
-            slot = [emb.add_position(
-                emb.wconv_embed(xn, self.params["embed.bank"]),
-                self.params["embed.pos"])]
-            for l in range(cfg.n_layers):
-                # unfold at this layer's scale, run the block, fold back
-                s, r = cfg.scale_at(l), cfg.roll_at(l)
-                h = self._residual_block(
-                    pt.window_roll(pt.window_unfold(slot.pop(), s), r).data,
-                    l, probe=probe, training=training)
-                slot.append(pt.window_fold(
-                    pt.window_roll(pt.PatchedFeatureMap(h, s), -r)))
-                del h
-            # the head reads each channel's features d-major, as (d, L),
-            # the layout head.w has in every checkpoint
-            h = ad.transpose(slot.pop(), (1, 0))
+            slot = [emb.add_position(emb.wconv_embed(xn, par["embed.bank"]),
+                                     par["embed.pos"])]
         else:
-            slot = [emb.linear_patch_embed(xn, cfg.patch_len,
-                                           self.params["embed.patch.w"],
-                                           self.params["embed.patch.b"])]
-            for l in range(cfg.n_layers):
-                slot.append(self._residual_block(slot.pop(), l, probe=probe,
-                                                 training=training))
-            h = slot.pop()
-        # d*L features per channel under either embedding: P*D = L*d
+            slot = [pt.window_fold(pt.PatchedFeatureMap(emb.linear_patch_embed(
+                xn, cfg.patch_len, par["embed.patch.w"], par["embed.patch.b"]),
+                cfg.patch_len))]
+        for l in range(cfg.n_layers):
+            # unfold at this layer's scale, run the block, fold back
+            s, r = cfg.scale_at(l), cfg.roll_at(l)
+            h = self._residual_block(
+                pt.window_roll(pt.window_unfold(slot.pop(), s), r).data,
+                l, probe=probe, training=training)
+            slot.append(pt.window_fold(
+                pt.window_roll(pt.PatchedFeatureMap(h, s), -r)))
+            del h
+        # head.w reads each channel's features d-major, (d, L), in wavelet
+        # checkpoints and L-major, (L, d), in linear-patch ones
+        h = slot.pop()
+        if cfg.use_wconv:
+            h = ad.transpose(h, (1, 0))
         flat = ad.reshape(h, lead + (cfg.C, cfg.d * cfg.L))
-        y = ad.linear(flat, self.params["head.w"], self.params["head.b"])
+        y = ad.linear(flat, par["head.w"], par["head.b"])
         return instance_denormalize(y, stats)

@@ -259,8 +259,13 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: not a recognized checkpoint (bad magic)")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg = ModelConfig.from_dict(
-            json.loads(_read_exact(fh, cfg_len, "config")))
+        blob = _read_exact(fh, cfg_len, "config")
+        try:
+            stored = json.loads(blob)
+        except ValueError as err:
+            raise ValueError(f"{path}: corrupt checkpoint: config is not "
+                             f"JSON ({err})") from None
+        cfg = ModelConfig.from_dict(stored)
         if expect_config is not None:
             # compare through JSON, which turns a tuple of scales into a list
             loaded, expected = (json.loads(json.dumps(c.to_dict()))

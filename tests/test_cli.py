@@ -7,7 +7,7 @@ import pytest
 import twins.cli as cli
 import twins.data as dt
 from twins.model import ModelConfig
-from twins.training import TrainAbort
+from twins.training import CKPT_MAGIC, TrainAbort
 
 SPEC = "len=160,channels=2,lag=2,noise=0.05,seed=3|period=8|period=16,amp=0.5"
 MODEL_FLAGS = ["--lookback", "8", "--horizon", "4", "--patch", "4",
@@ -71,6 +71,28 @@ def test_eval_names_the_short_test_split(trained, tmp_path, capfd):
     assert capfd.readouterr().err == (
         "error: test split of length 11 too short for L=8, T=4\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"[1]", "config: must be an object, got list"),
+    (b'{"C": 2}', "config: missing keys ['L', 'T']"),
+    (b"\xff\xfe", "corrupt checkpoint: config is not JSON"),
+])
+@pytest.mark.parametrize("command", [["eval"], ["forecast"],
+                                     ["analyze", "attn"]])
+def test_bad_config_header_exit_code(trained, tmp_path, capfd, command,
+                                     header, message):
+    blob = (trained / "model.ckpt").read_bytes()
+    start = len(CKPT_MAGIC) + 4     # past the magic and the header length
+    n = int.from_bytes(blob[start - 4:start], "little")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob[:start - 4] + len(header).to_bytes(4, "little")
+                     + header + blob[start + n:])
+    rc = cli.main([*command, "--ckpt", str(path), "--synthetic", SPEC,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert message in capfd.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_checkpoint(tmp_path, capfd):
@@ -354,7 +376,9 @@ def test_runs_in_one_second_get_their_own_dirs(tmp_path, monkeypatch, capfd):
     # --out names one directory, reused as it is
     out = str(tmp_path / "fixed")
     args = cli.build_parser().parse_args(["train", "--out", out])
-    assert cli._run_dir(args, "train") == cli._run_dir(args, "train") == out
+    cfg = cli._config_from_args(args, C=1)
+    assert (cli._run_dir(args, "synthetic:x", cfg)
+            == cli._run_dir(args, "synthetic:x", cfg) == out)
 
 
 @pytest.mark.parametrize("where", ["env", "out"])

@@ -1,5 +1,6 @@
 """Model assembly contracts: shapes, residual identity, equivariance, grads."""
 
+import re
 import sys
 import tracemalloc
 import weakref
@@ -158,6 +159,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             md.ModelConfig.from_dict({"C": 1, "L": 8, "T": 4, "bogus": 1})
 
+    @pytest.mark.parametrize("stored, message", [
+        (3, "must be an object, got int"),
+        ([1], "must be an object, got list"),
+        (None, "must be an object, got NoneType"),
+        ({"L": 8, "T": 4}, "missing keys ['C']"),
+        ({"C": 1}, "missing keys ['L', 'T']"),
+    ])
+    def test_malformed_stored_config_rejected(self, stored, message):
+        with pytest.raises(ValueError, match=re.escape(f"config: {message}")):
+            md.ModelConfig.from_dict(stored)
+
     @pytest.mark.parametrize("field, value", [
         ("C", "2"), ("L", 8.0), ("C", True), ("scales", "44"),
         ("scales", [4.0]), ("ffn_hidden", 8.5), ("lr", "1e-3"),
@@ -183,6 +195,9 @@ class TestConfig:
         cfg = md.ModelConfig(C=1, L=32, T=4, d=2, n_layers=4, patch_len=4,
                              heads=2, aware_heads=2)
         assert [cfg.roll_at(l) for l in range(4)] == [0, 4, 0, 4]
+        # the linear-patch ablation runs the same layers without a shift
+        flat = replace(cfg, use_wconv=False)
+        assert [flat.roll_at(l) for l in range(4)] == [0, 0, 0, 0]
 
 
 class TestParamStore:

@@ -40,6 +40,15 @@ def encode_checkpoint(model):
     return b"".join(out)
 
 
+def with_config_header(path, header: bytes) -> None:
+    """Replace the config header of the checkpoint at ``path``."""
+    blob = path.read_bytes()
+    start = len(tr.CKPT_MAGIC) + 4
+    (n,) = struct.unpack("<I", blob[start - 4:start])
+    path.write_bytes(blob[:start - 4] + struct.pack("<I", len(header))
+                     + header + blob[start + n:])
+
+
 def traced_peak(call):
     """``call()`` and the most memory tracemalloc saw allocated during it."""
     tracemalloc.start()
@@ -529,16 +538,26 @@ class TestCheckpoint:
         cfg = tiny_config(variant="mhsa")
         p = tmp_path / "m.ckpt"
         tr.save_checkpoint(md.TwinSModel(cfg), str(p))
-        blob = p.read_bytes()
-        start = len(tr.CKPT_MAGIC) + 4
-        (n,) = struct.unpack("<I", blob[start - 4:start])
-        stored = json.loads(blob[start:start + n])
-        stored.update(variant="twins", use_paa=False)
-        legacy = json.dumps(stored, sort_keys=True).encode()
-        p.write_bytes(blob[:start - 4] + struct.pack("<I", len(legacy))
-                      + legacy + blob[start + n:])
+        stored = {**cfg.to_dict(), "variant": "twins", "use_paa": False}
+        with_config_header(p, json.dumps(stored, sort_keys=True).encode())
         back = tr.load_checkpoint(str(p), expect_config=cfg)
         assert back.config == cfg
+
+    @pytest.mark.parametrize("header, message", [
+        (b"3", "config: must be an object, got int"),
+        (b"[1]", "config: must be an object, got list"),
+        (b"null", "config: must be an object, got NoneType"),
+        (json.dumps({"L": 32, "T": 8}).encode(), "config: missing keys ['C']"),
+        (b"\xff\xfe", "corrupt checkpoint: config is not JSON ("),
+    ])
+    def test_bad_config_header(self, tmp_path, header, message):
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        with_config_header(p, header)
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            tr.load_checkpoint(str(p))
+        if message.startswith("corrupt"):
+            assert str(err.value).startswith(f"{p}: {message}")
 
     def test_duplicate_array_name(self, tmp_path):
         # same name length and shape, so only the repeat betrays the file
