@@ -32,8 +32,9 @@ bit-identical whenever the arithmetic and the parameters are.
 Each tree also saves every config's final model with its own
 ``training.save_checkpoint``. The files of this tree and PARENT_SRC must be
 byte-identical wherever the final parameters are, and this tree's
-``training.load_checkpoint`` must restore PARENT_SRC's final parameters
-from PARENT_SRC's file bit for bit.
+``training.load_checkpoint`` must restore, bit for bit, PARENT_SRC's final
+parameters from PARENT_SRC's file and its own final parameters from its
+own file, which matters where the final parameters differ.
 
 This tree runs twice, with its chunks on two worker threads and on the
 calling thread alone, and those two runs must agree bit for bit: the
@@ -231,12 +232,22 @@ def compare(mine: dict, theirs: dict, other: str, tol: float) -> bool:
     return ok and overall <= tol
 
 
+def restores(tr, path: str, final: dict, name: str) -> bool:
+    """Whether ``tr.load_checkpoint(path)`` gives the final parameters of
+    config ``name`` in ``final`` bit for bit, and no other array."""
+    loaded = tr.load_checkpoint(path).params
+    keys = [k for k in final if k.startswith(f"{name}/param/")]
+    return len(loaded) == len(keys) and all(
+        np.array_equal(loaded[k.rsplit("/", 1)[1]].data, final[k])
+        for k in keys)
+
+
 def compare_checkpoints(here_dir: str, parent_dir: str, here: dict,
                         parent: dict) -> bool:
     """Print, per config, whether the two trees' checkpoint files are
-    byte-identical and whether this tree restores PARENT_SRC's final
-    parameters (``parent``) from its file; True if nothing differs that
-    should not."""
+    byte-identical and whether this tree restores each tree's final
+    parameters (``here``, ``parent``) from that tree's file; True if
+    nothing differs that should not."""
     sys.path.insert(0, os.path.abspath(HERE_SRC))
     import twins.training as tr
 
@@ -252,13 +263,12 @@ def compare_checkpoints(here_dir: str, parent_dir: str, here: dict,
                 same = a.read() == b.read()
             files = "files byte-identical" if same else "files DIFFER"
             ok = ok and same
-        loaded = tr.load_checkpoint(theirs).params
-        restored = all(np.array_equal(loaded[k.rsplit("/", 1)[1]].data,
-                                      parent[k]) for k in final)
-        ok = ok and restored and len(loaded) == len(final)
-        print(f"{name:26s} {files}; PARENT_SRC's file "
-              + ("restores" if restored else "does NOT restore")
-              + " its final parameters")
+        own = restores(tr, mine, here, name)
+        restored = restores(tr, theirs, parent, name)
+        ok = ok and own and restored
+        word = {True: "restores", False: "does NOT restore"}
+        print(f"{name:26s} {files}; this tree's file {word[own]} its final "
+              f"parameters, PARENT_SRC's file {word[restored]} its own")
     return ok
 
 

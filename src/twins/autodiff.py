@@ -12,14 +12,16 @@ every reachable leaf, and consumes them; a pass that never reaches
 nothing.
 
 One op computes each product: ``linear`` every one with a weight shared
-by every leading row, its gradients one flattened GEMM each; ``matmul``
-only operands with the same batch axes; ``mul`` by a 0-d constant every
-scaling. Gradients are read-only: the first one a record receives is
-stored as it is, later ones are added out of place, and a stored array may
-share memory with another record's gradient (``reshape`` and ``transpose``
-hand views straight through). Ops compute in place only on arrays they
-have allocated themselves, never on their inputs, their upstream gradient
-or an array their backward still needs.
+by every leading row, its gradients one flattened GEMM each (a
+convolution of data with trainable kernels is one, over the data's
+sliding windows); ``matmul`` only operands with the same batch axes;
+``mul`` by a 0-d constant every scaling. Gradients are read-only: the
+first one a record receives is stored as it is, later ones are added out
+of place, and a stored array may share memory with another record's
+gradient (``reshape`` and ``transpose`` hand views straight through). Ops
+compute in place only on arrays they have allocated themselves, never on
+their inputs, their upstream gradient or an array their backward still
+needs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "gelu",
     "matmul",
     "linear",
-    "conv1d",
     "depthwise_conv1d",
     "reshape",
     "transpose",
@@ -447,48 +448,6 @@ def _tap_slices(k: int, n: int):
         if abs(s) < n:
             yield (j, slice(max(0, -s), n - max(0, s)),
                    slice(max(0, s), n + min(0, s)))
-
-
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(..., Cin, L) -> (..., Cin*k, L) zero-padded columns; row c*k + j
-    holds channel c shifted by tap j."""
-    L = x.shape[-1]
-    cols = np.zeros(x.shape[:-1] + (k, L))
-    for j, dst, src in _tap_slices(k, L):
-        cols[..., j, dst] = x[..., src]
-    return cols.reshape(x.shape[:-2] + (x.shape[-2] * k, L))
-
-
-def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Length-preserving correlation, stride 1, symmetric zero padding.
-
-    x: (..., Cin, L), data that needs no gradient; kernels: (Cout, Cin, K)
-    with K odd -> (..., L, Cout), features innermost. One GEMM over
-    sliding-window columns (im2col); only the kernels are differentiated.
-    """
-    if kernels.ndim != 3:
-        raise ValueError(f"conv1d kernels must be (Cout, Cin, K), got {kernels.shape}")
-    cout, cin, k = kernels.shape
-    if k % 2 == 0:
-        raise ValueError(f"conv1d kernel width must be odd, got {k}")
-    if x.ndim < 2 or x.shape[-2] != cin:
-        raise ValueError(
-            f"conv1d: input {x.shape} does not match kernels {kernels.shape}"
-        )
-    if x.requires_grad:
-        raise ValueError(f"conv1d: input {x.shape} requires a gradient; "
-                         "conv1d differentiates only its kernels")
-    xd, kd = x.data, kernels.data
-    out = (kd.reshape(cout, cin * k) @ _im2col(xd, k)).swapaxes(-1, -2)
-    _add_macs(out.size * cin * k)
-
-    def bwd(g, rk):
-        # columns rebuilt here rather than kept alive through the pass
-        cols_t = _im2col(xd, k).swapaxes(-1, -2)
-        gk = (g.swapaxes(-1, -2) @ cols_t).reshape(-1, cout, cin * k)
-        rk.accum(gk.sum(axis=0).reshape(kd.shape))
-
-    return _make(out, bwd, kernels)
 
 
 def _dw_correlate(a: np.ndarray, kd: np.ndarray) -> np.ndarray:

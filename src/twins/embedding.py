@@ -5,10 +5,12 @@ slices of a single (d, 1, 2^n - 1) parameter array. Each input series is
 convolved with every width and the results are summed, so coarse trend and
 fine oscillation land in the same d-dimensional point feature.
 
-Point maps are (C, L, d), features innermost, as ``ad.conv1d`` writes
-them, so window patching regroups them with one reshape; an arbitrary
-batch prefix in front of that is allowed everywhere (shapes below are for
-the unbatched case). The stored (d, L) position table is added transposed.
+Every weight product here is one ``ad.linear``: the bank's over the
+series' sliding windows (im2col), the baseline's over raw patches. Point
+maps are (C, L, d), features innermost, as that product writes them, so
+window patching regroups them with one reshape; an arbitrary batch prefix
+in front of that is allowed everywhere (shapes below are for the
+unbatched case). The stored (d, L) position table is added transposed.
 """
 
 from __future__ import annotations
@@ -43,21 +45,41 @@ def tap_multiplicity(k_max: int) -> np.ndarray:
                for i in range(num_scales))
 
 
+def sliding_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(..., L) series -> read-only (..., L, k) view of it zero-padded:
+    window p holds steps p - k//2 .. p + k//2, k odd. Only the padded copy
+    is allocated; the view's base is that copy."""
+    L = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (L + k - 1,))
+    padded[..., k // 2:k // 2 + L] = x
+    step = padded.strides
+    cols = np.ndarray(padded.shape[:-1] + (L, k), buffer=padded,
+                      strides=step + step[-1:])
+    cols.flags.writeable = False
+    return cols
+
+
 def wconv_embed(x: Tensor, bank: Tensor) -> Tensor:
     """(1, C, L) raw series -> (C, L, d) point features, summed over scales.
 
     Channel independent: every series is convolved with the same bank.
     Convolution is linear in the kernel, so the sum over the nested widths
-    is one convolution with the store scaled by each tap's multiplicity.
-    The series is data: ``ad.conv1d`` differentiates only the bank.
+    is one convolution with the store scaled by each tap's multiplicity,
+    and that convolution is one ``ad.linear`` of the series' sliding
+    windows with the (K, d) scaled store. The series is data: only the
+    bank is differentiated.
     """
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ValueError(
             f"wconv_embed expects (..., 1, C, L), got {x.shape}"
         )
-    kern = ad.mul(bank, Tensor(tap_multiplicity(bank.shape[-1])))
-    C, L = x.shape[-2], x.shape[-1]
-    return ad.conv1d(ad.reshape(x, x.shape[:-3] + (C, 1, L)), kern)
+    if x.requires_grad:
+        raise ValueError(f"wconv_embed: series {x.shape} requires a "
+                         "gradient; only the bank is differentiated")
+    d, _, k = bank.shape
+    kern = ad.mul(bank, Tensor(tap_multiplicity(k)))
+    w = ad.transpose(ad.reshape(kern, (d, k)), (1, 0))
+    return ad.linear(Tensor(sliding_windows(x.data[..., 0, :, :], k)), w)
 
 
 def init_position_table(d: int, L: int, rng: np.random.Generator) -> Tensor:

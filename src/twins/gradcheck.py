@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .embedding import sliding_windows
 
 STEP = 1e-5
 TOL = 1e-4
@@ -76,9 +77,10 @@ OP_CALLS = {
     "matmul_batched": (ad.matmul, [(2, 3, 4), (2, 4, 5)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "linear_no_bias": (ad.linear, [(2, 3, 4), (4, 5)]),
-    # conv1d differentiates only its kernels: its input is fixed data
-    "conv1d": (lambda k: ad.conv1d(ad.Tensor(
-        np.linspace(-1.0, 1.0, 42).reshape(2, 3, 7)), k), [(4, 3, 3)]),
+    # the wavelet embedding's product: read-only sliding windows of fixed
+    # data, only the weight differentiated
+    "linear_windows": (lambda w: ad.linear(ad.Tensor(sliding_windows(
+        np.linspace(-1.0, 1.0, 42).reshape(2, 3, 7), 3)), w), [(3, 4)]),
     "depthwise_conv1d": (ad.depthwise_conv1d, [(2, 6, 3), (3, 3)]),
     "reshape": (lambda a: ad.reshape(a, (3, 4)), [(2, 6)]),
     "transpose": (lambda a: ad.transpose(a, (2, 0, 1)), [(2, 3, 4)]),

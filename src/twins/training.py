@@ -247,7 +247,8 @@ def save_checkpoint(model: TwinSModel, path: str) -> None:
 def _read_exact(fh, n: int, what: str) -> bytes:
     blob = fh.read(n)
     if len(blob) != n:
-        raise ValueError(f"corrupt checkpoint: truncated while reading {what}")
+        raise ValueError(f"{fh.name}: corrupt checkpoint: truncated while "
+                         f"reading {what}")
     return blob
 
 
@@ -265,7 +266,10 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
         except ValueError as err:
             raise ValueError(f"{path}: corrupt checkpoint: config is not "
                              f"JSON ({err})") from None
-        cfg = ModelConfig.from_dict(stored)
+        try:
+            cfg = ModelConfig.from_dict(stored)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         if expect_config is not None:
             # compare through JSON, which turns a tuple of scales into a list
             loaded, expected = (json.loads(json.dumps(c.to_dict()))
@@ -311,8 +315,8 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                 )
             data = np.empty(shape) if legacy else t.data
             if fh.readinto(data) != data.nbytes:
-                raise ValueError("corrupt checkpoint: truncated while "
-                                 f"reading data of {name!r}")
+                raise ValueError(f"{path}: corrupt checkpoint: truncated "
+                                 f"while reading data of {name!r}")
             if not np.little_endian:
                 data.byteswap(inplace=True)
             if legacy:

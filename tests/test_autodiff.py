@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from twins import autodiff as ad
+from twins import embedding as emb
 from twins import gradcheck as gc
 
 
@@ -22,21 +23,23 @@ def t(data, rg=True):
 
 
 def run_node(out, g):
-    """Run the backward node of op output ``out`` on upstream gradient ``g``
-    without consuming it."""
-    _, fn, recs = out._rec.node
-    fn(g, *recs)
+    """Run the backward nodes behind op output ``out``, newest first, on
+    upstream gradient ``g`` without consuming them: the op's own node, and
+    for a composite such as ``wconv_embed`` every node behind it."""
+    found, stack = {}, [out._rec]
+    while stack:
+        r = stack.pop()
+        if r is not None and r.node is not None and id(r) not in found:
+            found[id(r)] = r
+            stack.extend(r.node[2])
+    for r in found.values():
+        r.grad = None
+    for r in sorted(found.values(), key=lambda r: r.node[0], reverse=True):
+        _, fn, recs = r.node
+        fn(g if r is out._rec else r.grad, *recs)
 
 
 class TestValues:
-    def test_conv1d_known_answer(self):
-        # ones(5) * kernel [1,1,1], zero padded: [2,3,3,3,2]
-        x = t(np.ones((1, 1, 5)), rg=False)
-        k = t(np.ones((1, 1, 3)), rg=False)
-        out = ad.conv1d(x, k)
-        assert out.shape == (1, 5, 1)       # (..., L, Cout)
-        np.testing.assert_allclose(out.data[0, :, 0], [2, 3, 3, 3, 2])
-
     def test_depthwise_known_answer(self):
         x = t([[1.0], [2.0], [3.0], [4.0]], rg=False)  # (P, Ch) = (4, 1)
         k = t([[0.0, 1.0, 0.0]], rg=False)  # identity kernel
@@ -457,7 +460,8 @@ def test_node_holds_input_records_not_inputs(name):
     out = op(*ts)
     records = [x._rec for x in ts]
     _, fn, held = out._rec.node
-    assert list(held) == records
+    # None stands for an input made inside the call that needs no gradient
+    assert [r for r in held if r is not None] == records
     held += tuple(cell.cell_contents for cell in fn.__closure__ or ())
     assert not any(isinstance(v, ad.Tensor) for v in held)
     arrays = [weakref.ref(ts[i].data) for i in INPUT_ARRAYS_FREED.get(name, ())]
@@ -570,17 +574,25 @@ def ref_depthwise(x, kern, g):
     return out.swapaxes(-1, -2), [gx.swapaxes(-1, -2), gk]
 
 
-def ref_conv1d(x, kern, g):
-    """(..., Cin, L) data -> (..., L, Cout); the kernel gradient only."""
-    k = kern.shape[-1]
-    xw = _windows(_pad_last(x, (k - 1) // 2), k)
-    out = np.einsum("...ctk,ock->...to", xw, kern, optimize=True)
-    gk = np.einsum("...to,...ctk->ock", g, xw, optimize=True)
-    return out, [gk]
+def embed_series(x, bank):
+    """``wconv_embed`` of the series in ``x`` as data, which needs no
+    gradient: only the bank receives one."""
+    return emb.wconv_embed(ad.Tensor(x.data), bank)
+
+
+def ref_wconv_embed(x, bank, g):
+    """(..., 1, C, L) data -> (..., C, L, d): the conv1d einsum over padded
+    windows with the multiplicity-scaled store; the bank gradient only."""
+    k = bank.shape[-1]
+    mult = emb.tap_multiplicity(k)
+    xw = _windows(_pad_last(x[..., 0, :, :], (k - 1) // 2), k)
+    out = np.einsum("...ctk,dk->...ctd", xw, bank[:, 0] * mult, optimize=True)
+    gk = np.einsum("...ctd,...ctk->dk", g, xw, optimize=True) * mult
+    return out, [gk[:, None]]
 
 
 # name -> (op, reference, input shapes); the reference returns the gradient
-# of every input that needs one
+# of every input the op differentiates
 REFERENCE_CASES = {
     "sigmoid": (ad.sigmoid, ref_sigmoid, [(3, 2, 5, 8)]),
     "gelu": (ad.gelu, ref_gelu, [(3, 2, 5, 8)]),
@@ -591,18 +603,19 @@ REFERENCE_CASES = {
     # taps reaching past both ends of a 3-long axis
     "depthwise_conv1d_wide": (ad.depthwise_conv1d, ref_depthwise,
                               [(3, 2, 3, 8), (8, 9)]),
-    "conv1d": (ad.conv1d, ref_conv1d, [(3, 2, 4, 10), (5, 4, 3)]),
-    # the wavelet embedding's shape: one input channel, a wide kernel
-    "conv1d_embedding": (ad.conv1d, ref_conv1d, [(3, 2, 1, 12), (6, 1, 15)]),
+    "wconv_embed": (embed_series, ref_wconv_embed,
+                    [(3, 2, 1, 4, 10), (5, 1, 7)]),
+    # a store wider than the series: taps reaching past both ends
+    "wconv_embed_wide": (embed_series, ref_wconv_embed,
+                         [(3, 2, 1, 2, 12), (6, 1, 15)]),
 }
-# cases whose first input is data, which needs no gradient
-DATA_FIRST = {"conv1d", "conv1d_embedding"}
 
 
 class TestKernelsMatchReference:
-    """Forward values and the gradient of every input that needs one within
-    1e-12 relative of the reference formulas, on contiguous batched inputs and on transposed
-    (non-contiguous) inputs and upstream gradients."""
+    """Forward values and the gradient of every input the op differentiates
+    within 1e-12 relative of the reference formulas, on contiguous batched
+    inputs and on transposed (non-contiguous) inputs and upstream
+    gradients."""
 
     @pytest.mark.parametrize("layout", ["batched", "transposed"])
     @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
@@ -619,15 +632,14 @@ class TestKernelsMatchReference:
 
         # wide spread so sigmoid and softmax see both tails
         arrays = [draw(shapes[0], 6.0)] + [draw(s) for s in shapes[1:]]
-        ts = [t(a, rg=i > 0 or name not in DATA_FIRST)
-              for i, a in enumerate(arrays)]
+        ts = [t(a) for a in arrays]
         out = op(*ts)
         g = draw(out.shape)
         run_node(out, g)
         want, want_grads = ref(*arrays, g)
         assert out.shape == want.shape
         assert gc.rel_error(out.data, want) <= 1e-12
-        differentiated = [x for x in ts if x.requires_grad]
+        differentiated = [x for x in ts if x._rec.grad is not None]
         assert len(differentiated) == len(want_grads)
         for x, gw in zip(differentiated, want_grads):
             assert x.grad.shape == gw.shape
@@ -686,21 +698,7 @@ class TestShapeErrors:
 
     def test_conv_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            ad.conv1d(t(np.ones((1, 1, 5)), rg=False), t(np.ones((1, 1, 4))))
-        with pytest.raises(ValueError):
             ad.depthwise_conv1d(t(np.ones((1, 4))), t(np.ones((1, 2))))
-
-    @pytest.mark.parametrize("recording", [True, False])
-    def test_conv1d_input_needing_gradient_rejected(self, recording):
-        # the input is data: it never gets a silent zero gradient
-        msg = ("conv1d: input (2, 1, 5) requires a gradient; conv1d "
-               "differentiates only its kernels")
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            if recording:
-                ad.conv1d(t(np.ones((2, 1, 5))), t(np.ones((3, 1, 3))))
-            else:
-                with ad.no_grad():
-                    ad.conv1d(t(np.ones((2, 1, 5))), t(np.ones((3, 1, 3))))
 
     def test_add_incompatible(self):
         with pytest.raises(ValueError):
@@ -729,7 +727,8 @@ class TestShapeErrors:
 
 
 def old_im2col(x, k):
-    """The pad-plus-sliding-window columns ``_im2col`` used to build."""
+    """Reference im2col columns from np.pad and sliding_window_view:
+    (..., Cin, L) -> (..., Cin*k, L), row c*k + j channel c at tap j."""
     L = x.shape[-1]
     win = np.lib.stride_tricks.sliding_window_view(_pad_last(x, (k - 1) // 2),
                                                    L, axis=-1)
@@ -764,10 +763,14 @@ class TestHelpersMatchNumpy:
         ((1, 1), 3),
     ])
     def test_im2col_matches_pad_and_sliding_window(self, shape, k):
+        # the embedding's windows are those columns, window-major
         x = np.random.default_rng(k).normal(size=shape)
-        got, want = ad._im2col(x, k), old_im2col(x, k)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        got = emb.sliding_windows(x, k)
+        want = old_im2col(x, k).reshape(shape[:-1] + (k, shape[-1]))
+        assert np.array_equal(got, want.swapaxes(-1, -2))
+        # a read-only view of one padded copy, not a copy per tap
+        assert not got.flags.writeable
+        assert got.base.shape == shape[:-1] + (shape[-1] + k - 1,)
 
     @settings(max_examples=100, deadline=None)
     @given(sa=st.lists(st.integers(1, 3), max_size=4),

@@ -1,5 +1,7 @@
 """Kernel bank, multi-scale embedding, position table, linear-patch baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,22 +15,26 @@ def make_bank(d, num_scales, seed=0):
     return emb.init_kernel_bank(d, num_scales, np.random.default_rng(seed))
 
 
-def nested_reference(x, bank):
-    """The embedding as the paper states it: one convolution per nested,
-    centered width 1, 3, ..., K of the shared store, summed. Each width is
-    the full bank times a 0/1 mask of its taps."""
+def nested_reference(x, bank, probe):
+    """The embedding as the paper states it, in numpy: one convolution per
+    nested, centered width 1, 3, ..., K of the shared store, summed, each
+    the einsum of the full store times a 0/1 mask of its taps over the
+    padded windows. x is (N, 1, C, L); returns the (N, C, L, d) map and
+    the gradient of sum(map * probe) in the bank."""
     k_max = bank.shape[-1]
-    xc = ad.transpose(x, (1, 0, 2))       # (..., C, 1, L), data
-    out = None
+    pad = [(0, 0)] * 2 + [(k_max // 2, k_max // 2)]
+    xw = np.lib.stride_tricks.sliding_window_view(np.pad(x[:, 0], pad),
+                                                  k_max, axis=-1)
+    out, grad = 0.0, 0.0
     width = 1
     while width <= k_max:
         mask = np.zeros(k_max)
         start = (k_max - width) // 2
         mask[start:start + width] = 1.0
-        y = ad.conv1d(xc, ad.mul(bank, Tensor(mask)))
-        out = y if out is None else ad.add(out, y)
+        out = out + np.einsum("nctk,dk->nctd", xw, bank[:, 0] * mask)
+        grad = grad + np.einsum("nctd,nctk->dk", probe, xw) * mask
         width = 2 * width + 1
-    return out                            # (..., C, L, d)
+    return out, grad[:, None]
 
 
 def rel(a, b):
@@ -96,17 +102,20 @@ class TestWconvEmbed:
     def test_matches_nested_reference(self, n):
         rng = np.random.default_rng(40 + n)
         bank = make_bank(d=3, num_scales=n, seed=n)
-        x = Tensor(rng.normal(size=(2, 1, 3, 40)))
+        x = rng.normal(size=(2, 1, 3, 40))
         probe = rng.normal(size=(2, 3, 40, 3))
-        got, want = [], []
-        for fn, out in ((emb.wconv_embed, got), (nested_reference, want)):
-            bank.zero_grad()
-            y = fn(x, bank)
-            assert y.shape == (2, 3, 40, 3)
-            ad.backward(ad.sum_all(ad.mul(y, Tensor(probe))))
-            out += [y.data, bank.grad.copy()]
-        for g, w in zip(got, want):
-            assert rel(g, w) <= 1e-12
+        y = emb.wconv_embed(Tensor(x), bank)
+        assert y.shape == (2, 3, 40, 3)
+        ad.backward(ad.sum_all(ad.mul(y, Tensor(probe))))
+        want, want_grad = nested_reference(x, bank.data, probe)
+        assert rel(y.data, want) <= 1e-12
+        assert rel(bank.grad, want_grad) <= 1e-12
+
+    def test_sliding_windows_known_answer(self):
+        # ones(5) times the kernel [1, 1, 1], zero padded: [2, 3, 3, 3, 2]
+        cols = emb.sliding_windows(np.ones(5), 3)
+        assert cols.shape == (5, 3)
+        np.testing.assert_array_equal(cols @ np.ones(3), [2, 3, 3, 3, 2])
 
     def test_two_scale_all_ones(self):
         bank = make_bank(d=3, num_scales=2)
@@ -155,6 +164,15 @@ class TestWconvEmbed:
         bank = make_bank(d=2, num_scales=2)
         x = Tensor(np.zeros((1, 3, 8)), requires_grad=True)
         with pytest.raises(ValueError, match="requires a gradient"):
+            emb.wconv_embed(x, bank)
+
+    def test_input_needing_gradient_rejected_under_no_grad(self):
+        bank = make_bank(d=2, num_scales=2)
+        x = Tensor(np.zeros((2, 1, 3, 8)), requires_grad=True)
+        msg = ("wconv_embed: series (2, 1, 3, 8) requires a gradient; "
+               "only the bank is differentiated")
+        with ad.no_grad(), pytest.raises(ValueError,
+                                         match=f"^{re.escape(msg)}$"):
             emb.wconv_embed(x, bank)
 
     def test_bank_gradient_vs_fd(self):

@@ -665,6 +665,6 @@ def test_batch1_forecast_calls_no_shape_helpers():
             model.forward(x)
         finally:
             sys.setprofile(None)
-    assert ("twins", "conv1d") in seen and ("twins", "roll") in seen
+    assert ("twins", "linear") in seen and ("twins", "roll") in seen
     called = {(m, f) for m, f in seen if f in SHAPE_HELPERS.get(m, ())}
     assert not called, sorted(called)

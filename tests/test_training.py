@@ -556,8 +556,7 @@ class TestCheckpoint:
         with_config_header(p, header)
         with pytest.raises(ValueError, match=re.escape(message)) as err:
             tr.load_checkpoint(str(p))
-        if message.startswith("corrupt"):
-            assert str(err.value).startswith(f"{p}: {message}")
+        assert str(err.value).startswith(f"{p}: {message}")
 
     def test_duplicate_array_name(self, tmp_path):
         # same name length and shape, so only the repeat betrays the file
@@ -608,8 +607,17 @@ class TestCheckpoint:
         at = blob.index(name) + len(name)
         data = at + 1 + 4 * blob[at]   # past the rank and the dims
         p.write_bytes(blob[:data + 8])
-        with pytest.raises(ValueError, match=re.escape(
-                "truncated while reading data of 'layers.0.ln1.b'")):
+        msg = (f"{p}: corrupt checkpoint: truncated while reading data of "
+               "'layers.0.ln1.b'")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            tr.load_checkpoint(str(p))
+
+    def test_truncated_header_names_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        p.write_bytes(p.read_bytes()[:len(tr.CKPT_MAGIC) + 2])
+        msg = f"{p}: corrupt checkpoint: truncated while reading config length"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             tr.load_checkpoint(str(p))
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
