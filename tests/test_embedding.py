@@ -166,6 +166,15 @@ class TestWconvEmbed:
         with pytest.raises(ValueError, match="requires a gradient"):
             emb.wconv_embed(x, bank)
 
+    def test_input_needing_gradient_rejected_while_recording(self):
+        # the full message, raised before any window or node is built
+        bank = make_bank(d=2, num_scales=2)
+        x = Tensor(np.zeros((2, 1, 3, 8)), requires_grad=True)
+        msg = ("wconv_embed: series (2, 1, 3, 8) requires a gradient; "
+               "only the bank is differentiated")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            emb.wconv_embed(x, bank)
+
     def test_input_needing_gradient_rejected_under_no_grad(self):
         bank = make_bank(d=2, num_scales=2)
         x = Tensor(np.zeros((2, 1, 3, 8)), requires_grad=True)
