@@ -42,24 +42,27 @@ worker count may change when a chunk runs, never what it computes.
 
 For information, each tree also counts, per config, the graph nodes of
 one recorded chunk: the ops reachable from the loss of a training-mode
-forward over the first chunk of a batch, before any backward; and the ops
-of one batch-1 no-grad forecast, the single window above, as calls to
-``autodiff._make``. These are the op counts a change to the forward's op
-sequence can cite; they change no exit code.
+forward over the first chunk of a batch, before any backward; the bytes
+that graph keeps: the distinct arrays its nodes' backward closures hold,
+directly or through the calls (rebuilds) they hold, each counted once as
+the array that owns its memory and the model's parameters left out; and
+the ops of one batch-1 no-grad forecast, the single window above, as
+calls to ``autodiff._make``. These are the op counts and graph memory a
+change to the forward can cite; they change no exit code.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
-per config on its checkpoint files, then one per config on the graph nodes
-and batch-1 forecast ops of both trees. It exits 1 when an array is
-missing on one side, when the runs of this tree differ in a bit, when an
-array differs from PARENT_SRC by more than 1e-12, or when a checkpoint
-file differs or does not restore its parameters, and 2 on a bad argument,
-a PARENT_SRC without ``training.batch_gradients`` included. Last, it
-prints each tree's package size: the lines of each ``twins/<name>.py``
-module side by side, then the lines of all of them, in total and without
-blank and comment-only lines.
+per config on its checkpoint files, then one per config on the graph
+nodes, graph bytes and batch-1 forecast ops of both trees. It exits 1
+when an array is missing on one side, when the runs of this tree differ
+in a bit, when an array differs from PARENT_SRC by more than 1e-12, or
+when a checkpoint file differs or does not restore its parameters, and 2
+on a bad argument, a PARENT_SRC without ``training.batch_gradients``
+included. Last, it prints each tree's package size: the lines of each
+``twins/<name>.py`` module side by side, then the lines of all of them,
+in total and without blank and comment-only lines.
 """
 
 import json
@@ -67,6 +70,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 
@@ -92,25 +96,53 @@ HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "src")
 
 
-def graph_nodes(loss) -> int:
-    """Op nodes reachable from ``loss``, which no backward has consumed."""
-    found, stack = set(), [loss._rec]
+def graph_nodes(loss) -> list:
+    """The records of the op nodes reachable from ``loss``, which no
+    backward has consumed."""
+    found, stack = {}, [loss._rec]
     while stack:
         r = stack.pop()
         if r is None or r.node is None or id(r) in found:
             continue
-        found.add(id(r))
+        found[id(r)] = r
         stack.extend(r.node[2])
-    return len(found)
+    return list(found.values())
+
+
+def graph_bytes(records, params) -> int:
+    """Bytes of the distinct arrays that the backward closures of the
+    nodes of ``records`` hold, directly or through functions they hold,
+    each counted as the array that owns its memory; the arrays of
+    ``params`` belong to the model, not the graph, and are left out."""
+    skip = {id(p.data) for p in params}
+    fns, seen, owners = [r.node[1] for r in records], set(), {}
+    while fns:
+        fn = fns.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # a variable the op never assigned
+                continue
+            if isinstance(v, types.FunctionType):
+                fns.append(v)
+            elif isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                if id(v) not in skip:
+                    owners[id(v)] = v.nbytes
+    return sum(owners.values())
 
 
 def make_calls(ad, call) -> int:
     """Calls to ``ad._make``, one per op, while ``call()`` runs."""
     real, calls = ad._make, []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return real(*args)
+        return real(*args, **kwargs)
 
     ad._make = counting
     try:
@@ -138,8 +170,8 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
     chunks on ``workers`` threads (0: as many as the tree chooses); write
     the arrays to ``out_dir/arrays.npz``, each final model to
-    ``out_dir/<config>.ckpt`` and, per config, the graph nodes of one
-    recorded chunk and the ops of one batch-1 forecast to
+    ``out_dir/<config>.ckpt`` and, per config, the graph nodes and bytes
+    of one recorded chunk and the ops of one batch-1 forecast to
     ``out_dir/counts.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
@@ -188,7 +220,8 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         loss = ad.mse(model.forward(rng.standard_normal((n, 1, cfg.C, cfg.L)),
                                     training=True),
                       ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T))))
-        counts[name] = [graph_nodes(loss), ops]
+        records = graph_nodes(loss)
+        counts[name] = [len(records), graph_bytes(records, params), ops]
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
     with open(os.path.join(out_dir, "counts.json"), "w") as fh:
         json.dump(counts, fh)
@@ -302,15 +335,16 @@ def main(argv) -> int:
         same = compare(here, parent, "PARENT_SRC", TOL)
         print("checkpoints of this tree against PARENT_SRC's:")
         files_ok = compare_checkpoints(dirs[1], dirs[0], here, parent)
-        print("graph nodes of one recorded chunk and ops of one batch-1 "
-              "forecast, PARENT_SRC -> this tree:")
+        print("graph nodes and MiB of one recorded chunk and ops of one "
+              "batch-1 forecast, PARENT_SRC -> this tree:")
         counts = []
         for d in dirs[:2]:
             with open(os.path.join(d, "counts.json")) as fh:
                 counts.append(json.load(fh))
         for name in CONFIGS:
-            (n0, o0), (n1, o1) = counts[0][name], counts[1][name]
+            (n0, b0, o0), (n1, b1, o1) = counts[0][name], counts[1][name]
             print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
+                  f"MiB {b0 / 2**20:6.2f} -> {b1 / 2**20:6.2f}, "
                   f"forecast ops {o0:4d} -> {o1:4d}")
     sizes = [module_lines(src) for src in (argv[0], HERE_SRC)]
     print("lines per module, all and neither blank nor comment-only, "

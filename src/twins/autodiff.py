@@ -11,6 +11,20 @@ every reachable leaf, and consumes them; a pass that never reaches
 ``backward`` is freed with its tensors. Under ``no_grad()`` ops record
 nothing.
 
+A recorded output that can be computed again, bit for bit, from arrays
+the graph keeps anyway carries that computation, its rebuild:
+``layer_norm``'s is its affine step on the normalized rows its node
+keeps, ``matmul``'s the product of the operands its node keeps, and
+``reshape`` and ``transpose`` apply themselves to their input's rebuild.
+The ops whose backward reads an input array (``linear``, ``matmul``,
+``mul``, ``depthwise_conv1d``) keep that input's rebuild, when it has one,
+in place of the array and run it only when the backward needs the array,
+so a pass holds none of its layer-norm outputs, for instance. Under
+``no_grad()`` no output carries a rebuild. Rebuilds read parameter arrays
+(``gamma``, ``beta``, a weight such as the score subnet's ``w_p``) when
+the backward runs, so nothing may write a parameter between a recorded
+pass and its ``backward``: training runs ``adam_step`` only after it.
+
 One op computes each product: ``linear`` every one with a weight shared
 by every leading row, its gradients one flattened GEMM each (a
 convolution of data with trainable kernels is one, over the data's
@@ -183,11 +197,12 @@ class _Record:
 class Tensor:
     """A dense float64 array plus, if it needs a gradient, its record."""
 
-    __slots__ = ("data", "_rec")
+    __slots__ = ("data", "_rec", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._rec = _Record(self.data.shape) if requires_grad else None
+        self._rebuild = None
 
     @property
     def requires_grad(self):
@@ -234,11 +249,14 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
-    """Wrap op output; give it a record if any input needs grad.
+def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor,
+          rebuild=None) -> Tensor:
+    """Wrap op output; give it a record if any input needs grad, and then
+    ``rebuild``, if given: a call that returns ``out_data``'s bits anew.
 
     ``backward_fn(g, *input_records)`` must hold neither the inputs nor the
-    output (a cycle outlives the pass), only the arrays it reads.
+    output (a cycle outlives the pass), only the arrays it reads; so must
+    ``rebuild``.
     """
     out = Tensor(out_data)
     if _recording:
@@ -246,7 +264,18 @@ def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor) -> Tensor:
         if any(recs):
             out._rec = _Record(out.data.shape,
                                (next(_creation), backward_fn, recs))
+            out._rebuild = rebuild
     return out
+
+
+def _keep(t: Tensor):
+    """What a node keeps of input ``t``: its rebuild if it has one, else
+    its array; ``_kept`` gives the array back."""
+    return t.data if t._rebuild is None else t._rebuild
+
+
+def _kept(v) -> np.ndarray:
+    return v() if callable(v) else v
 
 
 def backward(loss: Tensor) -> None:
@@ -326,14 +355,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     gradient, so a product with a constant keeps only the constant."""
     _check_binary_shapes("mul", a, b)
     out = a.data * b.data
-    da = b.data if a.requires_grad else None
-    db = a.data if b.requires_grad else None
+    da = _keep(b) if a.requires_grad else None
+    db = _keep(a) if b.requires_grad else None
 
     def bwd(g, ra, rb):
         if ra:
-            ra.accum(_unbroadcast(g * da, ra.shape))
+            ra.accum(_unbroadcast(g * _kept(da), ra.shape))
         if rb:
-            rb.accum(_unbroadcast(g * db, rb.shape))
+            rb.accum(_unbroadcast(g * _kept(db), rb.shape))
 
     return _make(out, bwd, a, b)
 
@@ -397,17 +426,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul needs tensors with at least 2 dims")
     if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"matmul: shapes disagree, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
-    _add_macs(out.size * ad.shape[-1])
+    out = a.data @ b.data
+    _add_macs(out.size * a.shape[-1])
+    ka, kb = _keep(a), _keep(b)
 
     def bwd(g, ra, rb):
         if ra:
-            ra.accum(g @ bd.swapaxes(-1, -2))
+            ra.accum(g @ _kept(kb).swapaxes(-1, -2))
         if rb:
-            rb.accum(ad.swapaxes(-1, -2) @ g)
+            rb.accum(_kept(ka).swapaxes(-1, -2) @ g)
 
-    return _make(out, bwd, a, b)
+    return _make(out, bwd, a, b, rebuild=lambda: _kept(ka) @ _kept(kb))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
@@ -421,18 +450,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
                          "optionally an (N,) bias, got "
                          + ", ".join(str(t.shape) for t in inputs))
     k, n = w.shape
-    xd, wd = x.data, w.data
-    out = xd @ wd
+    out = x.data @ w.data
     if b is not None:
         out += b.data
     _add_macs(out.size * k)
+    kx, wd = _keep(x), w.data
 
     def bwd(g, rx, rw, rb=None):
         g2 = g.reshape(-1, n)
         if rx:
             rx.accum((g2 @ wd.T).reshape(rx.shape))
         if rw:
-            rw.accum(xd.reshape(-1, k).T @ g2)
+            rw.accum(_kept(kx).reshape(-1, k).T @ g2)
         if rb:
             rb.accum(np.ones(g2.shape[0]) @ g2)
 
@@ -479,14 +508,14 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             f"depthwise_conv1d: input {x.shape} has feature extent "
             f"{x.shape[-1] if x.ndim else '?'}, kernels expect {ch}"
         )
-    xd, kd = x.data, kernels.data
-    out = _dw_correlate(xd, kd)
+    kd, P = kernels.data, x.shape[-2]
+    out = _dw_correlate(x.data, kd)
     _add_macs(out.size * k)
+    kx = _keep(x)
 
     def bwd(g, rx, rk):
         if rk:
-            P = xd.shape[-2]
-            g3, x3 = g.reshape(-1, P, ch), xd.reshape(-1, P, ch)
+            g3, x3 = g.reshape(-1, P, ch), _kept(kx).reshape(-1, P, ch)
             gk = np.zeros(kd.shape)
             for j, dst, src in _tap_slices(k, P):
                 gk[:, j] = np.einsum("npc,npc->c", g3[:, dst], x3[:, src])
@@ -508,7 +537,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g, ra):
         ra.accum(g.reshape(ra.shape))
 
-    return _make(a.data.reshape(shape), bwd, a)
+    r = a._rebuild
+    return _make(a.data.reshape(shape), bwd, a, rebuild=None if r is None
+                 else lambda: r().reshape(shape))
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,7 +564,9 @@ def transpose(a: Tensor, axes) -> Tensor:
     def bwd(g, ra):
         ra.accum(g.transpose(inv))
 
-    return _make(a.data.transpose(perm), bwd, a)
+    r = a._rebuild
+    return _make(a.data.transpose(perm), bwd, a, rebuild=None if r is None
+                 else lambda: r().transpose(perm))
 
 
 def _roll(x: np.ndarray, shift: int, axis: int) -> np.ndarray:
@@ -589,6 +622,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     then scale by ``gamma`` and shift by ``beta`` (both of that length).
 
     Row means are products with a vector of 1/D, so they run as BLAS calls.
+    The output's rebuild is the same affine step on the normalized rows.
     """
     D = x.shape[-1]
     if gamma.shape != (D,) or beta.shape != (D,):
@@ -596,14 +630,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be "
             f"({D},) for input {x.shape}"
         )
-    xd, gd = x.data, gamma.data
+    xd, gd, bd = x.data, gamma.data, beta.data
     row_mean = _row_mean(D)
     xhat = xd - (xd @ row_mean)[..., None]
     var = np.einsum("...i,...i->...", xhat, xhat) / D
     inv = (1.0 / np.sqrt(var + LAYER_NORM_EPS))[..., None]
     xhat *= inv
-    y = xhat * gd
-    y += beta.data
+
+    def affine():
+        y = xhat * gd
+        y += bd
+        return y
 
     def bwd(g, rx, rg, rb):
         g2 = g.reshape(-1, D)
@@ -620,7 +657,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             d *= inv
             rx.accum(d)
 
-    return _make(y, bwd, x, gamma, beta)
+    return _make(affine(), bwd, x, gamma, beta, rebuild=affine)
 
 
 def sum_all(a: Tensor) -> Tensor:

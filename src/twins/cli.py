@@ -334,6 +334,10 @@ def cmd_attn(args) -> int:
 
 
 def cmd_flops(args) -> int:
+    # the closed forms hold for any k (they meet at the even k = 2D), but
+    # a ledger printed for a model needs a width the score subnet accepts
+    if args.k % 2 == 0:
+        raise ValueError(f"k must be odd, got {args.k}")
     report = ana.flop_analytic if args.no_measure else ana.complexity_report
     rep = report(args.T, args.P, args.D, args.k)
     N = args.T // args.P

@@ -176,15 +176,18 @@ def test_flops_bad_grid(capfd):
     assert "divide" in capfd.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--T", "0"], ["--D", "0"],
-    ["--no-measure", "--D", "0"], ["--no-measure", "--k", "-1"],
-], ids=["T", "D", "D_no_measure", "k_no_measure"])
-def test_flops_non_positive_rejected(flags, capfd):
+@pytest.mark.parametrize("flags, message", [
+    (["--T", "0"], "must be >= 1"), (["--D", "0"], "must be >= 1"),
+    (["--no-measure", "--D", "0"], "must be >= 1"),
+    (["--no-measure", "--k", "-1"], "must be >= 1"),
+    (["--no-measure", "--k", "4"], "k must be odd"),
+], ids=["T", "D", "D_no_measure", "k_no_measure", "k_even_no_measure"])
+def test_flops_non_positive_rejected(flags, message, capfd):
+    # an even k fits no model, with or without the measured counts
     rc = cli.main(["analyze", "flops", *flags])
     assert rc == 1
     err = capfd.readouterr().err
-    assert err.startswith("error: ") and "must be >= 1" in err
+    assert err.startswith("error: ") and message in err
 
 
 def test_missing_data_file(capfd):
