@@ -88,6 +88,8 @@ CONFIGS = {
     "twins_plus_gate_dropout": dict(GATE, variant="twins_plus", dropout=0.1),
     "twins_plus_gate_no_wconv": dict(GATE, variant="twins_plus",
                                      use_wconv=False),
+    # the ablation's no_wconv_rwp row: keyless attention, linear patch map
+    "twins_gate_no_wconv": dict(GATE, variant="twins", use_wconv=False),
     "twins_plus_gate_no_ctmlp": dict(GATE, variant="twins_plus",
                                      use_ctmlp=False),
     "twins_gate_scales_8_4": dict(GATE, variant="twins", scales=[8, 4]),

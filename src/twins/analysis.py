@@ -15,7 +15,7 @@ from . import attention as at
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SplitDataset
-from .model import ModelConfig, TwinSModel
+from .model import VARIANTS, ModelConfig, TwinSModel
 from .training import train
 
 OMEGA0 = 6.0
@@ -150,6 +150,8 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int) -> int:
     on a single channel of N = T/P tokens, with one head and one score map:
     the count does not depend on how D is split, and every D allows it.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant {variant!r} not one of {VARIANTS}")
     _check_sizes(T, P, D, k)
     N = T // P
     rng = np.random.default_rng(0)
@@ -160,7 +162,7 @@ def flop_measured(variant: str, T: int, P: int, D: int, k: int) -> int:
     ad.enable_mac_counting(True)
     try:
         with ad.no_grad():
-            at.attention_block(variant, x, w, sub)
+            at.attention_block(x, w, sub)
     finally:
         ad.enable_mac_counting(False)
     return ad.mac_count()

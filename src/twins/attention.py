@@ -175,18 +175,15 @@ def twins_attention(x: Tensor, w_v: Tensor, w_o: Tensor, scores: Tensor,
     return _attend(attn, vh, w_o, m, probe)
 
 
-def attention_block(variant: str, x: Tensor, w: AttentionWeights,
+def attention_block(x: Tensor, w: AttentionWeights,
                     subnet: ScoreSubnet = None, probe: dict = None) -> Tensor:
-    """One attention block of the named variant.
-
-    ``subnet`` supplies the periodicity scores; mhsa does not use it.
-    """
-    if variant == "mhsa":
+    """One attention block of the variant its inputs hold: dot-product
+    attention without a score subnet, keyless attention when ``w`` has no
+    query map, and score-gated dot-product attention otherwise."""
+    if subnet is None:
         return mhsa(x, w, probe=probe)
-    if variant not in ("twins", "twins_plus"):
-        raise ValueError(f"unknown variant {variant!r}")
     scores = paa_scores(x, subnet)
-    if variant == "twins_plus":
-        return twins_plus_attention(x, w, scores, probe=probe)
-    return twins_attention(x, w.w_v, w.w_o, scores, heads=w.heads,
-                           probe=probe)
+    if w.w_q is None:
+        return twins_attention(x, w.w_v, w.w_o, scores, heads=w.heads,
+                               probe=probe)
+    return twins_plus_attention(x, w, scores, probe=probe)

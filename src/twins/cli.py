@@ -149,6 +149,17 @@ def _config_from_args(args, C: int) -> ModelConfig:
     return cfg
 
 
+def _training_run(args) -> tuple:
+    """The flags' standardized splits and config, and the run's directory,
+    made only once every split that training reads holds one window:
+    (dataset, config, run_dir)."""
+    raw, source = _load_series(args)
+    ds = dt.split_standardize(raw)
+    cfg = _config_from_args(args, C=raw.values.shape[0])
+    check_splits(cfg, ds)
+    return ds, cfg, _run_dir(args, source, cfg)
+
+
 def _checkpoint_and_series(args) -> tuple:
     """The ``--ckpt`` model and the series checked against its channel
     count, as (model, raw, source, split)."""
@@ -177,12 +188,7 @@ def _last_window(model: TwinSModel, ds: dt.SplitDataset,
 # ---------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
-    raw, source = _load_series(args)
-    ds = dt.split_standardize(raw)
-    cfg = _config_from_args(args, C=raw.values.shape[0])
-    check_splits(cfg, ds)  # before any file is written
-    run_dir = _run_dir(args, source, cfg)
-
+    ds, cfg, run_dir = _training_run(args)
     log_path = os.path.join(run_dir, "train_log.jsonl")
     with open(log_path, "w") as log_fh:
         def log_fn(record):
@@ -352,10 +358,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    raw, source = _load_series(args)
-    ds = dt.split_standardize(raw)
-    base = _config_from_args(args, C=raw.values.shape[0])
-    run_dir = _run_dir(args, source, base)
+    ds, base, run_dir = _training_run(args)
     rows = ana.ablation_run(base, ds, log=print)
     path = os.path.join(run_dir, "ablation.csv")
     ana.ablation_to_csv(rows, path)

@@ -6,9 +6,9 @@ convolved with every width and the results are summed, so coarse trend and
 fine oscillation land in the same d-dimensional point feature.
 
 Every weight product here is one ``ad.linear``: the bank's over the
-series' sliding windows (im2col), the baseline's over raw patches. Point
-maps are (C, L, d), features innermost, as that product writes them, so
-window patching regroups them with one reshape; an arbitrary batch prefix
+series' sliding windows (im2col), the baseline's over raw patches. Both
+embeddings return point maps (C, L, d), features innermost, so window
+patching regroups them with one reshape; an arbitrary batch prefix
 in front of that is allowed everywhere (shapes below are for the
 unbatched case). The stored (d, L) position table is added transposed.
 """
@@ -103,7 +103,9 @@ def linear_patch_embed(x: Tensor, patch_len: int, w: Tensor,
                        b: Tensor) -> Tensor:
     """Baseline embedding: one shared affine map per raw patch.
 
-    (1, C, L) -> (C, P, D) with P = L / patch_len; w is (patch_len, D).
+    (1, C, L) -> (C, L, D / patch_len); w is (patch_len, D). Each patch's
+    D outputs are spread over its steps as ``patching.window_fold`` at
+    ``patch_len`` spreads a patch map.
     """
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ValueError(f"linear_patch_embed expects (..., 1, C, L), got {x.shape}")
@@ -112,8 +114,9 @@ def linear_patch_embed(x: Tensor, patch_len: int, w: Tensor,
         raise ValueError(f"L={L} not divisible by patch_len={patch_len}")
     if w.ndim != 2 or w.shape[0] != patch_len:
         raise ValueError(f"weight must be (patch_len, D), got {w.shape}")
-    C = x.shape[-2]
-    P = L // patch_len
-    lead = x.shape[:-3]
-    xg = ad.reshape(x, lead + (C, P, patch_len))
-    return ad.linear(xg, w, b)
+    if w.shape[1] % patch_len != 0:
+        raise ValueError(f"weight width {w.shape[1]} not divisible by "
+                         f"patch_len={patch_len}")
+    lead = x.shape[:-3] + x.shape[-2:-1]  # (..., C)
+    y = ad.linear(ad.reshape(x, lead + (L // patch_len, patch_len)), w, b)
+    return ad.reshape(y, lead + (L, w.shape[1] // patch_len))

@@ -398,14 +398,10 @@ class TwinSModel:
 
     # ---- forward ----
 
-    def _maybe_dropout(self, x: Tensor, training: bool) -> Tensor:
-        if training and self.config.dropout > 0.0:
-            return ad.dropout(x, self.config.dropout, self._dropout_rng)
-        return x
-
     def _residual_block(self, h: Tensor, l: int, probe=None,
                         training: bool = False) -> Tensor:
-        """Attention, FFN, and mixer branches with pre-norm residuals.
+        """Attention, FFN, and mixer branches, each the pre-norm residual
+        ``h + dropout(fn(layer_norm(h)))``.
 
         Each branch's normed input and output pass straight between calls,
         so no local keeps a map past its use, and the block input goes at
@@ -414,22 +410,23 @@ class TwinSModel:
         cfg = self.config
         p = f"layers.{l}"
         par = self.params
-        layer_probe = {} if probe is not None else None
-        subnet = self.score_subnet(l) if cfg.has_subnet() else None
-        h = ad.add(h, self._maybe_dropout(at.attention_block(
-            cfg.variant, ad.layer_norm(h, par[f"{p}.ln1.g"], par[f"{p}.ln1.b"]),
-            self.attention_weights(l), subnet, probe=layer_probe), training))
+
+        def branch(h, norm, fn, *args):
+            y = fn(ad.layer_norm(h, par[f"{p}.{norm}.g"], par[f"{p}.{norm}.b"]),
+                   *args)
+            if training and cfg.dropout > 0.0:
+                y = ad.dropout(y, cfg.dropout, self._dropout_rng)
+            return ad.add(h, y)
+
+        h = branch(h, "ln1", at.attention_block, self.attention_weights(l),
+                   self.score_subnet(l) if cfg.has_subnet() else None, probe)
         if probe is not None:
-            probe.setdefault("attn_layers", []).append(layer_probe["attn"])
-        h = ad.add(h, self._maybe_dropout(feed_forward(
-            ad.layer_norm(h, par[f"{p}.ln2.g"], par[f"{p}.ln2.b"]),
-            par[f"{p}.ffn.w1"], par[f"{p}.ffn.b1"],
-            par[f"{p}.ffn.w2"], par[f"{p}.ffn.b2"]), training))
+            probe.setdefault("attn_layers", []).append(probe.pop("attn"))
+        h = branch(h, "ln2", feed_forward, par[f"{p}.ffn.w1"],
+                   par[f"{p}.ffn.b1"], par[f"{p}.ffn.w2"], par[f"{p}.ffn.b2"])
         if cfg.use_ctmlp:
-            h = ad.add(h, self._maybe_dropout(ct_mlp(
-                ad.layer_norm(h, par[f"{p}.ln3.g"], par[f"{p}.ln3.b"]),
-                par[f"{p}.ct.w1"], par[f"{p}.ct.b1"],
-                par[f"{p}.ct.w2"], par[f"{p}.ct.b2"]), training))
+            h = branch(h, "ln3", ct_mlp, par[f"{p}.ct.w1"], par[f"{p}.ct.b1"],
+                       par[f"{p}.ct.w2"], par[f"{p}.ct.b2"])
         return h
 
     def forward(self, x, probe=None, training: bool = False) -> Tensor:
@@ -470,13 +467,10 @@ class TwinSModel:
         # both embeddings hand the layers a point map (..., C, L, d); each
         # layer pops its input from a one-slot list and hands the block its
         # only reference, so the input goes at the first residual add
-        if cfg.use_wconv:
-            slot = [emb.add_position(emb.wconv_embed(xn, par["embed.bank"]),
-                                     par["embed.pos"])]
-        else:
-            slot = [pt.window_fold(pt.PatchedFeatureMap(emb.linear_patch_embed(
-                xn, cfg.patch_len, par["embed.patch.w"], par["embed.patch.b"]),
-                cfg.patch_len))]
+        slot = [emb.add_position(emb.wconv_embed(xn, par["embed.bank"]),
+                                 par["embed.pos"]) if cfg.use_wconv else
+                emb.linear_patch_embed(xn, cfg.patch_len, par["embed.patch.w"],
+                                       par["embed.patch.b"])]
         for l in range(cfg.n_layers):
             # unfold at this layer's scale, run the block, fold back
             s, r = cfg.scale_at(l), cfg.roll_at(l)

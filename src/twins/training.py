@@ -292,7 +292,11 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
         seen = set()
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode()
+            try:
+                name = _read_exact(fh, name_len, "name").decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: corrupt checkpoint: array name "
+                                 "is not UTF-8") from None
             if name not in model.params:
                 raise ValueError(f"{path}: unexpected array {name!r}")
             if name in seen:

@@ -315,7 +315,7 @@ class TestGroupedHeadsMatchRepeated:
         up = Tensor(rng.normal(size=x.shape))
         runs = []
         for block in (
-            lambda probe: attn.attention_block(variant, x, w, sub, probe),
+            lambda probe: attn.attention_block(x, w, sub, probe),
             lambda probe: ref_attention(variant, x, w,
                                         attn.paa_scores(x, sub), probe),
         ):
@@ -329,6 +329,34 @@ class TestGroupedHeadsMatchRepeated:
         for new, ref in zip(*runs):
             assert new.shape == ref.shape
             assert gc.rel_error(new, ref) <= 1e-12
+
+
+class TestAttentionBlockDispatch:
+    """attention_block runs the variant its weights and subnet hold."""
+
+    @pytest.mark.parametrize("variant", ["mhsa", "twins", "twins_plus"])
+    def test_matches_the_variants_own_function(self, variant):
+        B, C, P, D, M, S = 2, 3, 5, 16, 4, 2
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(B, C, P, D)))
+        w = attn.init_attention(D, M, rng, keyless=(variant == "twins"))
+        sub = None if variant == "mhsa" else attn.init_subnet(D, S, 3, P, rng)
+        own = {
+            "mhsa": lambda probe: attn.mhsa(x, w, probe=probe),
+            "twins": lambda probe: attn.twins_attention(
+                x, w.w_v, w.w_o, attn.paa_scores(x, sub), heads=M,
+                probe=probe),
+            "twins_plus": lambda probe: attn.twins_plus_attention(
+                x, w, attn.paa_scores(x, sub), probe=probe),
+        }[variant]
+        runs = []
+        for block in (lambda probe: attn.attention_block(x, w, sub, probe),
+                      own):
+            probe = {}
+            runs.append((block(probe).data, probe["attn"]))
+        assert runs[0][1].shape == (M, B, C, P, P)
+        for new, ref in zip(*runs):
+            assert np.array_equal(new, ref)
 
 
 def ref_paa_scores(x, dw, w_p, up):

@@ -539,6 +539,27 @@ def test_mul_by_constant_keeps_no_input_array():
     assert np.array_equal(rec.grad, g * 2.0)
 
 
+def test_dropout_is_mul_by_its_mask():
+    rng = np.random.default_rng(9)
+    x = t(rng.normal(size=(4, 5)))
+    g = ad.Tensor(rng.normal(size=(4, 5)))
+    mask = (np.random.default_rng(3).random((4, 5)) >= 0.3) / 0.7
+    runs = []
+    for op in (lambda: ad.dropout(x, 0.3, np.random.default_rng(3)),
+               lambda: ad.mul(x, ad.Tensor(mask))):
+        x.zero_grad()
+        out = op()
+        # the node keeps the mask and no other array
+        held = [c.cell_contents for c in out._rec.node[1].__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and np.array_equal(arrays[0], mask)
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        runs.append((out.data, x.grad.copy()))
+    (y, dx), (y_mul, dx_mul) = runs
+    assert np.array_equal(y, y_mul) and np.array_equal(dx, dx_mul)
+    assert np.array_equal(y, x.data * mask)
+
+
 def ref_adam_step(params, grads, state):
     """The update as ``adam_step`` computed it with fresh arrays."""
     state.t += 1

@@ -398,3 +398,14 @@ def test_short_split_train_writes_nothing(where, tmp_path, monkeypatch,
     assert capfd.readouterr().err == (
         "error: training split of length 9 too short for L=8, T=4\n")
     assert os.listdir(root) == []
+
+
+def test_short_split_ablate_writes_nothing(tmp_path, monkeypatch, capfd):
+    # len=15 leaves a training split of 9 steps, short of L + T = 12
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(tmp_path))
+    rc = cli.main(["analyze", "ablate", "--synthetic",
+                   "len=15,channels=2|period=8", *MODEL_FLAGS])
+    assert rc == 1
+    assert capfd.readouterr().err == (
+        "error: training split of length 9 too short for L=8, T=4\n")
+    assert os.listdir(tmp_path) == []

@@ -8,6 +8,7 @@ import pytest
 from twins import autodiff as ad
 from twins import embedding as emb
 from twins import gradcheck as gc
+from twins import patching as pt
 from twins.autodiff import Tensor
 
 
@@ -227,13 +228,13 @@ class TestLinearPatch:
         w = Tensor(rng.normal(size=(8, 128)))
         b = Tensor(np.zeros(128))
         out = emb.linear_patch_embed(Tensor(np.zeros((1, 7, 96))), 8, w, b)
-        assert out.shape == (7, 12, 128)
+        assert out.shape == (7, 96, 16)
 
     def test_zero_map(self):
-        w = Tensor(np.zeros((4, 6)))
-        b = Tensor(np.zeros(6))
+        w = Tensor(np.zeros((4, 8)))
+        b = Tensor(np.zeros(8))
         out = emb.linear_patch_embed(Tensor(np.ones((1, 2, 8))), 4, w, b)
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2, 6)))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 8, 2)))
 
     def test_divisibility(self):
         w = Tensor(np.zeros((5, 6)))
@@ -241,10 +242,42 @@ class TestLinearPatch:
         with pytest.raises(ValueError):
             emb.linear_patch_embed(Tensor(np.zeros((1, 2, 8))), 5, w, b)
 
+    def test_width_not_divisible_by_patch_len(self):
+        w = Tensor(np.zeros((4, 6)))
+        b = Tensor(np.zeros(6))
+        with pytest.raises(ValueError, match=re.escape(
+                "weight width 6 not divisible by patch_len=4")):
+            emb.linear_patch_embed(Tensor(np.zeros((1, 2, 8))), 4, w, b)
+
     def test_known_values(self):
-        # patch [1,2] with weight [[1],[10]] -> 21
-        w = Tensor(np.array([[1.0], [10.0]]))
-        b = Tensor(np.array([0.5]))
+        # patch [1,2] with weight [[1,100],[10,1000]] -> 21, 2100; each
+        # patch's two outputs go to its two steps
+        w = Tensor(np.array([[1.0, 100.0], [10.0, 1000.0]]))
+        b = Tensor(np.array([0.5, 0.25]))
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 4))
         out = emb.linear_patch_embed(x, 2, w, b)
-        np.testing.assert_allclose(out.data, [[[21.5], [43.5]]])
+        np.testing.assert_allclose(out.data,
+                                   [[[21.5], [2100.25], [43.5], [4300.25]]])
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_unfolds_to_the_patch_map(self, lead):
+        # the point map, unfolded at patch_len, is the affine map of each
+        # raw patch bit for bit, in value and in gradient
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=lead + (1, 2, 24))
+        w = Tensor(rng.normal(size=(4, 12)), requires_grad=True)
+        b = Tensor(rng.normal(size=12), requires_grad=True)
+        up = rng.normal(size=lead + (2, 6, 12))
+        runs = []
+        for patch_map in (
+            lambda: pt.window_unfold(
+                emb.linear_patch_embed(Tensor(x), 4, w, b), 4).data,
+            lambda: ad.linear(Tensor(x.reshape(lead + (2, 6, 4))), w, b),
+        ):
+            w.zero_grad()
+            b.zero_grad()
+            y = patch_map()
+            ad.backward(ad.sum_all(ad.mul(y, Tensor(up))))
+            runs.append((y.data, w.grad.copy(), b.grad.copy()))
+        for new, ref in zip(*runs):
+            assert np.array_equal(new, ref)

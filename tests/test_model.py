@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twins import attention as at
 from twins import autodiff as ad
 from twins import gradcheck as gc
 from twins import model as md
@@ -293,6 +294,37 @@ class TestForward:
                 outs.append(md.TwinSModel(micro_config(variant=v)).forward(x).data)
         assert np.max(np.abs(outs[0] - outs[1])) > 1e-9
         assert np.max(np.abs(outs[1] - outs[2])) > 1e-9
+
+    @pytest.mark.parametrize("variant, attention", [
+        ("mhsa", ["mhsa"]),
+        ("twins", ["paa_scores", "twins_attention"]),
+        ("twins_plus", ["paa_scores", "twins_plus_attention"]),
+    ])
+    def test_blocks_called_through_module_attributes(self, monkeypatch,
+                                                     variant, attention):
+        # a profiler that swaps these attributes sees every layer's call
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("feed_forward", "ct_mlp"):
+            spy(md, name)
+        for name in ("mhsa", "paa_scores", "twins_attention",
+                     "twins_plus_attention"):
+            spy(at, name)
+        model = md.TwinSModel(micro_config(variant=variant, n_layers=2,
+                                           L=16, patch_len=4))
+        probe = {}
+        model.forward(np.random.default_rng(3).normal(size=(2, 1, 2, 16)),
+                      probe=probe)
+        assert calls == 2 * (attention + ["feed_forward", "ct_mlp"])
+        assert list(probe) == ["attn_layers"]
 
 
 class TestEquivariance:

@@ -515,6 +515,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             tr.load_checkpoint(p)
 
+    def test_name_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        tr.save_checkpoint(md.TwinSModel(tiny_config()), str(p))
+        blob = bytearray(p.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", blob, len(tr.CKPT_MAGIC))
+        # magic, config length, config, array count, first name length
+        blob[len(tr.CKPT_MAGIC) + 4 + cfg_len + 4 + 2] = 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as err:
+            tr.load_checkpoint(str(p))
+        assert str(err.value) == (
+            f"{p}: corrupt checkpoint: array name is not UTF-8")
+
     def test_config_conflict_names_field(self, tmp_path):
         p = str(tmp_path / "m.ckpt")
         tr.save_checkpoint(md.TwinSModel(tiny_config()), p)
