@@ -45,17 +45,23 @@ one recorded chunk: the ops reachable from the loss of a training-mode
 forward over the first chunk of a batch, before any backward; the bytes
 that graph keeps: the distinct arrays its nodes' backward closures hold,
 directly or through the calls (rebuilds) they hold, each counted once as
-the array that owns its memory and the model's parameters left out; and
-the ops of one batch-1 no-grad forecast, the single window above, as
-calls to ``autodiff._make``. These are the op counts and graph memory a
-change to the forward can cite; they change no exit code.
+the array that owns its memory and the model's parameters left out; the
+tracemalloc peak of a second forward over that chunk plus its
+``backward``, which graph bytes miss: the backward's transients and how
+long the arrays it rebuilds live; and the ops of one batch-1 no-grad
+forecast, the single window above, as calls to ``autodiff._make``. These
+are the op counts and memory a change to the forward or backward can
+cite; they change no exit code. The peak is taken with the public API
+only (``forward``, ``mse``, ``backward``), so it is the same measurement
+on both trees.
 
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
 per config on its checkpoint files, then one per config on the graph
-nodes, graph bytes and batch-1 forecast ops of both trees. It exits 1
+nodes, graph bytes, forward-plus-backward peak and batch-1 forecast ops
+of both trees. It exits 1
 when an array is missing on one side, when the runs of this tree differ
 in a bit, when an array differs from PARENT_SRC by more than 1e-12, or
 when a checkpoint file differs or does not restore its parameters, and 2
@@ -70,6 +76,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 
 import numpy as np
@@ -138,6 +145,16 @@ def graph_bytes(records, params) -> int:
     return sum(owners.values())
 
 
+def peak_bytes(call) -> int:
+    """tracemalloc's peak of the bytes allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def make_calls(ad, call) -> int:
     """Calls to ``ad._make``, one per op, while ``call()`` runs."""
     real, calls = ad._make, []
@@ -173,8 +190,8 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     chunks on ``workers`` threads (0: as many as the tree chooses); write
     the arrays to ``out_dir/arrays.npz``, each final model to
     ``out_dir/<config>.ckpt`` and, per config, the graph nodes and bytes
-    of one recorded chunk and the ops of one batch-1 forecast to
-    ``out_dir/counts.json``."""
+    of one recorded chunk, the peak bytes of its forward and backward and
+    the ops of one batch-1 forecast to ``out_dir/counts.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -219,11 +236,15 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         arrays[f"{name}/no_grad/evaluate"] = np.array([m.mse, m.mae])
         # last, so its draws and dropout masks change no array above
         n = md.chunk_slices(BATCH, cfg)[0].stop
-        loss = ad.mse(model.forward(rng.standard_normal((n, 1, cfg.C, cfg.L)),
-                                    training=True),
-                      ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T))))
-        records = graph_nodes(loss)
+        x = rng.standard_normal((n, 1, cfg.C, cfg.L))
+        y = ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T)))
+        records = graph_nodes(ad.mse(model.forward(x, training=True), y))
         counts[name] = [len(records), graph_bytes(records, params), ops]
+        del records
+        for p in params:
+            p.zero_grad()
+        counts[name].append(peak_bytes(lambda: ad.backward(
+            ad.mse(model.forward(x, training=True), y))))
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
     with open(os.path.join(out_dir, "counts.json"), "w") as fh:
         json.dump(counts, fh)
@@ -337,16 +358,18 @@ def main(argv) -> int:
         same = compare(here, parent, "PARENT_SRC", TOL)
         print("checkpoints of this tree against PARENT_SRC's:")
         files_ok = compare_checkpoints(dirs[1], dirs[0], here, parent)
-        print("graph nodes and MiB of one recorded chunk and ops of one "
-              "batch-1 forecast, PARENT_SRC -> this tree:")
+        print("graph nodes and MiB of one recorded chunk, the peak MiB of "
+              "its forward and backward, and ops of one batch-1 forecast, "
+              "PARENT_SRC -> this tree:")
         counts = []
         for d in dirs[:2]:
             with open(os.path.join(d, "counts.json")) as fh:
                 counts.append(json.load(fh))
         for name in CONFIGS:
-            (n0, b0, o0), (n1, b1, o1) = counts[0][name], counts[1][name]
+            (n0, b0, o0, p0), (n1, b1, o1, p1) = (c[name] for c in counts)
             print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
                   f"MiB {b0 / 2**20:6.2f} -> {b1 / 2**20:6.2f}, "
+                  f"peak MiB {p0 / 2**20:6.2f} -> {p1 / 2**20:6.2f}, "
                   f"forecast ops {o0:4d} -> {o1:4d}")
     sizes = [module_lines(src) for src in (argv[0], HERE_SRC)]
     print("lines per module, all and neither blank nor comment-only, "

@@ -12,18 +12,23 @@ every reachable leaf, and consumes them; a pass that never reaches
 nothing.
 
 A recorded output that can be computed again, bit for bit, from arrays
-the graph keeps anyway carries that computation, its rebuild:
-``layer_norm``'s is its affine step on the normalized rows its node
-keeps, ``matmul``'s the product of the operands its node keeps, and
-``reshape`` and ``transpose`` apply themselves to their input's rebuild.
-The ops whose backward reads an input array (``linear``, ``matmul``,
-``mul``, ``depthwise_conv1d``) keep that input's rebuild, when it has one,
-in place of the array and run it only when the backward needs the array,
-so a pass holds none of its layer-norm outputs, for instance. Under
-``no_grad()`` no output carries a rebuild. Rebuilds read parameter arrays
-(``gamma``, ``beta``, a weight such as the score subnet's ``w_p``) when
-the backward runs, so nothing may write a parameter between a recorded
-pass and its ``backward``: training runs ``adam_step`` only after it.
+the graph keeps anyway holds that computation, its rebuild, on its
+record: ``layer_norm``'s is its affine step on the normalized rows its
+node keeps, ``matmul``'s the product of the operands its node keeps,
+``linear``'s its product (plus bias) on what its node keeps of its
+input, and ``reshape`` and ``transpose`` apply themselves to their
+input's rebuild. The ops whose backward reads an input array
+(``linear``, ``matmul``, ``mul``, ``depthwise_conv1d``) keep that input's
+rebuild, when it has one, in place of the array and run it only when the
+backward needs the array, so a pass holds none of its layer-norm outputs
+or attention projections, for instance. A rebuild runs at most once per
+``backward``: the record memoises the array for every later reader,
+read-only since they share it, and ``backward`` drops the memo when it
+runs the output's own node, after every reader. Under ``no_grad()`` no
+output has a record, so none has a rebuild. Rebuilds read parameter
+arrays (``gamma``, ``beta``, a weight such as ``w_q`` or ``w_p``) when the
+backward runs, so nothing may write a parameter between a recorded pass
+and its ``backward``: training runs ``adam_step`` only after it.
 
 One op computes each product: ``linear`` every one with a weight shared
 by every leading row, its gradients one flattened GEMM each (a
@@ -175,14 +180,27 @@ def is_recording() -> bool:
 class _Record:
     """Autograd state of a tensor that needs a gradient: its shape, its
     gradient and, for an op output, the node ``(creation order, backward fn,
-    input records)``; an input that needs no gradient has ``None`` there."""
+    input records)``; an input that needs no gradient has ``None`` there.
+    An op output that can be computed again also holds its rebuild and,
+    once ``rebuilt`` has run it, the memo of its array, until ``backward``
+    runs the node."""
 
-    __slots__ = ("shape", "grad", "node")
+    __slots__ = ("shape", "grad", "node", "rebuild", "memo")
 
-    def __init__(self, shape, node=None):
+    def __init__(self, shape, node=None, rebuild=None):
         self.shape = shape
         self.grad = None
         self.node = node
+        self.rebuild = rebuild
+        self.memo = None
+
+    def rebuilt(self) -> np.ndarray:
+        """The rebuild's array, computed on the first call only and then
+        handed to every node that reads the output, so read-only."""
+        if self.memo is None:
+            self.memo = self.rebuild()
+            self.memo.flags.writeable = False
+        return self.memo
 
     def accum(self, g):
         """Add ``g`` into the gradient without writing either array.
@@ -195,14 +213,14 @@ class _Record:
 
 
 class Tensor:
-    """A dense float64 array plus, if it needs a gradient, its record."""
+    """A dense float64 array plus, if it needs a gradient, its record (which
+    holds the rebuild of an op output)."""
 
-    __slots__ = ("data", "_rec", "_rebuild")
+    __slots__ = ("data", "_rec")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._rec = _Record(self.data.shape) if requires_grad else None
-        self._rebuild = None
 
     @property
     def requires_grad(self):
@@ -251,7 +269,7 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor,
           rebuild=None) -> Tensor:
-    """Wrap op output; give it a record if any input needs grad, and then
+    """Wrap op output; give it a record if any input needs grad, holding
     ``rebuild``, if given: a call that returns ``out_data``'s bits anew.
 
     ``backward_fn(g, *input_records)`` must hold neither the inputs nor the
@@ -263,15 +281,19 @@ def _make(out_data: np.ndarray, backward_fn, *inputs: Tensor,
         recs = tuple(t._rec for t in inputs)
         if any(recs):
             out._rec = _Record(out.data.shape,
-                               (next(_creation), backward_fn, recs))
-            out._rebuild = rebuild
+                               (next(_creation), backward_fn, recs), rebuild)
     return out
+
+
+def _rebuild_of(t: Tensor):
+    """``t``'s ``_Record.rebuilt`` if it has a rebuild, else None."""
+    return t._rec and t._rec.rebuild and t._rec.rebuilt
 
 
 def _keep(t: Tensor):
     """What a node keeps of input ``t``: its rebuild if it has one, else
     its array; ``_kept`` gives the array back."""
-    return t.data if t._rebuild is None else t._rebuild
+    return _rebuild_of(t) or t.data
 
 
 def _kept(v) -> np.ndarray:
@@ -310,7 +332,8 @@ def backward(loss: Tensor) -> None:
     while order:
         r = order.pop()
         _, fn, recs = r.node
-        r.node = _CONSUMED
+        # every node that reads r's output is newer, so has run
+        r.node, r.rebuild, r.memo = _CONSUMED, None, None
         if r.grad is not None:
             fn(r.grad, *recs)
 
@@ -450,11 +473,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
                          "optionally an (N,) bias, got "
                          + ", ".join(str(t.shape) for t in inputs))
     k, n = w.shape
-    out = x.data @ w.data
-    if b is not None:
-        out += b.data
+    kx, wd, bd = _keep(x), w.data, None if b is None else b.data
+
+    def product(xd):
+        y = xd @ wd
+        if bd is not None:
+            y += bd
+        return y
+
+    out = product(x.data)
     _add_macs(out.size * k)
-    kx, wd = _keep(x), w.data
 
     def bwd(g, rx, rw, rb=None):
         g2 = g.reshape(-1, n)
@@ -465,7 +493,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
         if rb:
             rb.accum(np.ones(g2.shape[0]) @ g2)
 
-    return _make(out, bwd, *inputs)
+    return _make(out, bwd, *inputs, rebuild=lambda: product(_kept(kx)))
 
 
 def _tap_slices(k: int, n: int):
@@ -537,9 +565,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g, ra):
         ra.accum(g.reshape(ra.shape))
 
-    r = a._rebuild
-    return _make(a.data.reshape(shape), bwd, a, rebuild=None if r is None
-                 else lambda: r().reshape(shape))
+    r = _rebuild_of(a)
+    return _make(a.data.reshape(shape), bwd, a, rebuild=r and (
+        lambda: r().reshape(shape)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -564,9 +592,9 @@ def transpose(a: Tensor, axes) -> Tensor:
     def bwd(g, ra):
         ra.accum(g.transpose(inv))
 
-    r = a._rebuild
-    return _make(a.data.transpose(perm), bwd, a, rebuild=None if r is None
-                 else lambda: r().transpose(perm))
+    r = _rebuild_of(a)
+    return _make(a.data.transpose(perm), bwd, a, rebuild=r and (
+        lambda: r().transpose(perm)))
 
 
 def _roll(x: np.ndarray, shift: int, axis: int) -> np.ndarray:

@@ -157,8 +157,12 @@ def synth_multiperiod(length: int, channels: int, components,
     comps = list(components)
     if not comps:
         raise ValueError("components must be non-empty")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not math.isfinite(noise_std):
         raise ValueError(f"noise std must be finite, got {noise_std}")
     if noise_std < 0.0:

@@ -1,5 +1,6 @@
 """Gradient and value checks for the autodiff core."""
 
+import functools
 import math
 import re
 import sys
@@ -257,9 +258,17 @@ class TestTapeSemantics:
 
 
 # outputs with a rebuild, and reshapes and transposes of them; every
-# call takes x (2, 3, 6), gamma and beta (6,) and w (2, 6, 5)
+# call takes x (2, 3, 6), gamma and beta (6,) and w (2, 6, 5), whose first
+# (6, 5) slice is a linear weight and a (5,) row of the second its bias
 REBUILT = {
     "layer_norm": lambda x, g, b, w: ad.layer_norm(x, g, b),
+    "linear": lambda x, g, b, w: ad.linear(x, t(w.data[0])),
+    "linear_bias": lambda x, g, b, w: ad.linear(x, t(w.data[0]),
+                                                t(w.data[1, 0])),
+    "layer_norm_linear": lambda x, g, b, w: ad.linear(
+        ad.layer_norm(x, g, b), t(w.data[0])),
+    "layer_norm_linear_bias": lambda x, g, b, w: ad.linear(
+        ad.layer_norm(x, g, b), t(w.data[0]), t(w.data[1, 0])),
     "matmul": lambda x, g, b, w: ad.matmul(x, w),
     "layer_norm_transpose_reshape": lambda x, g, b, w: ad.reshape(
         ad.transpose(ad.layer_norm(x, g, b), (2, 0, 1)), (6, 6)),
@@ -286,7 +295,7 @@ class TestRebuilds:
     @pytest.mark.parametrize("name", sorted(REBUILT))
     def test_rebuild_gives_the_output_bits(self, name):
         out = REBUILT[name](*self.inputs())
-        again = out._rebuild()
+        again = out._rec.rebuild()
         assert again.shape == out.shape
         assert np.array_equal(again.view(np.uint64), out.data.view(np.uint64))
 
@@ -294,7 +303,14 @@ class TestRebuilds:
     def test_no_grad_builds_no_rebuild(self, name):
         args = self.inputs()
         with ad.no_grad():
-            assert REBUILT[name](*args)._rebuild is None
+            assert REBUILT[name](*args)._rec is None  # which holds a rebuild
+
+    def test_rebuilt_array_is_shared_and_read_only(self):
+        rec = ad.layer_norm(*self.inputs()[:3])._rec
+        a = rec.rebuilt()
+        assert rec.rebuilt() is a and rec.memo is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("name", sorted(READERS))
     def test_node_keeps_no_layer_norm_output(self, name):
@@ -310,6 +326,85 @@ class TestRebuilds:
         w_plain = t(w.data)
         ad.backward(ad.sum_all(op(plain, w_plain)))
         assert np.array_equal(w.grad, w_plain.grad)
+
+    def test_node_keeps_no_linear_output(self):
+        x, _, bias, w = self.inputs()
+        w_q = t(np.random.default_rng(24).normal(size=(6, 6)))
+        q = ad.linear(x, w_q, bias)
+        plain, ref = t(q.data.copy(), rg=False), weakref.ref(q.data)
+        loss = ad.sum_all(ad.matmul(q, w))
+        del q
+        assert ref() is None  # matmul's node rebuilds it from x
+        ad.backward(loss)
+        w_plain = t(w.data)
+        ad.backward(ad.sum_all(ad.matmul(plain, w_plain)))
+        assert np.array_equal(w.grad, w_plain.grad)
+
+    @staticmethod
+    def wrap_rebuilds(monkeypatch, wrap):
+        """Later ops hand ``_make`` ``wrap(rebuild)`` for each rebuild."""
+        make = ad._make
+
+        def wrapped(*args, rebuild=None):
+            return make(*args, rebuild=rebuild and wrap(rebuild))
+
+        monkeypatch.setattr(ad, "_make", wrapped)
+
+    def test_shared_output_rebuilt_once(self, monkeypatch):
+        x, g, b, _ = self.inputs()
+        rng = np.random.default_rng(23)
+        weights = [t(rng.normal(size=(6, 4))) for _ in range(3)]
+        kernels = t(rng.normal(size=(6, 3)))
+        calls = []
+
+        def counted(rebuild):
+            def count():
+                calls.append(None)
+                return rebuild()
+            return count
+
+        with monkeypatch.context() as m:
+            self.wrap_rebuilds(m, counted)
+            y = ad.layer_norm(x, g, b)
+        plain = t(y.data.copy(), rg=False)
+
+        def loss(y, weights, kernels):
+            outs = [ad.linear(y, w) for w in weights]
+            outs.append(ad.depthwise_conv1d(y, kernels))
+            return functools.reduce(ad.add, map(ad.sum_all, outs))
+
+        total = loss(y, weights, kernels)
+        del y
+        ad.backward(total)
+        assert len(calls) == 1  # not once per reading node
+        again = [t(p.data) for p in weights + [kernels]]
+        ad.backward(loss(plain, again[:3], again[3]))
+        for p, q in zip(weights + [kernels], again):
+            assert np.array_equal(p.grad, q.grad)
+
+    def test_backward_frees_every_rebuilt_array(self, monkeypatch):
+        refs = []
+
+        def watched(rebuild):
+            def watch():
+                a = rebuild()
+                refs.append(weakref.ref(a))
+                return a
+            return watch
+
+        self.wrap_rebuilds(monkeypatch, watched)
+        x, g, b, _ = self.inputs()
+        w = t(np.random.default_rng(25).normal(size=(6, 4)))
+        y = ad.layer_norm(x, g, b)
+        q = ad.linear(y, w, t(np.ones(4)))
+        k = ad.transpose(q, (1, 0))
+        s = ad.matmul(q, k)
+        loss = ad.sum_all(ad.mul(s, s))
+        records = [v._rec for v in (y, q, k, s, loss)]
+        ad.backward(loss)
+        assert len(refs) == 4  # y, q, k and s each rebuilt once
+        assert all(r.rebuild is None and r.memo is None for r in records)
+        assert all(ref() is None for ref in refs)  # while y..loss live
 
 
 def linear_grads(a, b, g):

@@ -226,6 +226,21 @@ def test_out_of_range_flag_exit_code(flag, value, tmp_path, capfd):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("len=-5,channels=2|period=8", "length must be >= 1, got -5"),
+    ("len=0|period=8", "length must be >= 1, got 0"),
+    ("seed=-1|period=8", "seed must be >= 0, got -1"),
+    ("noise=0.1,seed=-1|period=8", "seed must be >= 0, got -1"),
+])
+def test_bad_synth_length_or_seed_writes_no_run(spec, message, tmp_path,
+                                                capfd):
+    rc = cli.main(["train", "--synthetic", spec, *MODEL_FLAGS,
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capfd.readouterr().err == f"error: synthetic spec: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("spec", [
     "junk",
     "period=bad",

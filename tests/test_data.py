@@ -227,6 +227,10 @@ class TestSynth:
          "component amplitude must be finite, got -inf"),
         ({"components": [(8, float("nan"), None)]},
          "component amplitude must be finite, got nan"),
+        ({"length": 0}, "length must be >= 1, got 0"),
+        ({"length": -5}, "length must be >= 1, got -5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": -1, "noise_std": 0.1}, "seed must be >= 0, got -1"),
     ])
     def test_bad_spec_named(self, kw, message):
         args = {"length": 300, "channels": 1,
