@@ -45,7 +45,8 @@ one recorded chunk: the ops reachable from the loss of a training-mode
 forward over the first chunk of a batch, before any backward; the bytes
 that graph keeps: the distinct arrays its nodes' backward closures hold,
 directly or through the calls (rebuilds) they hold, each counted once as
-the array that owns its memory and the model's parameters left out; the
+the array that owns its memory and the model's parameters left out, in
+total and by the op whose node holds it first in creation order; the
 tracemalloc peak of a second forward over that chunk plus its
 ``backward``, which graph bytes miss: the backward's transients and how
 long the arrays it rebuilds live; and the ops of one batch-1 no-grad
@@ -61,7 +62,8 @@ the bit-identical count of the recorded arrays alone, first for the two
 runs of this tree and then for this tree against PARENT_SRC, then one line
 per config on its checkpoint files, then one per config on the graph
 nodes, graph bytes, forward-plus-backward peak and batch-1 forecast ops
-of both trees. It exits 1
+of both trees, followed by that config's graph MiB split by the op whose
+node first holds each array, in creation order. It exits 1
 when an array is missing on one side, when the runs of this tree differ
 in a bit, when an array differs from PARENT_SRC by more than 1e-12, or
 when a checkpoint file differs or does not restore its parameters, and 2
@@ -118,31 +120,37 @@ def graph_nodes(loss) -> list:
     return list(found.values())
 
 
-def graph_bytes(records, params) -> int:
+def graph_bytes(records, params) -> dict:
     """Bytes of the distinct arrays that the backward closures of the
     nodes of ``records`` hold, directly or through functions they hold,
-    each counted as the array that owns its memory; the arrays of
-    ``params`` belong to the model, not the graph, and are left out."""
+    each counted as the array that owns its memory, by the op whose node
+    holds it first in creation order (the function that defines the
+    node's backward); the arrays of ``params`` belong to the model, not
+    the graph, and are left out."""
     skip = {id(p.data) for p in params}
-    fns, seen, owners = [r.node[1] for r in records], set(), {}
-    while fns:
-        fn = fns.pop()
-        if id(fn) in seen:
-            continue
-        seen.add(id(fn))
-        for cell in fn.__closure__ or ():
-            try:
-                v = cell.cell_contents
-            except ValueError:  # a variable the op never assigned
+    seen, by_op = set(), {}
+    for r in sorted(records, key=lambda r: r.node[0]):
+        op = r.node[1].__qualname__.split(".")[0]
+        fns = [r.node[1]]
+        while fns:
+            fn = fns.pop()
+            if id(fn) in seen:
                 continue
-            if isinstance(v, types.FunctionType):
-                fns.append(v)
-            elif isinstance(v, np.ndarray):
-                while isinstance(v.base, np.ndarray):
-                    v = v.base
-                if id(v) not in skip:
-                    owners[id(v)] = v.nbytes
-    return sum(owners.values())
+            seen.add(id(fn))
+            for cell in fn.__closure__ or ():
+                try:
+                    v = cell.cell_contents
+                except ValueError:  # a variable the op never assigned
+                    continue
+                if isinstance(v, types.FunctionType):
+                    fns.append(v)
+                elif isinstance(v, np.ndarray):
+                    while isinstance(v.base, np.ndarray):
+                        v = v.base
+                    if id(v) not in skip:
+                        skip.add(id(v))
+                        by_op[op] = by_op.get(op, 0) + v.nbytes
+    return by_op
 
 
 def peak_bytes(call) -> int:
@@ -189,9 +197,10 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
     chunks on ``workers`` threads (0: as many as the tree chooses); write
     the arrays to ``out_dir/arrays.npz``, each final model to
-    ``out_dir/<config>.ckpt`` and, per config, the graph nodes and bytes
-    of one recorded chunk, the peak bytes of its forward and backward and
-    the ops of one batch-1 forecast to ``out_dir/counts.json``."""
+    ``out_dir/<config>.ckpt`` and, per config, the graph nodes, bytes
+    and bytes by op of one recorded chunk, the peak bytes of its forward
+    and backward and the ops of one batch-1 forecast to
+    ``out_dir/counts.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
@@ -239,12 +248,13 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         x = rng.standard_normal((n, 1, cfg.C, cfg.L))
         y = ad.Tensor(rng.standard_normal((n, cfg.C, cfg.T)))
         records = graph_nodes(ad.mse(model.forward(x, training=True), y))
-        counts[name] = [len(records), graph_bytes(records, params), ops]
+        by_op = graph_bytes(records, params)
+        counts[name] = [len(records), sum(by_op.values()), ops]
         del records
         for p in params:
             p.zero_grad()
-        counts[name].append(peak_bytes(lambda: ad.backward(
-            ad.mse(model.forward(x, training=True), y))))
+        counts[name] += [peak_bytes(lambda: ad.backward(
+            ad.mse(model.forward(x, training=True), y))), by_op]
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
     with open(os.path.join(out_dir, "counts.json"), "w") as fh:
         json.dump(counts, fh)
@@ -366,11 +376,17 @@ def main(argv) -> int:
             with open(os.path.join(d, "counts.json")) as fh:
                 counts.append(json.load(fh))
         for name in CONFIGS:
-            (n0, b0, o0, p0), (n1, b1, o1, p1) = (c[name] for c in counts)
+            (n0, b0, o0, p0, op0), (n1, b1, o1, p1, op1) = (
+                c[name] for c in counts)
             print(f"{name:26s} nodes {n0:4d} -> {n1:4d}, "
                   f"MiB {b0 / 2**20:6.2f} -> {b1 / 2**20:6.2f}, "
                   f"peak MiB {p0 / 2**20:6.2f} -> {p1 / 2**20:6.2f}, "
                   f"forecast ops {o0:4d} -> {o1:4d}")
+            ops = sorted(set(op0) | set(op1),
+                         key=lambda op: (-op0.get(op, 0), op))
+            print(f"{'':26s} MiB by op: " + ", ".join(
+                f"{op} {op0.get(op, 0) / 2**20:.2f} -> "
+                f"{op1.get(op, 0) / 2**20:.2f}" for op in ops))
     sizes = [module_lines(src) for src in (argv[0], HERE_SRC)]
     print("lines per module, all and neither blank nor comment-only, "
           "PARENT_SRC -> this tree:")

@@ -3,8 +3,8 @@
 A ``Tensor`` is its value, ``data``; one that needs a gradient also carries
 a record of its shape, its gradient and, if an op made it, its backward
 node. A node points to its inputs' records, never to the tensors, and keeps
-only the arrays its backward reads (``gelu`` its derivative, ``layer_norm``
-the normalized rows), so an intermediate such as the residual stream into
+only the arrays its backward reads (``gelu`` its CDF, ``layer_norm`` the
+normalized rows), so an intermediate such as the residual stream into
 ``add`` is freed as soon as the forward code drops it. ``backward`` runs the
 nodes reachable from the loss newest first, accumulating gradients into
 every reachable leaf, and consumes them; a pass that never reaches
@@ -16,19 +16,22 @@ the graph keeps anyway holds that computation, its rebuild, on its
 record: ``layer_norm``'s is its affine step on the normalized rows its
 node keeps, ``matmul``'s the product of the operands its node keeps,
 ``linear``'s its product (plus bias) on what its node keeps of its
-input, and ``reshape`` and ``transpose`` apply themselves to their
-input's rebuild. The ops whose backward reads an input array
-(``linear``, ``matmul``, ``mul``, ``depthwise_conv1d``) keep that input's
-rebuild, when it has one, in place of the array and run it only when the
-backward needs the array, so a pass holds none of its layer-norm outputs
-or attention projections, for instance. A rebuild runs at most once per
-``backward``: the record memoises the array for every later reader,
-read-only since they share it, and ``backward`` drops the memo when it
-runs the output's own node, after every reader. Under ``no_grad()`` no
-output has a record, so none has a rebuild. Rebuilds read parameter
-arrays (``gamma``, ``beta``, a weight such as ``w_q`` or ``w_p``) when the
-backward runs, so nothing may write a parameter between a recorded pass
-and its ``backward``: training runs ``adam_step`` only after it.
+input, ``depthwise_conv1d``'s its correlation of the same, ``gelu``'s
+its CDF times what its node keeps of its input, and ``reshape`` and
+``transpose`` apply themselves to their input's rebuild. The ops whose
+backward reads an input array (``linear``, ``matmul``, ``mul``,
+``depthwise_conv1d``, ``gelu``) keep that input's rebuild, when it has
+one, in place of the array and run it only when the backward needs the
+array, so a pass holds none of its layer-norm outputs, attention
+projections or GELU inputs and outputs, for instance. A rebuild runs at
+most once per ``backward``: the record memoises the array for every later
+reader, read-only since they share it, and ``backward`` drops the memo
+when it runs the output's own node, after every reader. Under
+``no_grad()`` no output has a record, so none has a rebuild. Rebuilds
+read parameter arrays (``gamma``, ``beta``, a weight such as ``w_q``,
+``w_p`` or the subnet's kernels) when the backward runs, so nothing may
+write a parameter between a recorded pass and its ``backward``: training
+runs ``adam_step`` only after it.
 
 One op computes each product: ``linear`` every one with a weight shared
 by every leading row, its gradients one flattened GEMM each (a
@@ -409,8 +412,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form); a recorded
-    pass saves only its derivative Phi(x) + x * pdf(x).
+    """Exact GELU, x * Phi(x) with the Gaussian CDF (erf form). A recorded
+    pass keeps Phi(x) and what ``_keep`` keeps of x; its backward computes
+    the derivative Phi(x) + x * pdf(x) from them, and the output's rebuild
+    is Phi(x) * x.
 
     erf is odd, and scipy's is exactly so: it computes erf(x < 0) as
     -erf(-x). On mixed-sign activations that branch mispredicts and costs
@@ -424,19 +429,23 @@ def gelu(a: Tensor) -> Tensor:
     np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    if _recording and a.requires_grad:  # else no node, so bwd never runs
-        d = np.multiply(x, x)
+    if not (_recording and a.requires_grad):  # no node: the output is cdf
+        cdf *= x
+        return _make(cdf, None, a)
+    kx = _keep(a)
+
+    def bwd(g, ra):
+        xd = _kept(kx)
+        d = np.multiply(xd, xd)
         d *= -0.5
         np.exp(d, out=d)
         d *= _INV_SQRT2PI
-        d *= x
+        d *= xd
         d += cdf
+        d *= g
+        ra.accum(d)
 
-    def bwd(g, ra):
-        ra.accum(g * d)
-
-    cdf *= x
-    return _make(cdf, bwd, a)
+    return _make(cdf * x, bwd, a, rebuild=lambda: cdf * _kept(kx))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +560,8 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
         if rx:
             rx.accum(_dw_correlate(g, kd[:, ::-1]))
 
-    return _make(out, bwd, x, kernels)
+    return _make(out, bwd, x, kernels,
+                 rebuild=lambda: _dw_correlate(_kept(kx), kd))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,13 @@ class Metrics:
 @dataclass
 class EpochRecord:
     """One line of the training log: an epoch, or the final test metrics,
-    with ``None`` for the fields that do not apply."""
+    with ``None`` for the fields that do not apply. ``grad_norm`` is the
+    epoch's largest gradient norm before clipping, ``clipped`` the number
+    of its steps whose norm exceeded ``CLIP_NORM``."""
     epoch: Optional[int] = None
     train_loss: Optional[float] = None
+    grad_norm: Optional[float] = None
+    clipped: Optional[int] = None
     val_mse: Optional[float] = None
     val_mae: Optional[float] = None
     test_mse: Optional[float] = None
@@ -175,6 +179,8 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
         order = shuffle_rng.permutation(n_windows)
         loss_sum = 0.0
         loss_batches = 0
+        max_norm = 0.0
+        clipped = 0
         for bi, i in enumerate(range(0, n_windows, cfg.batch_size)):
             idx = order[i:i + cfg.batch_size]
             lv = batch_gradients(model, windows.inputs[idx],
@@ -185,11 +191,14 @@ def train(cfg: ModelConfig, dataset: SplitDataset,
                                             CLIP_NORM)
             if not math.isfinite(norm):
                 raise TrainAbort(epoch, bi, what="gradient")
+            max_norm = max(max_norm, norm)
+            clipped += norm > CLIP_NORM
             ad.adam_step(params, grads, opt)
             loss_sum += lv
             loss_batches += 1
         val = evaluate(model, dataset.val, cfg.L, cfg.T)
         rec = EpochRecord(epoch=epoch, train_loss=loss_sum / loss_batches,
+                          grad_norm=max_norm, clipped=clipped,
                           val_mse=val.mse, val_mae=val.mae,
                           seconds=time.monotonic() - t0)
         history.records.append(rec)

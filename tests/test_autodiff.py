@@ -274,6 +274,14 @@ REBUILT = {
         ad.transpose(ad.layer_norm(x, g, b), (2, 0, 1)), (6, 6)),
     "matmul_reshape_transpose": lambda x, g, b, w: ad.transpose(
         ad.reshape(ad.matmul(x, w), (2, 15)), (1, 0)),
+    "gelu": lambda x, g, b, w: ad.gelu(x),
+    "depthwise_conv1d": lambda x, g, b, w: ad.depthwise_conv1d(
+        x, t(w.data[0])),
+    # an MLP's hidden layer and the score subnet's, both rebuilt twice over
+    "linear_bias_gelu": lambda x, g, b, w: ad.gelu(ad.linear(
+        x, t(w.data[0]), t(w.data[1, 0]))),
+    "layer_norm_depthwise_conv1d_gelu": lambda x, g, b, w: ad.gelu(
+        ad.depthwise_conv1d(ad.layer_norm(x, g, b), t(w.data[0]))),
 }
 
 # ops whose backward reads an input array: (call, shape of the other input)
@@ -282,6 +290,9 @@ READERS = {
     "matmul": (ad.matmul, (2, 6, 4)),
     "mul": (ad.mul, (2, 3, 6)),
     "depthwise_conv1d": (ad.depthwise_conv1d, (6, 3)),
+    # gelu's input gradient reads its input; mul by w makes w's gradient
+    # read gelu's output, which the product rebuilds in turn
+    "gelu": (lambda y, w: ad.mul(ad.gelu(y), w), (2, 3, 6)),
 }
 
 
@@ -318,7 +329,7 @@ class TestRebuilds:
         x, g, b, _ = self.inputs()
         w = t(np.random.default_rng(22).normal(size=shape))
         y = ad.layer_norm(x, g, b)
-        plain, ref = t(y.data.copy(), rg=False), weakref.ref(y.data)
+        plain, ref, rec = t(y.data.copy()), weakref.ref(y.data), y._rec
         loss = ad.sum_all(op(y, w))
         del y
         assert ref() is None  # the node rebuilds it when its backward runs
@@ -326,6 +337,7 @@ class TestRebuilds:
         w_plain = t(w.data)
         ad.backward(ad.sum_all(op(plain, w_plain)))
         assert np.array_equal(w.grad, w_plain.grad)
+        assert np.array_equal(rec.grad, plain.grad)
 
     def test_node_keeps_no_linear_output(self):
         x, _, bias, w = self.inputs()
@@ -597,7 +609,7 @@ def test_gelu_gradient_matches_old_backward(layout):
 # ops whose backward reads none of the listed input arrays, so the graph
 # must not keep them alive
 INPUT_ARRAYS_FREED = {
-    "add": (0, 1), "sigmoid": (0,), "gelu": (0,),
+    "add": (0, 1), "sigmoid": (0,),
     "roll": (0,), "softmax": (0,), "layer_norm": (0,),
     "sum_all": (0,), "mse": (0, 1), "dropout": (0,),
 }

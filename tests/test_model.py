@@ -346,6 +346,56 @@ class TestEquivariance:
         a, b = self.run_perm(use_ctmlp=True)
         assert np.max(np.abs(a - b)) > 1e-9
 
+    @staticmethod
+    def series():
+        """Five (1, C=3, L=16) windows: per channel, std 0.01, 1 and 30
+        about means 5, -1 and 100."""
+        rng = np.random.default_rng(11)
+        return (rng.normal(size=(5, 1, 3, 16)) * np.c_[[0.01, 1.0, 30.0]]
+                + np.c_[[5.0, -1.0, 100.0]])
+
+    @pytest.mark.parametrize("variant", md.VARIANTS)
+    @pytest.mark.parametrize("a", [0.1, 3.0, 1000.0])
+    def test_affine_equivariance(self, variant, a):
+        # instance norm (RevIN) makes forecast(a x + b) = a forecast(x) + b
+        # per channel, but for its eps: for a channel of std s the
+        # normalized input changes by the relative factor
+        #   (s + eps) / (s + eps / a) - 1, at most delta = eps |1 - 1/a| / s,
+        # and so does the denormalizing scale a (s + eps) - eps (a - 1).
+        # The channels meet inside the model, so each forecast may move by
+        # the largest delta of any channel, times its scale a (s + eps)
+        # and the normalized forecast's magnitude; "1 +" leaves the model
+        # room to pass its relative input change on, up to one unit.
+        x = self.series()
+        b = np.c_[[2.0, -7.0, 0.5]]
+        model = md.TwinSModel(micro_config(C=3, L=16, n_layers=2,
+                                           variant=variant))
+        with ad.no_grad():
+            y = model.forward(x).data
+            y_ab = model.forward(a * x + b).data
+        eps = md.INSTANCE_EPS
+        mean, std = x.mean(axis=-1), x.std(axis=-1)        # (5, 1, 3)
+        mean, std = mean.swapaxes(-1, -2), std.swapaxes(-1, -2)
+        delta = (eps * abs(1.0 - 1.0 / a) / std).max(axis=-2, keepdims=True)
+        f = np.abs(y - mean) / (std + eps)              # normalized forecast
+        tol = a * (std + eps) * delta * (1.0 + f.max(axis=(-2, -1),
+                                                     keepdims=True))
+        dev = np.abs(y_ab - (a * y + b))
+        assert (dev <= tol).all(), f"{(dev / tol).max():.2f} tolerances off"
+
+    @pytest.mark.parametrize("variant", md.VARIANTS)
+    def test_affine_equivariance_exact_without_eps(self, variant,
+                                                   monkeypatch):
+        # with eps = 0 a power-of-two scale is exact in every step of the
+        # norm, the model and the denormalization
+        monkeypatch.setattr(md, "INSTANCE_EPS", 0.0)
+        x = self.series()
+        model = md.TwinSModel(micro_config(C=3, L=16, n_layers=2,
+                                           variant=variant))
+        with ad.no_grad():
+            y, y4 = (model.forward(s * x).data for s in (1.0, 4.0))
+        np.testing.assert_array_equal(y4, 4.0 * y)
+
 
 class TestComposition:
     def test_mhsa_layer_matches_hand_assembly(self):
@@ -476,10 +526,13 @@ class TestGraphMemory:
 
     @pytest.mark.parametrize("use_wconv", [True, False])
     def test_forward_peak_near_graph(self, use_wconv):
-        # dropped maps (branch outputs, normed inputs, the layer input) go
-        # as soon as they are used, so a recorded forward peaks 2.6 maps
-        # above the graph it leaves, against 6.6 with the wavelet embedding
-        # and 5.6 without when locals held them to the end of each layer
+        # a recorded forward peaks at 28.2 maps with the wavelet embedding
+        # and 28.0 without: the graph it leaves, 21.8 and 21.7 maps in
+        # which each MLP keeps only its GELU's CDF, plus 6.4 and 6.3 maps
+        # in flight. Dropped maps (branch outputs, normed inputs, the layer
+        # input) go as soon as they are used. One more map kept or left
+        # alive breaks the bound; a GELU that kept its derivative and its
+        # output peaked at 36.9 and 36.7 maps
         cfg = md.ModelConfig(**GATE, use_wconv=use_wconv)
         x, y = self.batch(cfg)
         model = md.TwinSModel(cfg)
@@ -487,11 +540,10 @@ class TestGraphMemory:
         tracemalloc.start()
         try:
             pred = model.forward(x, training=True)
-            held, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1] / one_map
         finally:
             tracemalloc.stop()
-        excess = (peak - held) / one_map
-        assert excess <= 4.0, f"forward peaks {excess:.2f} maps above graph"
+        assert peak <= 29.0, f"forward peaks at {peak:.2f} maps"
         ad.backward(ad.mse(pred, y))
 
 

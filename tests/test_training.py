@@ -187,6 +187,37 @@ class TestBatchGradients:
         for name, t in model.params.items():
             np.testing.assert_array_equal(t.grad, want[name], err_msg=name)
 
+    @pytest.mark.parametrize("variant, dropout", [
+        ("mhsa", 0.0), ("twins", 0.0), ("twins_plus", 0.0),
+        ("twins_plus", 0.1)])
+    def test_rebuilds_change_no_bit(self, variant, dropout, monkeypatch):
+        # a rebuilt array must have the bits of the one it stands for, so
+        # keeping every array instead gives the same gradients
+        cfg = tiny_config(C=2, variant=variant, dropout=dropout)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(12, 1, 2, 32))
+        y = rng.normal(size=(12, 2, 8))
+        runs, rebuilt = [], ad._Record.rebuilt
+
+        def counted(rec):
+            runs[-1][0] += 1
+            return rebuilt(rec)
+
+        monkeypatch.setattr(ad._Record, "rebuilt", counted)
+        for off in (False, True):
+            if off:
+                monkeypatch.setattr(ad, "_rebuild_of", lambda t: None)
+            runs.append([0])
+            model = md.TwinSModel(cfg)
+            loss = tr.batch_gradients(model, x, y)
+            runs[-1] += [loss, {k: p.grad for k, p in model.params.items()}]
+        (n_on, loss_on, on), (n_off, loss_off, off) = runs
+        assert n_on > 0 and n_off == 0
+        assert loss_on == loss_off
+        for name, g in on.items():
+            np.testing.assert_array_equal(g.view(np.uint64),
+                                          off[name].view(np.uint64), name)
+
     def test_peak_independent_of_batch(self):
         # one full chunk runs on each worker at once (two on one CPU), so the
         # reference is that many times the peak of one full chunk, run on
@@ -402,10 +433,37 @@ class TestTrain:
         tr.train(tiny_config(epochs=2), ds, log_fn=rows.append)
         assert len(rows) == 3   # two epochs + final test record
         for r in rows:
-            assert set(r) == {"epoch", "train_loss", "val_mse", "val_mae",
-                              "test_mse", "test_mae", "seconds"}
+            assert set(r) == {"epoch", "train_loss", "grad_norm", "clipped",
+                              "val_mse", "val_mae", "test_mse", "test_mae",
+                              "seconds"}
         assert rows[0]["epoch"] == 0 and rows[0]["test_mse"] is None
         assert rows[-1]["epoch"] is None and rows[-1]["test_mse"] is not None
+        assert rows[-1]["grad_norm"] is None and rows[-1]["clipped"] is None
+
+    def test_log_records_gradient_norms(self, monkeypatch):
+        # each epoch logs the largest pre-clip norm of its steps and how
+        # many of them clip_grad_norm scaled down
+        norms, clip = [], ad.clip_grad_norm
+
+        def seen(grads, max_norm):
+            out = clip(grads, max_norm)
+            norms.append((out[1], out[0] is not grads))
+            return out
+
+        monkeypatch.setattr(ad, "clip_grad_norm", seen)
+        monkeypatch.setattr(tr, "CLIP_NORM", 1.5)  # some steps clip, not all
+        rows = []
+        tr.train(tiny_config(epochs=2), tiny_dataset(seed=8), eval_test=False,
+                 log_fn=lambda r: rows.append((r, len(norms))))
+        start = 0
+        for r, stop in rows:
+            epoch = norms[start:stop]
+            assert stop - start == 7  # 223 windows in batches of 32
+            assert r["grad_norm"] == max(n for n, _ in epoch)
+            assert r["clipped"] == sum(c for _, c in epoch)
+            start = stop
+        assert [r["clipped"] for r, _ in rows] == [3, 0]
+        assert json.loads(json.dumps(rows[0][0])) == rows[0][0]
 
     @pytest.mark.parametrize("split, name, eval_test", [
         ("train", "training", False), ("val", "validation", False),
