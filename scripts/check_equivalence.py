@@ -16,7 +16,9 @@ in one no-grad forward, and the first of them once more as a single
 and of the benchmark's batch-1 forecasts. Last, it scores a fixed split of
 70 windows with ``training.evaluate``, the path of the benchmark's ``mse``
 and ``windows_per_s``: batches of 64 copied out of a strided window view
-into the chunked forward.
+into the chunked forward. The same split is then scored with
+``training.lookback_mean_baseline``, the reference ``twins train``
+reports next to the model; it draws nothing, so no other array moves.
 
 Both a training step and a no-grad pass run in the balanced chunks of
 ``model.chunk_slices``: at most 42 windows at the gate shape and 6 at the
@@ -243,6 +245,8 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
         split = rng.standard_normal((cfg.C, cfg.L + cfg.T + SCORED - 1))
         m = tr.evaluate(model, split, cfg.L, cfg.T)
         arrays[f"{name}/no_grad/evaluate"] = np.array([m.mse, m.mae])
+        m = tr.lookback_mean_baseline(split, cfg.L, cfg.T)
+        arrays[f"{name}/no_grad/baseline"] = np.array([m.mse, m.mae])
         # last, so its draws and dropout masks change no array above
         n = md.chunk_slices(BATCH, cfg)[0].stop
         x = rng.standard_normal((n, 1, cfg.C, cfg.L))

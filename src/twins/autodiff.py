@@ -80,7 +80,6 @@ __all__ = [
     "layer_norm",
     "sum_all",
     "mse",
-    "dropout",
     "adam_step",
     "clip_grad_norm",
     "enable_mac_counting",
@@ -719,15 +718,6 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
             rt.accum(-c * diff)
 
     return _make(np.asarray((diff * diff).mean()), bwd, pred, target)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout, a product with a fixed mask; identity when p == 0."""
-    if p <= 0.0:
-        return a
-    if p >= 1.0:
-        raise ValueError("dropout rate must be < 1")
-    return mul(a, Tensor((rng.random(a.shape) >= p) / (1.0 - p)))
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,8 @@ def _last_window(model: TwinSModel, ds: dt.SplitDataset,
         raise CliError(EXIT_USAGE,
                        f"series length {raw.values.shape[1]} is shorter "
                        f"than the lookback {cfg.L}")
-    std = (raw.values - ds.mean) / ds.scale
-    return std[None, :, -cfg.L:]
+    # the ops are elementwise, so cutting before standardizing changes no bit
+    return ((raw.values[:, -cfg.L:] - ds.mean) / ds.scale)[None]
 
 
 # ---------------------------------------------------------------- commands

@@ -414,8 +414,9 @@ class TwinSModel:
         def branch(h, norm, fn, *args):
             y = fn(ad.layer_norm(h, par[f"{p}.{norm}.g"], par[f"{p}.{norm}.b"]),
                    *args)
-            if training and cfg.dropout > 0.0:
-                y = ad.dropout(y, cfg.dropout, self._dropout_rng)
+            if training and cfg.dropout > 0.0:   # inverted dropout
+                keep = self._dropout_rng.random(y.shape) >= cfg.dropout
+                y = ad.mul(y, Tensor(keep / (1.0 - cfg.dropout)))
             return ad.add(h, y)
 
         h = branch(h, "ln1", at.attention_block, self.attention_weights(l),

@@ -15,10 +15,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+# perfbench's tracer swaps training.make_windows, though nothing here calls it
 from .data import SplitDataset, check_window_fit, make_windows, window_view
 from .model import ModelConfig, TwinSModel, chunk_slices, run_chunks
 
 CLIP_NORM = 5.0
+EVAL_BATCH = 64     # windows per scored batch
 
 CKPT_MAGIC = b"TWSFORE1\n"
 
@@ -65,36 +67,38 @@ class TrainHistory:
     test: Optional[Metrics] = None
 
 
-def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
-             batch_size: int = 64) -> Metrics:
-    """Mean squared/absolute error over every window of a split, stride 1.
+def _score(predict: Callable[[np.ndarray], np.ndarray], split: np.ndarray,
+           L: int, T: int, batch_size: int) -> Metrics:
+    """Mean squared/absolute error of ``predict``, which may broadcast
+    against the (B, C, T) targets, over every window of a split, stride 1.
 
     Metrics are on the globally standardized scale, accumulated in window
     order so the reduction is deterministic. Each batch is copied out of a
     view of the split, so no more than one batch of windows is ever built.
     """
     windows = window_view(split, L, T)
-    se = 0.0
-    ae = 0.0
-    count = 0
-    with ad.no_grad():
-        for i in range(0, windows.inputs.shape[0], batch_size):
-            pred = model.forward(
-                np.ascontiguousarray(windows.inputs[i:i + batch_size])).data
-            diff = pred - windows.targets[i:i + batch_size]
-            se += float((diff * diff).sum())
-            ae += float(np.abs(diff).sum())
-            count += diff.size
+    se, ae, count = 0.0, 0.0, 0
+    for i in range(0, windows.inputs.shape[0], batch_size):
+        pred = predict(np.ascontiguousarray(windows.inputs[i:i + batch_size]))
+        diff = pred - windows.targets[i:i + batch_size]
+        se += float((diff * diff).sum())
+        ae += float(np.abs(diff).sum())
+        count += diff.size
     return Metrics(mse=se / count, mae=ae / count)
+
+
+def evaluate(model: TwinSModel, split: np.ndarray, L: int, T: int,
+             batch_size: int = EVAL_BATCH) -> Metrics:
+    """The model's metrics over every window of a split (``_score``)."""
+    with ad.no_grad():
+        return _score(lambda x: model.forward(x).data, split, L, T,
+                      batch_size)
 
 
 def lookback_mean_baseline(split: np.ndarray, L: int, T: int) -> Metrics:
     """Predict each channel's lookback mean for every step of the horizon."""
-    wb = make_windows(split, L, T)
-    pred = wb.inputs[:, 0].mean(axis=-1, keepdims=True)  # (B, C, 1)
-    diff = np.broadcast_to(pred, wb.targets.shape) - wb.targets
-    return Metrics(mse=float((diff * diff).mean()),
-                   mae=float(np.abs(diff).mean()))
+    return _score(lambda x: x[:, 0].mean(axis=-1, keepdims=True), split, L,
+                  T, EVAL_BATCH)
 
 
 def _chunk_gradients(model: TwinSModel, inputs: np.ndarray,

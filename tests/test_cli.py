@@ -6,7 +6,7 @@ import pytest
 
 import twins.cli as cli
 import twins.data as dt
-from twins.model import ModelConfig
+from twins.model import ModelConfig, TwinSModel
 from twins.training import CKPT_MAGIC, TrainAbort
 
 SPEC = "len=160,channels=2,lag=2,noise=0.05,seed=3|period=8|period=16,amp=0.5"
@@ -112,6 +112,23 @@ def test_forecast_csv(trained, tmp_path):
     assert len(lines[0].split(",")) == 2
     body = np.array([[float(v) for v in s.split(",")] for s in lines[1:]])
     assert body.shape == (4, 2) and np.all(np.isfinite(body))
+
+
+def test_last_window_is_the_standardized_series_tail():
+    rng = np.random.default_rng(4)
+    values = (rng.normal(size=(3, 500)) * np.c_[[0.01, 1.0, 30.0]]
+              + np.c_[[5.0, -1.0, 100.0]])
+    raw = dt.RawSeries(["a", "b", "c"], values)
+    ds = dt.split_standardize(raw)
+    model = TwinSModel(ModelConfig(C=3, L=16, T=4, d=2, num_scales=2,
+                                   n_layers=1, patch_len=4, heads=2,
+                                   aware_heads=2, h=8, ffn_hidden=8))
+    want = ((values - ds.mean) / ds.scale)[None, :, -16:]
+    window = cli._last_window(model, ds, raw)
+    assert np.array_equal(window, want)
+    # a contiguous window and the strided slice forecast the same bits
+    assert np.array_equal(model.forward(window).data,
+                          model.forward(want).data)
 
 
 def test_attn_export(trained, tmp_path):

@@ -1,5 +1,6 @@
 """Model assembly contracts: shapes, residual identity, equivariance, grads."""
 
+import contextlib
 import re
 import sys
 import tracemalloc
@@ -340,6 +341,27 @@ class TestEquivariance:
 
     def test_without_mixer_exact(self):
         a, b = self.run_perm(use_ctmlp=False)
+        np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(md.VARIANTS), use_wconv=st.booleans(),
+           C=st.integers(2, 7), n_layers=st.integers(1, 2),
+           d=st.integers(1, 4), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           recorded=st.booleans(), data=st.data())
+    def test_without_mixer_exact_over_configs(self, variant, use_wconv, C,
+                                              n_layers, d, lead, recorded,
+                                              data):
+        # channels meet only in the mixer, so without it a permutation of
+        # the input channels permutes the forecast bit for bit, on the
+        # recorded path and on the chunked no-grad one
+        perm = data.draw(st.permutations(range(C)))
+        model = md.TwinSModel(micro_config(
+            C=C, n_layers=n_layers, d=d, variant=variant,
+            use_wconv=use_wconv, use_ctmlp=False))
+        x = np.random.default_rng(C).normal(size=lead + (1, C, 8))
+        with contextlib.nullcontext() if recorded else ad.no_grad():
+            a = model.forward(x).data[..., perm, :]
+            b = model.forward(x[..., perm, :]).data
         np.testing.assert_array_equal(a, b)
 
     def test_with_mixer_not_equivariant(self):

@@ -81,8 +81,7 @@ class TestEvaluate:
             t.data[:] = 0.0
         got = tr.evaluate(model, ds.test, cfg.L, cfg.T)
         want = tr.lookback_mean_baseline(ds.test, cfg.L, cfg.T)
-        assert got.mse == pytest.approx(want.mse, rel=1e-9)
-        assert got.mae == pytest.approx(want.mae, rel=1e-9)
+        assert (got.mse, got.mae) == (want.mse, want.mae)
 
     def test_constant_series_perfectly_predicted(self):
         raw = dt.RawSeries(["c"], np.full((1, 200), 4.0))
@@ -98,6 +97,21 @@ class TestEvaluate:
         model = md.TwinSModel(tiny_config())
         with pytest.raises(ValueError):
             tr.evaluate(model, np.zeros((1, 10)), 32, 8)
+
+    def test_baseline_split_too_short(self):
+        with pytest.raises(ValueError):
+            tr.lookback_mean_baseline(np.zeros((1, 10)), 32, 8)
+
+    def test_baseline_matches_whole_copy(self):
+        # every window copied at once, as the baseline was once computed;
+        # 183 windows leave a last batch of 55
+        C, L, T = 3, 16, 8
+        split = np.random.default_rng(2).normal(size=(C, L + T + 182))
+        win = np.stack([split[:, i:i + L + T] for i in range(183)])
+        diff = win[:, :, :L].mean(axis=-1, keepdims=True) - win[:, :, L:]
+        got = tr.lookback_mean_baseline(split, L, T)
+        assert got.mse == pytest.approx((diff * diff).mean(), rel=1e-13)
+        assert got.mae == pytest.approx(np.abs(diff).mean(), rel=1e-13)
 
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -133,6 +147,15 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], [p / 2 ** 20 for p in peaks]
+
+    def test_baseline_peak_under_two_batches(self):
+        # ETTh1's test split at the paper's shape: 3293 windows, whose
+        # lookbacks, targets and errors take 17 MiB each if built whole
+        C, L, T = 7, 96, 96
+        split = np.random.default_rng(0).normal(size=(C, 3484))
+        _, peak = traced_peak(lambda: tr.lookback_mean_baseline(split, L, T))
+        batch = tr.EVAL_BATCH * C * (L + T) * split.itemsize
+        assert peak < 2 * batch, peak / 2 ** 20
 
 
 def etth1_shaped_dataset(n_windows, seed):
