@@ -58,6 +58,13 @@ cite; they change no exit code. The peak is taken with the public API
 only (``forward``, ``mse``, ``backward``), so it is the same measurement
 on both trees.
 
+Each tree's worker last runs the ``twins`` invocations of
+``CLI_FAILURES``, each of which must fail, through its own
+``cli.main``, from its output directory and with ``TWINS_OUT`` set to a
+temporary directory, and records each one's exit code and stderr.
+The error contract of the command line is part of what must not change:
+the two trees must agree on both for every invocation.
+
 The script prints, per config and in total, how many arrays are
 bit-identical and the worst relative difference, max|a - b| / max|b|, and
 the bit-identical count of the recorded arrays alone, first for the two
@@ -65,16 +72,20 @@ runs of this tree and then for this tree against PARENT_SRC, then one line
 per config on its checkpoint files, then one per config on the graph
 nodes, graph bytes, forward-plus-backward peak and batch-1 forecast ops
 of both trees, followed by that config's graph MiB split by the op whose
-node first holds each array, in creation order. It exits 1
-when an array is missing on one side, when the runs of this tree differ
-in a bit, when an array differs from PARENT_SRC by more than 1e-12, or
-when a checkpoint file differs or does not restore its parameters, and 2
-on a bad argument, a PARENT_SRC without ``training.batch_gradients``
-included. Last, it prints each tree's package size: the lines of each
-``twins/<name>.py`` module side by side, then the lines of all of them,
-in total and without blank and comment-only lines.
+node first holds each array, in creation order, then one line per
+failing invocation. It exits 1 when an array is missing on one side,
+when the runs of this tree differ in a bit, when an array differs from
+PARENT_SRC by more than 1e-12, when a checkpoint file differs or does not
+restore its parameters, or when a failing invocation's exit code or
+stderr differs between the trees, and 2 on a bad argument, a PARENT_SRC
+without ``training.batch_gradients`` included. Last, it prints each
+tree's package size: the lines of each ``twins/<name>.py`` module side by
+side, then the lines of all of them, in total and without blank and
+comment-only lines.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -104,6 +115,21 @@ CONFIGS = {
     "twins_plus_gate_no_ctmlp": dict(GATE, variant="twins_plus",
                                      use_ctmlp=False),
     "twins_gate_scales_8_4": dict(GATE, variant="twins", scales=[8, 4]),
+}
+# name -> argv of a ``twins`` invocation that must fail; paths are
+# relative to the worker's output directory, which holds no series.csv and
+# the checkpoint it saved for twins_gate (C=2, L=96, 2 layers)
+SERIES = "len=200,channels=2|period=8"
+CLI_FAILURES = {
+    "both sources": ["train", "--data", "series.csv", "--synthetic", SERIES],
+    "no source": ["train"],
+    "missing file": ["train", "--data", "series.csv"],
+    "bad spec clause": ["train", "--synthetic", "len=200|period"],
+    "unknown --inject-bug op": ["selfcheck", "--inject-bug", "no_such_op"],
+    "even --k": ["analyze", "flops", "--k", "4", "--no-measure"],
+    "unknown flag": ["train", "--no-such-flag"],
+    "out-of-range --layer": ["analyze", "attn", "--ckpt", "twins_gate.ckpt",
+                             "--synthetic", SERIES, "--layer", "7"],
 }
 HERE_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "src")
@@ -195,6 +221,19 @@ def module_lines(src: str) -> dict:
     return out
 
 
+def cli_failures(cli) -> dict:
+    """Name -> [exit code, stderr] of each ``CLI_FAILURES`` invocation
+    through ``cli.main``, its stdout dropped."""
+    out = {}
+    for name, argv in CLI_FAILURES.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        out[name] = [code, err.getvalue()]
+    return out
+
+
 def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     """Worker: train every config with the package under ``src``, its
     chunks on ``workers`` threads (0: as many as the tree chooses); write
@@ -202,10 +241,12 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     ``out_dir/<config>.ckpt`` and, per config, the graph nodes, bytes
     and bytes by op of one recorded chunk, the peak bytes of its forward
     and backward and the ops of one batch-1 forecast to
-    ``out_dir/counts.json``."""
+    ``out_dir/counts.json``; then, from ``out_dir``, run ``CLI_FAILURES``
+    and write ``out_dir/cli.json``."""
     sys.path.insert(0, os.path.abspath(src))
     import twins
     import twins.autodiff as ad
+    import twins.cli as cli
     import twins.model as md
     import twins.training as tr
 
@@ -262,6 +303,10 @@ def run_tree(src: str, out_dir: str, workers: int = 0) -> None:
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
     with open(os.path.join(out_dir, "counts.json"), "w") as fh:
         json.dump(counts, fh)
+    os.chdir(out_dir)
+    os.environ["TWINS_OUT"] = os.path.join(out_dir, "runs")
+    with open(os.path.join(out_dir, "cli.json"), "w") as fh:
+        json.dump(cli_failures(cli), fh)
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -391,6 +436,18 @@ def main(argv) -> int:
             print(f"{'':26s} MiB by op: " + ", ".join(
                 f"{op} {op0.get(op, 0) / 2**20:.2f} -> "
                 f"{op1.get(op, 0) / 2**20:.2f}" for op in ops))
+        print("failing twins invocations, PARENT_SRC -> this tree:")
+        cli_ok = True
+        fails = []
+        for d in dirs[:2]:
+            with open(os.path.join(d, "cli.json")) as fh:
+                fails.append(json.load(fh))
+        for name in CLI_FAILURES:
+            (c0, e0), (c1, e1) = (f[name] for f in fails)
+            agree = c0 == c1 and e0 == e1
+            cli_ok = cli_ok and agree
+            print(f"{name:26s} exit {c0} -> {c1}, stderr "
+                  f"{'same' if e0 == e1 else 'DIFFERS'}: {e1.strip()!r}")
     sizes = [module_lines(src) for src in (argv[0], HERE_SRC)]
     print("lines per module, all and neither blank nor comment-only, "
           "PARENT_SRC -> this tree:")
@@ -404,8 +461,9 @@ def main(argv) -> int:
     print("worker counts " + ("bit-identical" if same_bits
                               else "NOT bit-identical"))
     print("checkpoints " + ("agree" if files_ok else "DISAGREE"))
+    print("failing invocations " + ("agree" if cli_ok else "DISAGREE"))
     print("equivalent" if same else f"NOT equivalent (tolerance {TOL:g})")
-    return 0 if same and same_bits and files_ok else 1
+    return 0 if same and same_bits and files_ok and cli_ok else 1
 
 
 if __name__ == "__main__":

@@ -103,19 +103,22 @@ def scalogram_to_csv(sg: Scalogram, path: str) -> None:
             writer.writerow([f"{a:.9g}"] + [f"{v:.9g}" for v in row])
 
 
+def check_attention_indices(cfg: ModelConfig, layer: int, head: int,
+                            channel: int) -> None:
+    """Raise unless the model of ``cfg`` has this layer, head and channel."""
+    for name, i, n in (("layer", layer, cfg.n_layers),
+                       ("head", head, cfg.heads), ("channel", channel, cfg.C)):
+        if not 0 <= i < n:
+            raise ValueError(f"{name} {i} out of range 0..{n - 1}")
+
+
 def export_attention(model: TwinSModel, window: np.ndarray, layer: int,
                      head: int, path: str, channel: int = 0) -> np.ndarray:
     """Write one post-softmax P x P attention matrix as CSV."""
-    cfg = model.config
-    if not 0 <= layer < cfg.n_layers:
-        raise ValueError(f"layer {layer} out of range 0..{cfg.n_layers - 1}")
-    if not 0 <= head < cfg.heads:
-        raise ValueError(f"head {head} out of range 0..{cfg.heads - 1}")
-    if not 0 <= channel < cfg.C:
-        raise ValueError(f"channel {channel} out of range 0..{cfg.C - 1}")
+    check_attention_indices(model.config, layer, head, channel)
     probe: dict = {}
     with ad.no_grad():
-        model.forward(np.asarray(window, dtype=np.float64), probe=probe)
+        model.forward(window, probe=probe)
     mat = probe["attn_layers"][layer][head, channel]       # (P, P)
     np.savetxt(path, mat, delimiter=",", fmt="%.12g")
     return mat

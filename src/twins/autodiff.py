@@ -20,18 +20,18 @@ input, ``depthwise_conv1d``'s its correlation of the same, ``gelu``'s
 its CDF times what its node keeps of its input, and ``reshape`` and
 ``transpose`` apply themselves to their input's rebuild. The ops whose
 backward reads an input array (``linear``, ``matmul``, ``mul``,
-``depthwise_conv1d``, ``gelu``) keep that input's rebuild, when it has
-one, in place of the array and run it only when the backward needs the
-array, so a pass holds none of its layer-norm outputs, attention
-projections or GELU inputs and outputs, for instance. A rebuild runs at
-most once per ``backward``: the record memoises the array for every later
-reader, read-only since they share it, and ``backward`` drops the memo
-when it runs the output's own node, after every reader. Under
-``no_grad()`` no output has a record, so none has a rebuild. Rebuilds
-read parameter arrays (``gamma``, ``beta``, a weight such as ``w_q``,
-``w_p`` or the subnet's kernels) when the backward runs, so nothing may
-write a parameter between a recorded pass and its ``backward``: training
-runs ``adam_step`` only after it.
+``depthwise_conv1d``, ``gelu``) keep that input as a call that returns
+its array, its rebuild if it has one, and call it only when the backward
+needs the array, so a pass holds none of its layer-norm outputs,
+attention projections or GELU inputs and outputs, for instance. A
+rebuild runs at most once per ``backward``: the record memoises the
+array for every later reader, read-only since they share it, and
+``backward`` drops the memo when it runs the output's own node, after
+every reader. Under ``no_grad()`` no output has a record, so none has a
+rebuild. Rebuilds read parameter arrays (``gamma``, ``beta``, a weight
+such as ``w_q``, ``w_p`` or the subnet's kernels) when the backward
+runs, so nothing may write a parameter between a recorded pass and its
+``backward``: training runs ``adam_step`` only after it.
 
 One op computes each product: ``linear`` every one with a weight shared
 by every leading row, its gradients one flattened GEMM each (a
@@ -200,7 +200,7 @@ class _Record:
         """The rebuild's array, computed on the first call only and then
         handed to every node that reads the output, so read-only."""
         if self.memo is None:
-            self.memo = self.rebuild()
+            self.memo = np.asarray(self.rebuild())  # 0-d: not a scalar
             self.memo.flags.writeable = False
         return self.memo
 
@@ -293,13 +293,10 @@ def _rebuild_of(t: Tensor):
 
 
 def _keep(t: Tensor):
-    """What a node keeps of input ``t``: its rebuild if it has one, else
-    its array; ``_kept`` gives the array back."""
-    return _rebuild_of(t) or t.data
-
-
-def _kept(v) -> np.ndarray:
-    return v() if callable(v) else v
+    """What a node keeps of input ``t``: a call that returns its array,
+    ``t``'s rebuild if it has one, else a closure over the array."""
+    d = t.data
+    return _rebuild_of(t) or (lambda: d)
 
 
 def backward(loss: Tensor) -> None:
@@ -385,9 +382,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, ra, rb):
         if ra:
-            ra.accum(_unbroadcast(g * _kept(da), ra.shape))
+            ra.accum(_unbroadcast(g * da(), ra.shape))
         if rb:
-            rb.accum(_unbroadcast(g * _kept(db), rb.shape))
+            rb.accum(_unbroadcast(g * db(), rb.shape))
 
     return _make(out, bwd, a, b)
 
@@ -395,7 +392,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function from one exp(-|x|), stable in both tails."""
     x = a.data
-    e = np.abs(x)
+    e = np.abs(x, out=np.empty_like(x))  # an array, even for a 0-d x
     np.negative(e, out=e)
     np.exp(e, out=e)
     y = np.maximum(e, x >= 0)  # 1 / (1 + e) for x >= 0, e / (1 + e) below
@@ -422,7 +419,7 @@ def gelu(a: Tensor) -> Tensor:
     sign comes back by copysign, with the same bits for every non-NaN x.
     """
     x = a.data
-    cdf = np.abs(x)
+    cdf = np.abs(x, out=np.empty_like(x))  # an array, even for a 0-d x
     cdf *= _INV_SQRT2
     erf(cdf, out=cdf)
     np.copysign(cdf, x, out=cdf)
@@ -434,8 +431,8 @@ def gelu(a: Tensor) -> Tensor:
     kx = _keep(a)
 
     def bwd(g, ra):
-        xd = _kept(kx)
-        d = np.multiply(xd, xd)
+        xd = kx()
+        d = np.multiply(xd, xd, out=np.empty_like(xd))
         d *= -0.5
         np.exp(d, out=d)
         d *= _INV_SQRT2PI
@@ -444,7 +441,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= g
         ra.accum(d)
 
-    return _make(cdf * x, bwd, a, rebuild=lambda: cdf * _kept(kx))
+    return _make(cdf * x, bwd, a, rebuild=lambda: cdf * kx())
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +460,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, ra, rb):
         if ra:
-            ra.accum(g @ _kept(kb).swapaxes(-1, -2))
+            ra.accum(g @ kb().swapaxes(-1, -2))
         if rb:
-            rb.accum(_kept(ka).swapaxes(-1, -2) @ g)
+            rb.accum(ka().swapaxes(-1, -2) @ g)
 
-    return _make(out, bwd, a, b, rebuild=lambda: _kept(ka) @ _kept(kb))
+    return _make(out, bwd, a, b, rebuild=lambda: ka() @ kb())
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
@@ -497,11 +494,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor = None) -> Tensor:
         if rx:
             rx.accum((g2 @ wd.T).reshape(rx.shape))
         if rw:
-            rw.accum(_kept(kx).reshape(-1, k).T @ g2)
+            rw.accum(kx().reshape(-1, k).T @ g2)
         if rb:
             rb.accum(np.ones(g2.shape[0]) @ g2)
 
-    return _make(out, bwd, *inputs, rebuild=lambda: product(_kept(kx)))
+    return _make(out, bwd, *inputs, rebuild=lambda: product(kx()))
 
 
 def _tap_slices(k: int, n: int):
@@ -551,7 +548,7 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
 
     def bwd(g, rx, rk):
         if rk:
-            g3, x3 = g.reshape(-1, P, ch), _kept(kx).reshape(-1, P, ch)
+            g3, x3 = g.reshape(-1, P, ch), kx().reshape(-1, P, ch)
             gk = np.zeros(kd.shape)
             for j, dst, src in _tap_slices(k, P):
                 gk[:, j] = np.einsum("npc,npc->c", g3[:, dst], x3[:, src])
@@ -560,7 +557,7 @@ def depthwise_conv1d(x: Tensor, kernels: Tensor) -> Tensor:
             rx.accum(_dw_correlate(g, kd[:, ::-1]))
 
     return _make(out, bwd, x, kernels,
-                 rebuild=lambda: _dw_correlate(_kept(kx), kd))
+                 rebuild=lambda: _dw_correlate(kx(), kd))
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,11 @@ EXIT_SELFCHECK = 3
 OUT_ROOT_VAR = "TWINS_OUT"
 
 
-class CliError(Exception):
-    def __init__(self, code: int, msg: str):
-        super().__init__(msg)
-        self.code = code
-        self.msg = msg
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through our exit-code scheme."""
+    """argparse whose usage errors are ValueErrors, as ``main`` wants."""
 
     def error(self, message):
-        raise CliError(EXIT_USAGE, message)
+        raise ValueError(message)
 
 
 # ------------------------------------------------------------------ inputs
@@ -102,14 +95,14 @@ def _parse_synth(spec: str) -> dt.RawSeries:
 
 def _load_series(args) -> tuple:
     if args.data and args.synthetic:
-        raise CliError(EXIT_USAGE, "pass either --data or --synthetic, not both")
+        raise ValueError("pass either --data or --synthetic, not both")
     if args.data:
         if not os.path.exists(args.data):
-            raise CliError(EXIT_USAGE, f"data file not found: {args.data}")
+            raise ValueError(f"data file not found: {args.data}")
         return dt.load_csv(args.data), args.data
     if args.synthetic:
         return _parse_synth(args.synthetic), f"synthetic:{args.synthetic}"
-    raise CliError(EXIT_USAGE, "no input: pass --data CSV or --synthetic SPEC")
+    raise ValueError("no input: pass --data CSV or --synthetic SPEC")
 
 
 def _run_dir(args, source: str, cfg: ModelConfig | None) -> str:
@@ -164,13 +157,12 @@ def _checkpoint_and_series(args) -> tuple:
     """The ``--ckpt`` model and the series checked against its channel
     count, as (model, raw, source, split)."""
     if not os.path.exists(args.ckpt):
-        raise CliError(EXIT_USAGE, f"checkpoint not found: {args.ckpt}")
+        raise ValueError(f"checkpoint not found: {args.ckpt}")
     model = load_checkpoint(args.ckpt)
     raw, source = _load_series(args)
     if raw.values.shape[0] != model.config.C:
-        raise CliError(EXIT_USAGE,
-                       f"series has {raw.values.shape[0]} channels, "
-                       f"checkpoint expects {model.config.C}")
+        raise ValueError(f"series has {raw.values.shape[0]} channels, "
+                         f"checkpoint expects {model.config.C}")
     return model, raw, source, dt.split_standardize(raw)
 
 
@@ -178,11 +170,10 @@ def _last_window(model: TwinSModel, ds: dt.SplitDataset,
                  raw: dt.RawSeries) -> np.ndarray:
     cfg = model.config
     if raw.values.shape[1] < cfg.L:
-        raise CliError(EXIT_USAGE,
-                       f"series length {raw.values.shape[1]} is shorter "
-                       f"than the lookback {cfg.L}")
+        raise ValueError(f"series length {raw.values.shape[1]} is shorter "
+                         f"than the lookback {cfg.L}")
     # the ops are elementwise, so cutting before standardizing changes no bit
-    return ((raw.values[:, -cfg.L:] - ds.mean) / ds.scale)[None]
+    return ds.standardize(raw.values[:, -cfg.L:])[None]
 
 
 # ---------------------------------------------------------------- commands
@@ -269,7 +260,7 @@ def _selfcheck_cases(inject_bug):
     yield "checkpoint round-trip", same, ""
 
     xn = rng.normal(size=(1, 3, 16))
-    normed, stats = instance_normalize(Tensor(xn))
+    normed, stats = instance_normalize(xn)
     rebuilt = instance_denormalize(normed, stats)
     err = float(np.max(np.abs(rebuilt.data - xn)))
     yield "instance-norm round-trip", err < 1e-10, f"max err {err:.2e}"
@@ -290,9 +281,8 @@ def _selfcheck_cases(inject_bug):
 def cmd_selfcheck(args) -> int:
     if args.inject_bug is not None and args.inject_bug not in OP_CALLS:
         known = ", ".join(OP_CALLS)
-        raise CliError(EXIT_USAGE,
-                       f"unknown op for --inject-bug: {args.inject_bug!r} "
-                       f"(known: {known})")
+        raise ValueError(f"unknown op for --inject-bug: {args.inject_bug!r} "
+                         f"(known: {known})")
     failures = []
     for name, ok, detail in _selfcheck_cases(args.inject_bug):
         if ok:
@@ -302,8 +292,9 @@ def cmd_selfcheck(args) -> int:
             print(f"FAIL: {name}{suffix}")
             failures.append(name)
     if failures:
-        raise CliError(EXIT_SELFCHECK,
-                       f"selfcheck failed: {', '.join(failures)}")
+        print(f"error: selfcheck failed: {', '.join(failures)}",
+              file=sys.stderr)
+        return EXIT_SELFCHECK
     print("selfcheck passed")
     return 0
 
@@ -312,8 +303,7 @@ def cmd_scalogram(args) -> int:
     raw, source = _load_series(args)
     C = raw.values.shape[0]
     if not 0 <= args.channel < C:
-        raise CliError(EXIT_USAGE,
-                       f"channel {args.channel} out of range 0..{C - 1}")
+        raise ValueError(f"channel {args.channel} out of range 0..{C - 1}")
     series = raw.values[args.channel]
     sg = ana.morlet_cwt(series, args.scales)
     run_dir = _run_dir(args, source, None)
@@ -331,6 +321,8 @@ def cmd_scalogram(args) -> int:
 def cmd_attn(args) -> int:
     model, raw, source, ds = _checkpoint_and_series(args)
     window = _last_window(model, ds, raw)
+    ana.check_attention_indices(model.config, args.layer, args.head,
+                                args.channel)
     run_dir = _run_dir(args, source, model.config)
     path = os.path.join(run_dir, "attention.csv")
     ana.export_attention(model, window, args.layer, args.head, path,
@@ -507,9 +499,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err.msg}", file=sys.stderr)
-        return err.code
     except TrainAbort as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NAN

@@ -26,6 +26,9 @@ class SplitDataset:
     mean: np.ndarray         # (C, 1) train mean, raw units
     scale: np.ndarray        # (C, 1) divisor actually used: max(std, floor)
 
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.mean) / self.scale
+
     def destandardize(self, x: np.ndarray) -> np.ndarray:
         return x * self.scale + self.mean
 
@@ -110,15 +113,15 @@ def split_standardize(raw: RawSeries, ratios=(0.6, 0.2, 0.2)) -> SplitDataset:
             f"empty split: sizes {(n_train, n_val, n_test)} from N={N}"
         )
     train_raw = raw.values[:, :n_train]
-    mean = train_raw.mean(axis=1, keepdims=True)
-    scale = np.maximum(train_raw.std(axis=1, keepdims=True), STD_FLOOR)
-    std = lambda a: (a - mean) / scale
-    return SplitDataset(
-        train=std(train_raw),
-        val=std(raw.values[:, n_train:n_train + n_val]),
-        test=std(raw.values[:, n_train + n_val:n_train + n_val + n_test]),
-        mean=mean, scale=scale,
+    ds = SplitDataset(
+        train=train_raw, val=raw.values[:, n_train:n_train + n_val],
+        test=raw.values[:, n_train + n_val:n_train + n_val + n_test],
+        mean=train_raw.mean(axis=1, keepdims=True),
+        scale=np.maximum(train_raw.std(axis=1, keepdims=True), STD_FLOOR),
     )
+    ds.train, ds.val, ds.test = map(ds.standardize,
+                                    (ds.train, ds.val, ds.test))
+    return ds
 
 
 def check_window_fit(values: np.ndarray, L: int, T: int, what="split"):

@@ -91,6 +91,9 @@ class ModelConfig:
     def P_at(self, l: int) -> int:
         return self.L // self.scale_at(l)
 
+    def P_widest(self) -> int:
+        return max(map(self.P_at, range(self.n_layers)))
+
     def D_at(self, l: int) -> int:
         return self.d * self.scale_at(l)
 
@@ -179,19 +182,18 @@ class NormStats:
     std: np.ndarray         # (..., C, 1), population
 
 
-def instance_normalize(x) -> tuple:
+def instance_normalize(x: np.ndarray) -> tuple:
     """Subtract per-channel lookback mean, divide by (std + eps).
 
     Stats are retained so predictions can be mapped back to input scale.
     """
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xd.ndim < 3 or xd.shape[-3] != 1:
-        raise ValueError(f"expected (..., 1, C, L), got {xd.shape}")
-    mean = xd.mean(axis=-1, keepdims=True)
-    xn = xd - mean
+    if x.ndim < 3 or x.shape[-3] != 1:
+        raise ValueError(f"expected (..., 1, C, L), got {x.shape}")
+    mean = x.mean(axis=-1, keepdims=True)
+    xn = x - mean
     # ndarray.std's own steps, on the centred rows already at hand
     std = np.sqrt(np.add.reduce(np.square(xn), axis=-1, keepdims=True)
-                  / xd.shape[-1])
+                  / x.shape[-1])
     xn /= std + INSTANCE_EPS
     stats = NormStats(np.squeeze(mean, axis=-3), np.squeeze(std, axis=-3))
     return Tensor(xn), stats
@@ -326,7 +328,6 @@ class TwinSModel:
         else:
             self._linear("embed.patch.w", "embed.patch.b", cfg.patch_len,
                          cfg.D_at(0), rng)
-        P_wide = max(map(cfg.P_at, range(cfg.n_layers)))
         for l in range(cfg.n_layers):
             D, P, F = cfg.D_at(l), cfg.P_at(l), cfg.ffn_at(l)
             p = f"layers.{l}"
@@ -338,7 +339,8 @@ class TwinSModel:
                     par[f"{p}.attn.{name}"] = t
             if cfg.has_subnet():
                 # drawn at the widest P and cut, so later draws stay the same
-                sub = at.init_subnet(D, cfg.aware_heads, cfg.k, P_wide, rng)
+                sub = at.init_subnet(D, cfg.aware_heads, cfg.k,
+                                     cfg.P_widest(), rng)
                 par[f"{p}.subnet.dw"] = sub.dw_kernels
                 par[f"{p}.subnet.w_p"] = Tensor(sub.w_p.data[..., :P].copy(),
                                                 requires_grad=True)
@@ -431,7 +433,8 @@ class TwinSModel:
         return h
 
     def forward(self, x, probe=None, training: bool = False) -> Tensor:
-        """(1, C, L) raw window (batch prefix allowed) -> (C, T) forecast.
+        """(1, C, L) raw window array (batch prefix allowed) -> (C, T)
+        forecast; ``x`` is converted to float64 once.
 
         A pass that records no graph, takes no probe and is not training,
         a single window included, runs in the chunks of ``chunk_slices``,
@@ -439,8 +442,7 @@ class TwinSModel:
         near ``CHUNK_BYTES`` per CPU whatever the batch.
         """
         cfg = self.config
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = np.asarray(x, dtype=np.float64)
         if x.shape[-3:] != (1, cfg.C, cfg.L):
             raise ValueError(
                 f"input {x.shape} does not match config (1, {cfg.C}, {cfg.L})"
@@ -449,17 +451,17 @@ class TwinSModel:
             return self._forward_chunk(x, probe, training)
         lead = x.shape[:-3]
         n = math.prod(lead)
-        flat = x.data.reshape((n, 1, cfg.C, cfg.L))
+        flat = x.reshape((n, 1, cfg.C, cfg.L))
         out = np.empty((n, cfg.C, cfg.T))
 
         def score(s):
-            out[s] = self._forward_chunk(Tensor(flat[s]), None, False).data
+            out[s] = self._forward_chunk(flat[s], None, False).data
 
         for _ in run_chunks(score, chunk_slices(n, cfg)):
             pass
         return Tensor(out.reshape(lead + (cfg.C, cfg.T)))
 
-    def _forward_chunk(self, x: Tensor, probe, training: bool) -> Tensor:
+    def _forward_chunk(self, x: np.ndarray, probe, training: bool) -> Tensor:
         """One forward over every window of ``x``, as one batch."""
         cfg = self.config
         xn, stats = instance_normalize(x)

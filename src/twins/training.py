@@ -301,7 +301,6 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
                 f"{path}: checkpoint stores {n_params} arrays, "
                 f"config implies {len(model.params)}"
             )
-        p_wide = max(map(cfg.P_at, range(cfg.n_layers)))
         seen = set()
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -324,7 +323,7 @@ def load_checkpoint(path: str, expect_config: Optional[ModelConfig] = None
             # a w_p of the widest P is the older layout; its columns past
             # this layer's P never had a gradient
             legacy = (shape != t.shape and name.endswith(".subnet.w_p")
-                      and shape == t.shape[:2] + (p_wide,))
+                      and shape == t.shape[:2] + (cfg.P_widest(),))
             if shape != t.shape and not legacy:
                 raise ValueError(
                     f"{path}: array {name!r} has shape {shape}, "

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twins.cli as cli
 import twins.data as dt
@@ -332,7 +337,7 @@ def test_selfcheck_inject_bug_fails_named_op(capfd):
     captured = capfd.readouterr()
     assert rc == 3
     assert "FAIL: gradcheck softmax" in captured.out
-    assert "softmax" in captured.err
+    assert captured.err == "error: selfcheck failed: gradcheck softmax\n"
 
 
 def test_selfcheck_unknown_op(capfd):
@@ -441,3 +446,127 @@ def test_short_split_ablate_writes_nothing(tmp_path, monkeypatch, capfd):
     assert capfd.readouterr().err == (
         "error: training split of length 9 too short for L=8, T=4\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--layer", "7", "layer 7 out of range 0..0"),
+    ("--head", "2", "head 2 out of range 0..1"),
+    ("--channel", "-1", "channel -1 out of range 0..1"),
+])
+@pytest.mark.parametrize("where", ["env", "out"])
+def test_attn_out_of_range_writes_nothing(trained, flag, value, message,
+                                          where, tmp_path, monkeypatch,
+                                          capfd):
+    root = tmp_path / "root"
+    root.mkdir()
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(root))
+    out = ["--out", str(root / "run")] if where == "out" else []
+    rc = cli.main(["analyze", "attn", "--ckpt", str(trained / "model.ckpt"),
+                   "--synthetic", SPEC, flag, value, *out])
+    assert rc == 1
+    assert capfd.readouterr().err == f"error: {message}\n"
+    assert os.listdir(root) == []
+
+
+@pytest.mark.parametrize("command", [["forecast"], ["analyze", "attn"]])
+def test_series_shorter_than_lookback(trained, command, tmp_path,
+                                      monkeypatch, capfd):
+    # len=5 splits 3/1/1, but the last window needs L=8 steps
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(tmp_path))
+    rc = cli.main([*command, "--ckpt", str(trained / "model.ckpt"),
+                   "--synthetic", "len=5,channels=2|period=8"])
+    assert rc == 1
+    assert capfd.readouterr().err == (
+        "error: series length 5 is shorter than the lookback 8\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("channel", ["2", "-1"])
+def test_scalogram_channel_out_of_range(channel, tmp_path, monkeypatch,
+                                        capfd):
+    monkeypatch.setenv(cli.OUT_ROOT_VAR, str(tmp_path))
+    rc = cli.main(["analyze", "scalogram", "--synthetic",
+                   "len=128,channels=2|period=16", "--channel", channel])
+    assert rc == 1
+    assert capfd.readouterr().err == (
+        f"error: channel {channel} out of range 0..1\n")
+    assert os.listdir(tmp_path) == []
+
+
+# each key's clause drawn valid, and the ways one clause of the key breaks:
+# (what the clause becomes, the message after "synthetic spec: ")
+CLAUSES = {
+    "len": st.integers(1, 64),
+    "channels": st.integers(1, 3),
+    "lag": st.integers(0, 4),
+    "noise": st.sampled_from(["0", "0.1", "1.5"]),
+    "seed": st.integers(0, 9),
+    "period": st.integers(2, 40),
+    "amp": st.sampled_from(["0.5", "2", "-1"]),
+}
+RANGE_BREAKS = {
+    "len": ("len=0", "length must be >= 1, got 0"),
+    "channels": ("channels=0", "channels must be >= 1, got 0"),
+    "seed": ("seed=-1", "seed must be >= 0, got -1"),
+    "noise": ("noise=-1", "noise std must be >= 0, got -1.0"),
+    "period": ("period=1", "component period must be >= 2, got 1.0"),
+    "amp": ("amp=inf", "component amplitude must be finite, got inf"),
+    "active": ("active=5-5",
+               "active interval 5-5 is empty: HI must exceed LO"),
+}
+
+
+def broken(clause: str, how: str) -> tuple:
+    """``clause`` broken ``how``, and the message it raises."""
+    key, val = clause.split("=")
+    if how == "no_equals":
+        return key + val, f"bad clause {key + val!r}"
+    if how == "unknown_key":
+        return f"zz{key}={val}", f"unknown key {'zz' + key!r}"
+    if how == "range" and key in RANGE_BREAKS:
+        return RANGE_BREAKS[key]
+    if key == "active":
+        return "active=x", "active wants LO-HI, got 'x'"
+    return f"{key}=x", f"bad value for {key}: 'x'"
+
+
+@st.composite
+def specs_with_one_broken_clause(draw):
+    """(spec, message): a valid spec, its global keys first and then its
+    components, with one clause broken."""
+    keys = draw(st.lists(st.sampled_from(["len", "channels", "lag", "noise",
+                                          "seed"]), unique=True))
+    clauses = [f"{k}={draw(CLAUSES[k])}" for k in keys]
+    for _ in range(draw(st.integers(1, 3))):
+        clauses.append(f"period={draw(CLAUSES['period'])}")
+        if draw(st.booleans()):
+            clauses.append(f"amp={draw(CLAUSES['amp'])}")
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, 50))
+            clauses.append(f"active={lo}-{lo + draw(st.integers(1, 50))}")
+    i = draw(st.integers(0, len(clauses) - 1))
+    clauses[i], message = broken(clauses[i], draw(st.sampled_from(
+        ["no_equals", "unknown_key", "bad_value", "range"])))
+    seps = draw(st.lists(st.sampled_from([",", "|", " , "]),
+                         min_size=len(clauses) - 1,
+                         max_size=len(clauses) - 1))
+    spec = clauses[0] + "".join(s + c for s, c in zip(seps, clauses[1:]))
+    return spec, message
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=specs_with_one_broken_clause())
+def test_one_broken_spec_clause(case):
+    spec, message = case
+    with pytest.raises(ValueError) as err:
+        cli._parse_synth(spec)
+    assert str(err.value) == f"synthetic spec: {message}"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = cli.main(["analyze", "scalogram", "--synthetic", spec,
+                           "--out", out])
+        assert not os.path.exists(out)
+    assert rc == 1
+    assert stderr.getvalue() == f"error: synthetic spec: {message}\n"

@@ -1,9 +1,14 @@
 """CSV loading, splitting, windows, and synthetic generators."""
 
+import csv
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twins import data as dt
 
@@ -77,6 +82,60 @@ class TestLoadCsv:
             dt.load_csv(p)
 
 
+def parses(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+class TestOneMangledCell:
+    """A CSV whose numeric cells all parse but one raises that cell's
+    message, naming its row and column, wherever the cell is."""
+
+    MESSAGES = {
+        "missing": "missing value at row {row}, column {col}",
+        "non-numeric": "non-numeric cell at row {row}, column {col}: {cell!r}",
+        "non-finite": "non-finite value at row {row}, column {col}: {cell!r}",
+    }
+    CELLS = {
+        "missing": st.sampled_from(["", " "]),
+        "non-numeric": st.text(alphabet="0123456789.-+eabx ", min_size=1,
+                               max_size=6).filter(
+            lambda c: c.strip() and not parses(c)),
+        "non-finite": st.sampled_from(["nan", "NaN", " inf", "-inf",
+                                       "+Infinity", "1e400", "-1e309 "]),
+    }
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.integers(2, 5), cols=st.integers(1, 4),
+           has_date=st.booleans(), kind=st.sampled_from(sorted(MESSAGES)),
+           data=st.data())
+    def test_message_names_the_cell(self, rows, cols, has_date, kind, data):
+        # two rows at least, so a mangled first column keeps a number and
+        # is not taken for a date column
+        table = [[repr(v) for v in data.draw(st.lists(
+                  st.floats(-1e6, 1e6), min_size=cols, max_size=cols))]
+                 for _ in range(rows)]
+        i = data.draw(st.integers(0, rows - 1))
+        j = data.draw(st.integers(0, cols - 1))
+        table[i][j] = data.draw(self.CELLS[kind])
+        dates = [[f"2016-07-{r + 1:02d}"] if has_date else []
+                 for r in range(rows)]
+        lines = [["date"] * has_date + [f"c{c}" for c in range(cols)]]
+        lines += [d + row for d, row in zip(dates, table)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "series.csv")
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(lines)  # quotes a lone empty cell
+            with pytest.raises(ValueError) as err:
+                dt.load_csv(path)
+        want = self.MESSAGES[kind].format(row=i + 2, col=j + has_date + 1,
+                                          cell=table[i][j].strip())
+        assert str(err.value) == f"{path}: {want}"
+
+
 class TestSplit:
     def raw(self, N=10, C=2, seed=0):
         vals = np.random.default_rng(seed).normal(size=(C, N)) * 3 + 1
@@ -97,6 +156,21 @@ class TestSplit:
         raw = dt.RawSeries(["c"], np.full((1, 20), 7.0))
         ds = dt.split_standardize(raw)
         np.testing.assert_array_equal(ds.train, np.zeros((1, 12)))
+
+    def test_splits_are_standardized_slices(self):
+        # every split is standardize of its raw slice, by the train
+        # split's mean and floored std, bit for bit
+        raw = self.raw(50, seed=4)
+        ds = dt.split_standardize(raw)
+        train = raw.values[:, :30]
+        mean = train.mean(axis=1, keepdims=True)
+        scale = np.maximum(train.std(axis=1, keepdims=True), dt.STD_FLOOR)
+        for got, (a, b) in zip((ds.train, ds.val, ds.test),
+                               [(0, 30), (30, 40), (40, 50)]):
+            want = (raw.values[:, a:b] - mean) / scale
+            assert got.tobytes() == want.tobytes()
+            assert ds.standardize(raw.values[:, a:b]).tobytes() == \
+                want.tobytes()
 
     def test_destandardize_round_trip(self):
         raw = self.raw(50, seed=2)

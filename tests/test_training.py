@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twins import autodiff as ad
@@ -351,6 +351,47 @@ class TestParallelChunks:
         for name, t in model.params.items():
             np.testing.assert_array_equal(t.grad, want.params[name].grad,
                                           err_msg=name)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(variant=st.sampled_from(md.VARIANTS), C=st.integers(1, 3),
+           scales=st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2),
+           d=st.integers(1, 2), k=st.sampled_from([1, 3]),
+           use_wconv=st.booleans(), use_ctmlp=st.booleans(),
+           dropout=st.sampled_from([0.0, 0.1]), n=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_drawn_micro_configs(self, variant, C, scales, d, k, use_wconv,
+                                 use_ctmlp, dropout, n, seed, chunk_workers,
+                                 monkeypatch):
+        # chunks of two windows, so every batch of two or more runs as
+        # several: the bits are the same on one and on two workers, and
+        # without dropout, whose masks follow the chunks, within 1e-12 of
+        # one recorded pass over the batch
+        cfg = md.ModelConfig(
+            C=C, L=8, T=4, d=d, num_scales=2, n_layers=len(scales),
+            scales=scales if use_wconv else None, patch_len=scales[0],
+            heads=2, aware_heads=2, k=k, h=4, ffn_hidden=4, variant=variant,
+            use_wconv=use_wconv, use_ctmlp=use_ctmlp, dropout=dropout,
+            seed=seed % 1000)
+        monkeypatch.setattr(md, "CHUNK_BYTES", 2 * md._window_bytes(cfg))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 1, C, 8))
+        y = rng.normal(size=(n, C, 4))
+        runs = []
+        for workers in (2, 1):
+            chunk_workers(workers)
+            model = md.TwinSModel(cfg)
+            runs.append((tr.batch_gradients(model, x, y),
+                         {name: t.grad for name, t in model.params.items()}))
+        (loss2, grads2), (loss1, grads1) = runs
+        assert loss2 == loss1
+        for name, g in grads1.items():
+            np.testing.assert_array_equal(grads2[name], g, err_msg=name)
+        if dropout == 0.0:
+            want_loss, want = one_pass_gradients(md.TwinSModel(cfg), x, y)
+            assert loss1 == pytest.approx(want_loss, rel=1e-12, abs=0)
+            for name, g in grads1.items():
+                assert gc.rel_error(g, want[name]) <= 1e-12, name
 
 
 class TestTrain:
